@@ -1,13 +1,13 @@
-// A/B throughput harness: ladder queue vs binary heap (BENCH_event_queue.json).
+// Throughput harness for the simulator's event queue (the ladder queue).
 //
 // Runs the event-core workload shapes from bench/microbench_scheduler.cc —
 // self-rescheduling timer chains (the engine's dominant pattern), a
 // schedule/cancel mix, and a bimodal near/far horizon mix that exercises
-// every ladder tier — once per queue kind with several repetitions, and
-// reports the median wall-clock, events/second, and the ladder:heap speedup
-// per workload as JSON on stdout.  The popped event sequences are identical
-// by construction (tests/sim/queue_differential_test.cc), so the only thing
-// varying here is wall-clock.
+// every ladder tier — with several repetitions, and reports the median
+// thread-CPU seconds and events/second per workload as JSON on stdout.
+// The ladder-vs-binary-heap verdict that made the ladder the only queue is
+// recorded in the committed BENCH_event_queue.json; the heap itself now
+// lives only in the tests, as the differential oracle.
 //
 // Knobs (strictly parsed): DASCHED_BENCH_REPS (default 5),
 // DASCHED_BENCH_EVENTS (events per repetition, default 2'000'000).
@@ -112,8 +112,8 @@ double cpu_now() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-double time_one(const Workload& w, QueueKind kind, std::int64_t events) {
-  Simulator sim(kind);
+double time_one(const Workload& w, std::int64_t events) {
+  Simulator sim;
   sim.reserve_events(8'192);
   const double t0 = cpu_now();
   w.run(sim, w.chains, events);
@@ -139,27 +139,18 @@ int main() {
       reps, "workloads");
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Workload& w = workloads[i];
-    double med[2] = {0, 0};
-    for (QueueKind kind : {QueueKind::kHeap, QueueKind::kLadder}) {
-      std::vector<double> seconds;
-      for (int rep = 0; rep < reps; ++rep) {
-        seconds.push_back(time_one(w, kind, events));
-      }
-      med[kind == QueueKind::kLadder ? 1 : 0] = bench::median_seconds(seconds);
+    std::vector<double> seconds;
+    for (int rep = 0; rep < reps; ++rep) {
+      seconds.push_back(time_one(w, events));
     }
-    const double speedup = med[1] > 0 ? med[0] / med[1] : 0.0;
-    std::fprintf(stderr,
-                 "[%s] heap %.3fs, ladder %.3fs (%.2fx, %.0f ev/s)\n", w.name,
-                 med[0], med[1], speedup,
-                 static_cast<double>(events) / med[1]);
-    char fields[256];
+    const double med = bench::median_seconds(seconds);
+    std::fprintf(stderr, "[%s] ladder %.3fs (%.0f ev/s)\n", w.name, med,
+                 static_cast<double>(events) / med);
+    char fields[160];
     std::snprintf(fields, sizeof(fields),
-                  "\"workload\": \"%s\", \"heap_median_seconds\": %.4f, "
-                  "\"ladder_median_seconds\": %.4f, "
-                  "\"ladder_events_per_sec\": %.0f, "
-                  "\"ladder_speedup_vs_heap\": %.3f",
-                  w.name, med[0], med[1],
-                  static_cast<double>(events) / med[1], speedup);
+                  "\"workload\": \"%s\", \"ladder_median_seconds\": %.4f, "
+                  "\"ladder_events_per_sec\": %.0f",
+                  w.name, med, static_cast<double>(events) / med);
     json.row(fields, i + 1 == workloads.size());
   }
   json.finish();

@@ -1,15 +1,16 @@
 // A/B throughput harness for workspace reuse on the grid (BENCH_grid.json).
 //
 // Runs one small-cell grid — the shape where per-cell setup cost dominates
-// and cross-run reuse pays — twice per repetition: once with the legacy
-// fresh-per-cell path (GridRunOptions::workspace = 0, every cell builds its
-// own simulator/storage/workload/compile from scratch) and once with the
-// per-worker ExperimentWorkspace (workspace = 1, warm pools + compile cache
-// across cells).  Reports the median wall-clock, cells/second, and the
-// reuse:fresh speedup per mode as JSON on stdout.  The per-cell results are
-// bit-identical across modes (tests/driver/workspace_shape_test.cc), so the
-// only thing varying here is wall-clock.  Runs on one worker thread so the
-// medians measure the per-cell cost, not the host's scheduler.
+// and cross-run reuse pays — twice per repetition: once "fresh", calling
+// run_experiment(cell.config) per cell so every cell builds its own
+// simulator/storage/workload/compile anew, and once through
+// run_grid, whose worker reuses one ExperimentWorkspace (warm pools +
+// compile cache) across cells.  Reports the median wall-clock,
+// cells/second, and the reuse:fresh speedup per mode as JSON on stdout.
+// The per-cell results are bit-identical across modes
+// (tests/driver/workspace_shape_test.cc), so the only thing varying here is
+// wall-clock.  Runs on one thread so the medians measure the per-cell cost,
+// not the host's scheduler.
 //
 // Knobs (strictly parsed): DASCHED_BENCH_REPS (default 5),
 // DASCHED_BENCH_SCALE (default 0.1), DASCHED_BENCH_PROCS (default 4).
@@ -39,15 +40,22 @@ ExperimentGrid bench_grid(double scale, int procs) {
   return grid;
 }
 
-double run_once(const ExperimentGrid& grid, int workspace) {
-  GridRunOptions opts;
-  opts.threads = 1;
-  opts.workspace = workspace;
+double run_once(const ExperimentGrid& grid, bool reuse) {
   const auto t0 = std::chrono::steady_clock::now();
-  const GridResultSet results = run_grid(grid, opts);
+  std::size_t cells = 0;
+  if (reuse) {
+    GridRunOptions opts;
+    opts.threads = 1;
+    cells = run_grid(grid, opts).size();
+  } else {
+    for (const GridCell& cell : grid.cells()) {
+      (void)run_experiment(cell.config);
+      ++cells;
+    }
+  }
   const auto t1 = std::chrono::steady_clock::now();
-  if (results.size() != grid.size()) {
-    std::fprintf(stderr, "grid returned %zu of %zu cells\n", results.size(),
+  if (cells != grid.size()) {
+    std::fprintf(stderr, "grid returned %zu of %zu cells\n", cells,
                  grid.size());
     std::exit(2);
   }
@@ -72,17 +80,17 @@ int main() {
 
   struct Mode {
     const char* name;
-    int workspace;
+    bool reuse;
   };
-  const std::vector<Mode> modes = {{"fresh", 0}, {"reuse", 1}};
+  const std::vector<Mode> modes = {{"fresh", false}, {"reuse", true}};
   double fresh_median = 0;
   for (std::size_t i = 0; i < modes.size(); ++i) {
     std::vector<double> seconds;
     for (int rep = 0; rep < reps; ++rep) {
-      seconds.push_back(run_once(grid, modes[i].workspace));
+      seconds.push_back(run_once(grid, modes[i].reuse));
     }
     const double med = bench::median_seconds(seconds);
-    if (modes[i].workspace == 0) fresh_median = med;
+    if (!modes[i].reuse) fresh_median = med;
     const double speedup = fresh_median > 0 ? fresh_median / med : 0.0;
     std::fprintf(stderr, "[%s] median %.3fs, %.1f cells/s (%.2fx)\n",
                  modes[i].name, med, static_cast<double>(cells) / med,

@@ -88,7 +88,8 @@ int main() {
   CompileOptions opts;
   opts.sched.delta = 20;
   opts.sched.theta = 4;
-  const Compiled compiled = compile(prog, P, storage.striping(), opts);
+  const Compiled compiled =
+      compile_trace(lower(prog, P), storage.striping(), opts);
 
   // What did the slack analysis find?
   std::int64_t input_reads = 0;

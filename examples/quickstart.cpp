@@ -94,7 +94,7 @@ double run(PolicyKind policy, bool scheme, double* exec_minutes) {
   CompileOptions copts;
   copts.enable_scheduling = scheme;
   copts.slack.max_slack = 128;
-  Compiled compiled = compile(prog, P, storage.striping(), copts);
+  Compiled compiled = compile_trace(lower(prog, P), storage.striping(), copts);
 
   if (scheme && exec_minutes == nullptr) {
     std::printf("scheduling table (process 0, first 6 entries):\n");

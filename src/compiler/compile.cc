@@ -2,10 +2,8 @@
 
 namespace dasched {
 
-namespace {
-
-Compiled finish(CompiledProgram lowered, const StripingMap& striping,
-                const CompileOptions& opts) {
+Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,
+                       const CompileOptions& opts) {
   analyze_slacks(lowered, striping, opts.slack);
 
   Compiled out;
@@ -25,21 +23,6 @@ Compiled finish(CompiledProgram lowered, const StripingMap& striping,
   out.table = SchedulingTable(out.scheduled);
   out.program = std::move(lowered);
   return out;
-}
-
-}  // namespace
-
-Compiled compile(const LoopProgram& program, int num_processes,
-                 const StripingMap& striping, const CompileOptions& opts) {
-  Compiled out =
-      finish(lower(program, num_processes, opts.lowering), striping, opts);
-  out.dependence = screen_dependences(program, num_processes);
-  return out;
-}
-
-Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,
-                       const CompileOptions& opts) {
-  return finish(std::move(lowered), striping, opts);
 }
 
 }  // namespace dasched

@@ -6,12 +6,14 @@
 //     -> data access scheduling         (core/scheduler.h)
 //     -> scheduling table               (core/scheduling_table.h)
 //
-// The result bundles everything the runtime needs: the lowered program the
-// client processes execute, and the per-process scheduling tables the
-// runtime scheduler threads follow.
+// Every front end produces a lowered `CompiledProgram` first — an affine
+// loop nest through `lower()`, an application through `App::build`, an
+// external trace through the replay parser — and `compile_trace` runs the
+// rest.  The result bundles everything the runtime needs: the lowered
+// program the client processes execute, and the per-process scheduling
+// tables the runtime scheduler threads follow.
 #pragma once
 
-#include "compiler/dependence.h"
 #include "compiler/loop_program.h"
 #include "compiler/lower.h"
 #include "compiler/program.h"
@@ -23,7 +25,6 @@ namespace dasched {
 
 struct CompileOptions {
   ScheduleOptions sched;
-  LowerOptions lowering;
   SlackOptions slack;
   /// When false the pipeline stops after slack analysis and every access is
   /// "scheduled" at its original point — the paper's baseline runs.
@@ -44,18 +45,11 @@ struct Compiled {
   std::vector<ScheduledAccess> scheduled;
   SchedulingTable table;
   ScheduleStats sched_stats;
-  /// Affine path only: statement-pair independence statistics from the
-  /// Omega-lite screen (GCD + Banerjee); zero-initialized on the trace path.
-  DependenceSummary dependence;
 };
 
-/// Affine path: IR -> lowered program -> slacks -> schedule.
-[[nodiscard]] Compiled compile(const LoopProgram& program, int num_processes,
-                               const StripingMap& striping,
-                               const CompileOptions& opts = {});
-
-/// Profiling path: an already-lowered (recorded) program -> slacks ->
-/// schedule.  Coarsening should have been applied by the recorder.
+/// An already-lowered program -> slacks -> schedule -> table.  Coarsening
+/// happens in the front end (`lower()`, the app builder, or the recorder);
+/// an affine nest compiles as `compile_trace(lower(prog, n), striping)`.
 [[nodiscard]] Compiled compile_trace(CompiledProgram lowered,
                                      const StripingMap& striping,
                                      const CompileOptions& opts = {});

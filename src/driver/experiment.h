@@ -14,7 +14,6 @@
 #include "compiler/compile.h"
 #include "io/cluster.h"
 #include "power/policies.h"
-#include "sim/sharded_sim.h"
 #include "storage/storage_system.h"
 #include "telemetry/events.h"
 #include "util/histogram.h"
@@ -89,20 +88,15 @@ struct ExperimentConfig {
   /// time), so its absolute energies differ from `shards=0` by that
   /// bounded, deterministic tail.  Requires 1 <= shards <= num_io_nodes.
   int shards = 0;
-
-  /// Lane→worker placement for sharded runs (DESIGN.md §15.3).  A pure
-  /// wall-clock knob: results are bit-identical for either value (the
-  /// differential tests and the hexfloat probe enforce it), so the
-  /// LPT-balanced map is the default and round_robin remains for A/B runs.
-  LaneAssign lane_assign = LaneAssign::kBalanced;
 };
 
 /// The relative event-load weight of each lane (stream 0 = client layer,
-/// stream 1+i = I/O node i) that `LaneAssign::kBalanced` feeds to the LPT
-/// packer.  A pure function of the topology — the client lane carries every
-/// request's generation/routing/join events, a node lane carries the
-/// per-node cache/elevator/disk chain of its share of requests — so the
-/// lane→worker map stays reproducible across runs and hosts.
+/// stream 1+i = I/O node i) that the sharded engine's LPT lane→worker
+/// packer (`assign_lanes`) consumes.  A pure function of the topology —
+/// the client lane carries every request's generation/routing/join events,
+/// a node lane carries the per-node cache/elevator/disk chain of its share
+/// of requests — so the lane→worker map stays reproducible across runs and
+/// hosts.
 [[nodiscard]] std::vector<double> default_lane_costs(const StorageConfig& storage,
                                                      const WorkloadScale& scale);
 

@@ -58,7 +58,6 @@ ExperimentWorkspace::EngineKey ExperimentWorkspace::engine_key_of(
   key.is_sharded = cfg.shards > 0;
   if (key.is_sharded) {
     key.shards = cfg.shards;
-    key.lane_assign = cfg.lane_assign;
     key.num_io_nodes = cfg.storage.num_io_nodes;
     key.lookahead = cfg.storage.network_latency;
     key.num_processes = cfg.scale.num_processes;
@@ -124,7 +123,6 @@ void ExperimentWorkspace::prepare(const ExperimentConfig& cfg) {
       scfg.num_streams = 1 + cfg.storage.num_io_nodes;
       scfg.shards = cfg.shards;
       scfg.lookahead = cfg.storage.network_latency;
-      scfg.lane_assign = cfg.lane_assign;
       scfg.lane_costs = default_lane_costs(cfg.storage, cfg.scale);
       // dasched-lint: allow(hot-alloc): engine rebuild, topology change only
       sharded_ = std::make_unique<ShardedSimulator>(scfg);

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "driver/experiment.h"
+#include "sim/sharded_sim.h"
 #include "util/annotations.h"
 
 namespace dasched {
@@ -84,10 +85,9 @@ class ExperimentWorkspace {
   struct EngineKey {
     bool is_sharded = false;
     int shards = 0;
-    LaneAssign lane_assign = LaneAssign::kBalanced;
     int num_io_nodes = 0;
     SimTime lookahead = 0;
-    // lane_costs inputs (kBalanced placement is a pure function of these):
+    // lane_costs inputs (the lane→worker map is a pure function of these):
     int num_processes = 0;
     int num_disks = 0;
 

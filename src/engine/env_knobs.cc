@@ -62,15 +62,6 @@ std::string env_string(const char* name, const char* fallback) {
 
 int shards_from_env(int fallback) { return env_int("DASCHED_SHARDS", fallback); }
 
-bool workspace_from_env(bool fallback) {
-  const char* v = std::getenv("DASCHED_WORKSPACE");
-  if (v == nullptr) return fallback;
-  const std::string s = v;
-  if (s == "on") return true;
-  if (s == "off") return false;
-  die("DASCHED_WORKSPACE", v, "on|off");
-}
-
 TelemetryConfig telemetry_from_env() {
   TelemetryConfig cfg;
   cfg.dir = env_string("DASCHED_TRACE", "");

@@ -33,13 +33,6 @@ namespace dasched {
 /// bad count still names the topology it conflicts with.
 [[nodiscard]] int shards_from_env(int fallback);
 
-/// Workspace reuse from DASCHED_WORKSPACE: "on" (the default — grid workers
-/// reuse a warm per-worker ExperimentWorkspace across cells), "off" (legacy
-/// fresh-per-cell construction; the A/B baseline for bench/grid_throughput).
-/// Any other set value is fatal, matching the other knobs.  Results are
-/// bit-identical either way (DESIGN.md §16); this knob trades only speed.
-[[nodiscard]] bool workspace_from_env(bool fallback);
-
 /// Telemetry capture from the environment: DASCHED_TRACE names the output
 /// directory and enables tracing; DASCHED_TRACE_LEVEL selects
 /// {state,request,full} (default "state", "off" disables).  A malformed

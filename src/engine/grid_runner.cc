@@ -65,7 +65,7 @@ int resolve_grid_threads(int requested) {
 namespace {
 
 ExperimentResult run_cell(const GridCell& cell, const GridRunOptions& opts,
-                          ExperimentWorkspace* ws) {
+                          ExperimentWorkspace& ws) {
   ExperimentConfig cfg = cell.config;
   cfg.audit = cfg.audit || opts.audit;
   if (opts.telemetry.enabled()) {
@@ -74,7 +74,7 @@ ExperimentResult run_cell(const GridCell& cell, const GridRunOptions& opts,
       cfg.telemetry.dir += "/cell_" + std::to_string(cell.index);
     }
   }
-  return ws != nullptr ? run_experiment(cfg, *ws) : run_experiment(cfg);
+  return run_experiment(cfg, ws);
 }
 
 }  // namespace
@@ -89,14 +89,10 @@ GridResultSet run_grid(const ExperimentGrid& grid,
   if (static_cast<std::size_t>(threads) > cells.size()) {
     threads = static_cast<int>(cells.size());
   }
-  const bool use_workspace =
-      opts.workspace < 0 ? workspace_from_env(true) : opts.workspace != 0;
-
   if (threads <= 1) {
     ExperimentWorkspace ws;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      results[i].result =
-          run_cell(cells[i], opts, use_workspace ? &ws : nullptr);
+      results[i].result = run_cell(cells[i], opts, ws);
       if (opts.on_cell_done) opts.on_cell_done(cells[i]);
     }
     return GridResultSet{std::move(results)};
@@ -115,8 +111,7 @@ GridResultSet run_grid(const ExperimentGrid& grid,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= cells.size()) break;
       try {
-        results[i].result =
-            run_cell(cells[i], opts, use_workspace ? &ws : nullptr);
+        results[i].result = run_cell(cells[i], opts, ws);
         if (opts.on_cell_done) {
           const std::lock_guard<std::mutex> lock(mu);
           opts.on_cell_done(cells[i]);

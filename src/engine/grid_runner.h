@@ -1,11 +1,11 @@
 // Grid execution: serial or on a std::thread worker pool.
 //
-// Each grid cell is one `run_experiment` call.  By default every worker
-// thread owns one warm ExperimentWorkspace reused across all its cells
-// (bit-identical to fresh construction — DESIGN.md §16); with the
-// workspace knob off, each cell builds a fresh Simulator + StorageSystem.
-// Either way cells share no mutable state and the parallel schedule cannot
-// change any cell's result — `run_grid` with N threads is bit-identical to
+// Each grid cell is one `run_experiment` call.  Every worker thread owns
+// one warm ExperimentWorkspace reused across all its cells, so a W-worker
+// run over N cells constructs O(W) simulation stacks instead of O(N);
+// reuse is bit-identical to fresh construction (DESIGN.md §16).  Cells
+// share no mutable state and the parallel schedule cannot change any
+// cell's result — `run_grid` with N threads is bit-identical to
 // the serial run (tests/engine/grid_runner_test proves it).  Results come
 // back indexed in cell-enumeration order.
 #pragma once
@@ -38,13 +38,6 @@ struct GridRunOptions {
   /// Progress tap, called after each finished cell.  Serialized by the
   /// runner's mutex, so it may print without interleaving.
   std::function<void(const GridCell&)> on_cell_done;
-  /// Per-worker workspace reuse (DESIGN.md §16): each worker thread keeps
-  /// one warm ExperimentWorkspace across all its cells, so a W-worker run
-  /// over N cells constructs O(W) simulation stacks instead of O(N).
-  /// Bit-identical to fresh-per-cell either way.  -1 resolves
-  /// DASCHED_WORKSPACE (default on); 0 forces the legacy fresh-per-cell
-  /// path; 1 forces reuse.
-  int workspace = -1;
 };
 
 struct GridCellResult {

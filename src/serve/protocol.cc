@@ -210,16 +210,6 @@ bool apply_run_field(std::string_view key, std::string_view value,
     cfg.seed = want_u64(key, value);
   } else if (key == "shards") {
     cfg.shards = want_int(key, value);
-  } else if (key == "lane_assign") {
-    // parse_lane_assign takes a std::string; dispatch on the view instead to
-    // keep the hot path allocation-free.
-    if (value == "round_robin") {
-      cfg.lane_assign = LaneAssign::kRoundRobin;
-    } else if (value == "balanced") {
-      cfg.lane_assign = LaneAssign::kBalanced;
-    } else {
-      bad_field(key, "round_robin|balanced", value);
-    }
   } else if (key == "slack") {
     cfg.max_slack = want_int(key, value);
   } else if (key == "audit") {
@@ -320,14 +310,14 @@ void format_run_request(const ExperimentConfig& cfg, bool audit,
       buf, sizeof(buf),
       "app=%s\npolicy=%s\nscheme=%d\nprocs=%d\nscale=%.17g\nnodes=%d\n"
       "delta=%d\ntheta=%d\nbuffer_mib=%lld\ncache_mib=%lld\nseed=%llu\n"
-      "shards=%d\nlane_assign=%s\nslack=%lld\naudit=%d\n",
+      "shards=%d\nslack=%lld\naudit=%d\n",
       cfg.app.c_str(), dasched::to_string(cfg.policy), cfg.use_scheme ? 1 : 0,
       cfg.scale.num_processes, cfg.scale.factor, cfg.storage.num_io_nodes,
       cfg.compile.sched.delta, cfg.compile.sched.theta,
       static_cast<long long>(cfg.runtime.buffer_capacity.count() >> 20),
       static_cast<long long>(cfg.storage.node.cache_capacity.count() >> 20),
       static_cast<unsigned long long>(cfg.seed), cfg.shards,
-      dasched::to_string(cfg.lane_assign), static_cast<long long>(cfg.max_slack),
+      static_cast<long long>(cfg.max_slack),
       audit ? 1 : 0);
   out += buf;
   if (cfg.telemetry.enabled()) {

@@ -1,4 +1,4 @@
-// Tiered timestamp event queues for the simulator hot core (DESIGN.md §15).
+// Tiered timestamp event queue for the simulator hot core (DESIGN.md §15).
 //
 // The event engine pops 24-byte POD `QueuedEvent` entries in the strict
 // total order (time, seq).  Because every key is unique, ANY correct
@@ -27,9 +27,10 @@
 //
 // Tier boundaries are *inclusive time* bounds (`bot_last_`, per-rung
 // `last`), so a tie group can never straddle a boundary and the seq
-// tie-break always resolves inside one tier.  `BinaryHeapQueue` is the
-// classic heap kept behind the strict `DASCHED_QUEUE={heap,ladder}` knob
-// for A/B benchmarking (BENCH_event_queue.json).
+// tie-break always resolves inside one tier.  The ladder is the only
+// product queue; the classic binary heap it replaced survives as the
+// differential-test oracle (tests/sim/binary_heap_queue.h), and the
+// heap-vs-ladder measurement is recorded in BENCH_event_queue.json.
 #pragma once
 
 #include <algorithm>
@@ -63,52 +64,6 @@ static_assert(std::is_trivially_copyable_v<QueuedEvent>);
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
-
-/// Event-queue implementation selector.  `kLadder` is the default hot core;
-/// `kHeap` is the classic binary heap kept for A/B benchmarking and as the
-/// differential-test reference.  Selected per simulator, or process-wide
-/// through the strict `DASCHED_QUEUE` environment knob.
-enum class QueueKind : int { kHeap, kLadder };
-
-[[nodiscard]] const char* to_string(QueueKind kind);
-
-/// DASCHED_QUEUE from the environment: "heap" or "ladder" (default
-/// `fallback`, which is kLadder for every engine entry point).  A malformed
-/// value is fatal (exit 2), matching engine/env_knobs strictness.
-[[nodiscard]] QueueKind queue_kind_from_env(QueueKind fallback);
-
-/// The classic binary heap over (time, seq), on a reservable flat vector.
-class BinaryHeapQueue {
- public:
-  // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
-  void reserve(std::size_t n) { heap_.reserve(n); }
-  /// Drops every entry, keeping the backing capacity warm.
-  void clear() { heap_.clear(); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] const QueuedEvent& top() const { return heap_.front(); }
-
-  DASCHED_HOT void push(const QueuedEvent& e) {
-    // dasched-lint: allow(hot-alloc): growth only past the topology
-    // pre-reserve (Simulator::reserve_events); steady state never grows.
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  DASCHED_HOT void pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
-
- private:
-  /// `a` fires later than `b`: the max-heap on "later" is a min-queue.
-  struct Later {
-    bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
-      return event_before(b, a);
-    }
-  };
-  std::vector<QueuedEvent> heap_;
-};
 
 class LadderQueue {
  public:

@@ -1,53 +1,17 @@
 #include "sim/sharded_sim.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <thread>
 #include <utility>
 
-#include "util/parse.h"
-
 namespace dasched {
 
-const char* to_string(LaneAssign mode) {
-  switch (mode) {
-    case LaneAssign::kRoundRobin:
-      return "round_robin";
-    case LaneAssign::kBalanced:
-      return "balanced";
-  }
-  return "?";
-}
-
-std::optional<LaneAssign> parse_lane_assign(const std::string& s) {
-  if (s == "round_robin") return LaneAssign::kRoundRobin;
-  if (s == "balanced") return LaneAssign::kBalanced;
-  return std::nullopt;
-}
-
-LaneAssign lane_assign_from_env(LaneAssign fallback) {
-  const char* v = std::getenv("DASCHED_LANE_ASSIGN");
-  if (v == nullptr) return fallback;
-  const auto parsed = parse_lane_assign(v);
-  if (!parsed) die_invalid_value("DASCHED_LANE_ASSIGN", v, "round_robin|balanced");
-  return *parsed;
-}
-
 std::vector<std::vector<int>> assign_lanes(int num_streams, int shards,
-                                           LaneAssign mode,
                                            const std::vector<double>& costs) {
   assert(num_streams >= 1 && shards >= 1);
   std::vector<std::vector<int>> owned(static_cast<std::size_t>(shards));
   owned[0].push_back(0);  // lane 0 always runs on the driving worker
-  if (mode == LaneAssign::kRoundRobin) {
-    for (int s = 1; s < num_streams; ++s) {
-      owned[static_cast<std::size_t>((s - 1) % shards)].push_back(s);
-    }
-    return owned;
-  }
-
   const auto cost_of = [&costs](int s) {
     return static_cast<std::size_t>(s) < costs.size()
                ? costs[static_cast<std::size_t>(s)]
@@ -94,9 +58,8 @@ ShardedSimulator::ShardedSimulator(ShardedSimConfig cfg) : cfg_(std::move(cfg)) 
 
   // The lane→worker map is a pure wall-clock concern — any assignment
   // yields identical results (tests/driver/shard_differential_test.cc
-  // proves it for both policies).
-  owned_ = assign_lanes(cfg_.num_streams, cfg_.shards, cfg_.lane_assign,
-                        cfg_.lane_costs);
+  // proves it across worker counts).
+  owned_ = assign_lanes(cfg_.num_streams, cfg_.shards, cfg_.lane_costs);
   lane_worker_.assign(lanes_.size(), 0);
   for (std::size_t w = 0; w < owned_.size(); ++w) {
     for (int s : owned_[w]) {

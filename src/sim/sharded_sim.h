@@ -17,8 +17,8 @@
 // travel through per-pair single-writer mailboxes that are drained only at
 // window barriers.  The per-lane event sequences therefore depend only on
 // the topology, never on the worker count or the lane→worker map:
-// `shards=1` and `shards=N`, round_robin and balanced, all produce
-// bit-identical results (tests/driver/shard_differential_test.cc).
+// `shards=1` and `shards=N` produce bit-identical results
+// (tests/driver/shard_differential_test.cc).
 //
 // Window planning is O(changed lanes · log lanes), not O(lanes + mail):
 // each worker caches its lanes' next-event times and appends only *changed*
@@ -45,8 +45,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -55,35 +53,18 @@
 
 namespace dasched {
 
-/// Lane→worker placement policy.  A pure wall-clock concern: every
-/// assignment yields bit-identical results (event keys decide all ordering),
-/// so the policy is free to chase balance.
-enum class LaneAssign : int {
-  /// Lane 0 on worker 0; node lane j on worker (j-1) % shards.  The PR 7
-  /// mapping, kept as the reference and for A/B runs.
-  kRoundRobin,
-  /// Greedy LPT (longest-processing-time-first) over a per-lane cost model:
-  /// heaviest lane first onto the least-loaded worker.  Lane 0 stays pinned
-  /// to worker 0 (the driver thread), but its cost counts toward worker 0's
-  /// load, so node lanes flow to the other workers first.
-  kBalanced,
-};
-
-[[nodiscard]] const char* to_string(LaneAssign mode);
-[[nodiscard]] std::optional<LaneAssign> parse_lane_assign(
-    const std::string& s);
-/// DASCHED_LANE_ASSIGN from the environment: "round_robin" or "balanced"
-/// (default `fallback`).  A malformed value is fatal (exit 2).
-[[nodiscard]] LaneAssign lane_assign_from_env(LaneAssign fallback);
-
 /// Deterministic lane→worker map: returns worker → lanes it executes, every
-/// lane exactly once, lane 0 always on worker 0.  `costs` holds one
-/// relative weight per stream (empty = uniform); kRoundRobin ignores it.
-/// A pure function of (num_streams, shards, mode, costs) — no measurement
-/// feedback — so the map, like everything else, is reproducible.
+/// lane exactly once, lane 0 always on worker 0.  Placement is greedy LPT
+/// (longest-processing-time-first) over `costs`, one relative weight per
+/// stream (empty = uniform): heaviest lane first onto the least-loaded
+/// worker.  Lane 0 stays pinned to worker 0 (the driver thread), but its
+/// cost counts toward worker 0's load, so node lanes flow to the other
+/// workers first.  A pure function of (num_streams, shards, costs) — no
+/// measurement feedback — so the map, like everything else, is
+/// reproducible.  It is a wall-clock concern only: every placement yields
+/// bit-identical results, because event keys decide all ordering.
 [[nodiscard]] std::vector<std::vector<int>> assign_lanes(
-    int num_streams, int shards, LaneAssign mode,
-    const std::vector<double>& costs);
+    int num_streams, int shards, const std::vector<double>& costs);
 
 /// Incremental minimum over per-lane next-event times: a flat segment tree
 /// ("tournament") with O(log n) point update and O(1) global min.  Only
@@ -121,9 +102,8 @@ struct ShardedSimConfig {
   /// Conservative window length: the minimum latency of any cross-shard
   /// event (one network hop).  Must be positive.
   SimTime lookahead = 0;
-  /// Lane→worker placement (wall-clock only; results are identical).
-  LaneAssign lane_assign = LaneAssign::kRoundRobin;
-  /// Relative per-stream weights for kBalanced (empty = uniform).
+  /// Relative per-stream weights for the lane→worker map (empty =
+  /// uniform; wall-clock only, results are identical).
   std::vector<double> lane_costs;
 };
 

@@ -59,7 +59,7 @@ EventHandle Simulator::schedule_at(SimTime t, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Record& rec = records_[slot];
   rec.cb = std::move(cb);
-  queue_push(QueuedEvent{t, seq, slot});
+  queue_.push(QueuedEvent{t, seq, slot});
   return EventHandle{this, slot, rec.gen};
 }
 
@@ -74,16 +74,16 @@ void Simulator::inject(SimTime t, std::uint64_t seq, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Record& rec = records_[slot];
   rec.cb = std::move(cb);
-  queue_push(QueuedEvent{t, seq, slot});
+  queue_.push(QueuedEvent{t, seq, slot});
 }
 
 void Simulator::run_window(SimTime end) {
   // Same body as step(), with the window bound folded into the pop loop:
   // step() would run the first live event even when it lies at or past
   // `end`, which breaks the conservative-lookahead contract.
-  while (!queue_empty() && queue_top().time < end) {
-    const QueuedEvent ev = queue_top();
-    queue_pop();
+  while (!queue_.empty() && queue_.top().time < end) {
+    const QueuedEvent ev = queue_.top();
+    queue_.pop();
     Record& rec = records_[ev.slot];
     if (rec.cancelled) {
       observers_.notify([&](SimObserver* o) { o->on_event_discarded(ev.seq); });
@@ -101,9 +101,9 @@ void Simulator::run_window(SimTime end) {
 }
 
 bool Simulator::step() {
-  while (!queue_empty()) {
-    const QueuedEvent ev = queue_top();
-    queue_pop();
+  while (!queue_.empty()) {
+    const QueuedEvent ev = queue_.top();
+    queue_.pop();
     Record& rec = records_[ev.slot];
     if (rec.cancelled) {
       observers_.notify([&](SimObserver* o) { o->on_event_discarded(ev.seq); });
@@ -126,8 +126,8 @@ bool Simulator::step() {
 }
 
 SimTime Simulator::run(SimTime until) {
-  while (!queue_empty()) {
-    if (queue_top().time > until) {
+  while (!queue_.empty()) {
+    if (queue_.top().time > until) {
       now_ = until;
       return now_;
     }
@@ -137,11 +137,7 @@ SimTime Simulator::run(SimTime until) {
 }
 
 void Simulator::reset() {
-  if (queue_kind_ == QueueKind::kLadder) {
-    ladder_.clear();
-  } else {
-    heap_.clear();
-  }
+  queue_.clear();
   // Rebuild the free list over the whole pool.  Descending order so the
   // next run acquires slot 0 first — not required for correctness (slot
   // indices never affect event ordering), but it keeps reuse maximally
@@ -166,7 +162,7 @@ bool Simulator::idle() const {
   // Cancelled events may still sit in the queue; they do not count as work,
   // but scanning the queue would be O(n).  A conservative "false" when only
   // cancelled events remain is acceptable for all callers (run() skips them).
-  return queue_empty();
+  return queue_.empty();
 }
 
 }  // namespace dasched

@@ -8,11 +8,10 @@
 // The hot path is allocation-lean: callbacks are stored in small-buffer
 // `EventFn`s inside a pooled record array (recycled through a free list),
 // and the event queue holds 24-byte POD entries.  The queue itself is the
-// tiered `LadderQueue` (sim/ladder_queue.h) by default, with the classic
-// binary heap selectable through `DASCHED_QUEUE=heap` for A/B runs — both
-// realize the same strict (time, seq) total order, so the choice is
-// bit-invisible.  With `reserve_events()` sized from the topology, nothing
-// is heap allocated per event once the pool has warmed up.
+// tiered `LadderQueue` (sim/ladder_queue.h), which realizes the strict
+// (time, seq) total order.  With `reserve_events()` sized from the
+// topology, nothing is heap allocated per event once the pool has warmed
+// up.
 #pragma once
 
 #include <cassert>
@@ -91,30 +90,19 @@ class Simulator {
   /// the plain scheduling counter and nothing changes bit-wise.
   static constexpr int kStreamShift = 48;
 
-  /// Default construction reads `DASCHED_QUEUE` (default: ladder); the
-  /// explicit overload pins the queue kind for in-process A/B tests.
-  Simulator() : Simulator(queue_kind_from_env(QueueKind::kLadder)) {}
-  explicit Simulator(QueueKind kind) : queue_kind_(kind) {}
+  Simulator() = default;
   // Event handles and layer objects hold pointers/references to the
   // simulator, so it is pinned in place.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// The queue implementation this simulator runs on.
-  [[nodiscard]] QueueKind queue_kind() const { return queue_kind_; }
 
   /// Pre-sizes the event queue, record pool and free list for `n`
   /// concurrently outstanding events.  Called by the driver with a
   /// topology-derived bound so the steady state performs zero queue/pool
   /// allocations (tests/sim/event_queue_alloc_test.cc).
   void reserve_events(std::size_t n) {
-    if (queue_kind_ == QueueKind::kLadder) {
-      // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
-      ladder_.reserve(n);
-    } else {
-      // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
-      heap_.reserve(n);
-    }
+    // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
+    queue_.reserve(n);
     // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
     records_.reserve(n);
     // dasched-lint: allow(hot-alloc): grow-only warm-up (high-water-mark)
@@ -171,12 +159,8 @@ class Simulator {
   /// empty.  Cancelled entries still count — their time is a lower bound, so
   /// including them is conservative and keeps the answer deterministic.
   [[nodiscard]] SimTime next_event_time() const {
-    if (queue_kind_ == QueueKind::kLadder) {
-      return ladder_.empty() ? std::numeric_limits<SimTime>::max()
-                             : ladder_.top().time;
-    }
-    return heap_.empty() ? std::numeric_limits<SimTime>::max()
-                         : heap_.top().time;
+    return queue_.empty() ? std::numeric_limits<SimTime>::max()
+                          : queue_.top().time;
   }
 
   /// Advances the clock to `t` (>= now()) without running anything; the
@@ -224,30 +208,6 @@ class Simulator {
     bool cancelled = false;
   };
 
-  // Queue dispatch: one predictable branch per operation.  Both
-  // implementations pop the identical (time, seq) order, so `queue_kind_`
-  // only moves wall-clock time, never results.
-  [[nodiscard]] bool queue_empty() const {
-    return queue_kind_ == QueueKind::kLadder ? ladder_.empty() : heap_.empty();
-  }
-  [[nodiscard]] const QueuedEvent& queue_top() const {
-    return queue_kind_ == QueueKind::kLadder ? ladder_.top() : heap_.top();
-  }
-  DASCHED_HOT void queue_push(const QueuedEvent& e) {
-    if (queue_kind_ == QueueKind::kLadder) {
-      ladder_.push(e);
-    } else {
-      heap_.push(e);
-    }
-  }
-  DASCHED_HOT void queue_pop() {
-    if (queue_kind_ == QueueKind::kLadder) {
-      ladder_.pop();
-    } else {
-      heap_.pop();
-    }
-  }
-
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t gen) const;
@@ -257,12 +217,10 @@ class Simulator {
   std::uint64_t seq_base_ = 0;
   std::uint64_t next_seq_ = 0;
   std::int64_t executed_ = 0;
-  QueueKind queue_kind_;
   ObserverList<SimObserver> observers_;
   std::vector<Record> records_;
   std::vector<std::uint32_t> free_slots_;
-  LadderQueue ladder_;
-  BinaryHeapQueue heap_;
+  LadderQueue queue_;
 };
 
 }  // namespace dasched

@@ -40,7 +40,7 @@ class CompileTest : public ::testing::Test {
 };
 
 TEST_F(CompileTest, ProducesOneTableEntryPerRead) {
-  const Compiled c = compile(simple_program(), 2, striping_);
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
   EXPECT_EQ(c.program.reads.size(), 40u);
   EXPECT_EQ(c.table.total_entries(), 40);
   EXPECT_EQ(c.scheduled.size(), 40u);
@@ -50,19 +50,19 @@ TEST_F(CompileTest, ProducesOneTableEntryPerRead) {
 TEST_F(CompileTest, DisabledSchedulingPinsAccessesToOriginals) {
   CompileOptions opts;
   opts.enable_scheduling = false;
-  const Compiled c = compile(simple_program(), 2, striping_, opts);
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_, opts);
   for (const ScheduledAccess& s : c.scheduled) {
     EXPECT_EQ(s.slot, s.rec.original);
   }
 }
 
 TEST_F(CompileTest, EnabledSchedulingHoistsSomething) {
-  const Compiled c = compile(simple_program(), 2, striping_);
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
   EXPECT_GT(c.sched_stats.mean_advance_slots, 0.0);
 }
 
 TEST_F(CompileTest, ScheduledSlotsStayInsideSlacks) {
-  const Compiled c = compile(simple_program(), 2, striping_);
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
   for (const ScheduledAccess& s : c.scheduled) {
     if (s.forced) continue;
     EXPECT_GE(s.slot, s.rec.begin);
@@ -90,7 +90,7 @@ TEST_F(CompileTest, TraceFrontEndMatchesPipeline) {
 TEST_F(CompileTest, SlackBoundFlowsThrough) {
   CompileOptions opts;
   opts.slack.max_slack = 3;
-  const Compiled c = compile(simple_program(), 2, striping_, opts);
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_, opts);
   for (const AccessRecord& r : c.program.reads) {
     EXPECT_LE(r.slack_length(), 3);
   }
@@ -98,40 +98,16 @@ TEST_F(CompileTest, SlackBoundFlowsThrough) {
 
 TEST_F(CompileTest, EmptyProgramCompilesCleanly) {
   LoopProgram prog;
-  const Compiled c = compile(prog, 2, striping_);
+  const Compiled c = compile_trace(lower(prog, 2), striping_);
   EXPECT_EQ(c.program.reads.size(), 0u);
   EXPECT_EQ(c.table.total_entries(), 0);
-}
-
-TEST_F(CompileTest, AffinePathReportsDependenceScreen) {
-  const Compiled c = compile(simple_program(), 2, striping_);
-  // Read-only program: no write/read pairs at all.
-  EXPECT_EQ(c.dependence.pairs, 0);
-
-  LoopProgram rw;
-  rw.body.push_back(make_loop(
-      "i", 0, AE(9),
-      {make_write(file_, AE::var("i") * kib(64).count(), kib(64).count()),
-       make_read(file_, AE(mib(32).count()) + AE::var("i") * kib(64).count(), kib(64).count())}));
-  const Compiled c2 = compile(rw, 2, striping_);
-  EXPECT_GT(c2.dependence.pairs, 0);
-  // Writes in [0, 640K), reads in [32M, 32M+640K): provably independent.
-  EXPECT_DOUBLE_EQ(c2.dependence.pruned_fraction(), 1.0);
-}
-
-TEST_F(CompileTest, TracePathLeavesDependenceSummaryEmpty) {
-  TraceBuilder tb(1);
-  tb.read(0, file_, 0, kib(64).count());
-  tb.end_slot(0);
-  const Compiled c = compile_trace(tb.build(), striping_);
-  EXPECT_EQ(c.dependence.pairs, 0);
 }
 
 TEST_F(CompileTest, WriteOnlyProgramHasNoTableEntries) {
   LoopProgram prog;
   prog.body.push_back(make_loop(
       "i", 0, AE(9), {make_write(file_, AE::var("i") * kib(64).count(), kib(64).count())}));
-  const Compiled c = compile(prog, 1, striping_);
+  const Compiled c = compile_trace(lower(prog, 1), striping_);
   EXPECT_EQ(c.program.reads.size(), 0u);
 }
 

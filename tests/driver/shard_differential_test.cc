@@ -77,24 +77,6 @@ void run_differential(const char* app, PolicyKind policy, bool scheme) {
   }
 }
 
-TEST(ShardDifferential, LaneAssignmentIsBitInvisible) {
-  // The lane→worker map is a pure wall-clock knob: round_robin and balanced
-  // must agree bit-for-bit at every worker count (the driver defaults to
-  // balanced, so the round_robin runs are the cross-check).
-  ExperimentConfig base = make_cell("sar", PolicyKind::kHistory, true, 1);
-  base.lane_assign = LaneAssign::kRoundRobin;
-  const ExperimentResult ref = run_experiment(base);
-  for (int shards : {1, 2, 4}) {
-    for (LaneAssign mode : {LaneAssign::kRoundRobin, LaneAssign::kBalanced}) {
-      SCOPED_TRACE(testing::Message() << "lane_assign=" << to_string(mode));
-      ExperimentConfig cfg = make_cell("sar", PolicyKind::kHistory, true,
-                                       shards);
-      cfg.lane_assign = mode;
-      expect_identical(ref, run_experiment(cfg), shards);
-    }
-  }
-}
-
 TEST(ShardDifferential, SarAcrossPoliciesAndSchemes) {
   for (PolicyKind policy : {PolicyKind::kNone, PolicyKind::kSimple,
                             PolicyKind::kHistory, PolicyKind::kStaggered}) {

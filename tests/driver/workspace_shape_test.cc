@@ -5,9 +5,9 @@
 // components whose shape changed (and the rebuilt stack matches fresh
 // construction), an engine switch rebuilds the engine, and a run that threw
 // mid-flight poisons the workspace so the next run rebuilds from scratch
-// instead of trusting half-mutated state.  Plus the grid-level knob: a grid
-// run with workspace reuse on must be bit-identical to the legacy
-// fresh-per-cell path.
+// instead of trusting half-mutated state.  Plus the grid level: a grid run,
+// whose workers each reuse one workspace across cells, must be
+// bit-identical to running every cell on a fresh stack.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +18,7 @@
 
 #include "driver/workspace.h"
 #include "engine/grid_runner.h"
+#include "scoped_test_dir.h"
 
 namespace dasched {
 namespace {
@@ -116,10 +117,8 @@ TEST(WorkspaceShape, InvalidTopologyRejectedWithoutPoisoning) {
 }
 
 TEST(WorkspaceShape, MidRunThrowPoisonsThenRecovers) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dasched_ws_poison_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const ScopedTestDir tmp;
+  const std::filesystem::path& dir = tmp.path();
   // A regular file where the telemetry path wants a directory: the run
   // executes fully, then throws inside the telemetry export — after the
   // simulation mutated every component, i.e. a genuine mid-run failure.
@@ -139,29 +138,22 @@ TEST(WorkspaceShape, MidRunThrowPoisonsThenRecovers) {
   expect_matches_fresh(ws, cfg);
   EXPECT_FALSE(ws.poisoned());
   expect_matches_fresh(ws, cfg);
-  std::filesystem::remove_all(dir);
 }
 
-TEST(WorkspaceShape, GridWorkspaceKnobIsBitIdentical) {
+TEST(WorkspaceShape, GridReuseMatchesFreshCells) {
   ExperimentGrid grid;
   grid.base = base_cell();
   grid.apps = {"sar", "madbench2"};
   grid.policies = {PolicyKind::kHistory, PolicyKind::kSimple};
   grid.schemes = {false, true};
 
-  GridRunOptions fresh_opts;
-  fresh_opts.threads = 1;
-  fresh_opts.workspace = 0;  // legacy fresh-per-cell
-  GridRunOptions reuse_opts;
-  reuse_opts.threads = 1;
-  reuse_opts.workspace = 1;  // warm per-worker workspace
-
-  const GridResultSet fresh = run_grid(grid, fresh_opts);
-  const GridResultSet reused = run_grid(grid, reuse_opts);
-  ASSERT_EQ(fresh.size(), reused.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
+  GridRunOptions opts;
+  opts.threads = 1;  // one worker, so one workspace sees every cell
+  const GridResultSet reused = run_grid(grid, opts);
+  ASSERT_EQ(reused.size(), grid.size());
+  for (std::size_t i = 0; i < reused.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
-    const ExperimentResult& a = fresh.rows()[i].result;
+    const ExperimentResult a = run_experiment(reused.rows()[i].cell.config);
     const ExperimentResult& b = reused.rows()[i].result;
     EXPECT_EQ(a.exec_time.count(), b.exec_time.count());
     expect_bits(a.energy_j.value(), b.energy_j.value(), "energy_j");

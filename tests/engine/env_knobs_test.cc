@@ -60,24 +60,6 @@ TEST(EnvKnobs, ShardsFromEnv) {
   ::unsetenv("DASCHED_SHARDS");
 }
 
-TEST(EnvKnobs, WorkspaceFromEnv) {
-  ::unsetenv("DASCHED_WORKSPACE");
-  EXPECT_TRUE(workspace_from_env(true));
-  EXPECT_FALSE(workspace_from_env(false));
-  ::setenv("DASCHED_WORKSPACE", "off", 1);
-  EXPECT_FALSE(workspace_from_env(true));
-  ::setenv("DASCHED_WORKSPACE", "on", 1);
-  EXPECT_TRUE(workspace_from_env(false));
-  ::unsetenv("DASCHED_WORKSPACE");
-}
-
-TEST(EnvKnobsDeathTest, MalformedWorkspaceIsFatal) {
-  ::setenv("DASCHED_WORKSPACE", "bogus", 1);
-  EXPECT_EXIT((void)workspace_from_env(true), ::testing::ExitedWithCode(2),
-              "invalid value 'bogus'");
-  ::unsetenv("DASCHED_WORKSPACE");
-}
-
 TEST(EnvKnobsDeathTest, MalformedValueIsFatal) {
   ::setenv("DASCHED_TEST_KNOB", "abc", 1);
   EXPECT_EXIT((void)env_double("DASCHED_TEST_KNOB", 0.5),

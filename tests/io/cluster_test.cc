@@ -40,7 +40,8 @@ RunResult run_program(const LoopProgram& prog, int nproc, bool scheme,
   (void)storage.create_file("data", mib(64).count());
   CompileOptions copts;
   copts.enable_scheduling = scheme;
-  const Compiled compiled = compile(prog, nproc, storage.striping(), copts);
+  const Compiled compiled =
+      compile_trace(lower(prog, nproc), storage.striping(), copts);
   rt.use_runtime_scheduler = scheme;
   Cluster cluster(sim, storage, compiled, rt);
   cluster.run_to_completion();
@@ -134,8 +135,8 @@ TEST(Cluster, LocalTimeAdvancesMonotonically) {
   StorageSystem storage(sim, small_storage());
   (void)storage.create_file("data", mib(64).count());
   const Compiled compiled =
-      compile(read_loop(10), 1, storage.striping(),
-              no_scheduling());
+      compile_trace(lower(read_loop(10), 1), storage.striping(),
+                    no_scheduling());
   Cluster cluster(sim, storage, compiled,
                   RuntimeConfig{.use_runtime_scheduler = false});
   cluster.start();
@@ -160,8 +161,8 @@ TEST(Cluster, ProgressSubscriptionFiresImmediatelyWhenPast) {
   StorageSystem storage(sim, small_storage());
   (void)storage.create_file("data", mib(64).count());
   const Compiled compiled =
-      compile(read_loop(5), 1, storage.striping(),
-              no_scheduling());
+      compile_trace(lower(read_loop(5), 1), storage.striping(),
+                    no_scheduling());
   Cluster cluster(sim, storage, compiled,
                   RuntimeConfig{.use_runtime_scheduler = false});
   cluster.start();
@@ -175,7 +176,8 @@ TEST(Cluster, AccessIdLookupMatchesReadSites) {
   Simulator sim;
   StorageSystem storage(sim, small_storage());
   (void)storage.create_file("data", mib(64).count());
-  const Compiled compiled = compile(read_loop(5), 2, storage.striping());
+  const Compiled compiled =
+      compile_trace(lower(read_loop(5), 2), storage.striping());
   Cluster cluster(sim, storage, compiled, RuntimeConfig{});
   for (std::size_t i = 0; i < compiled.program.read_sites.size(); ++i) {
     const ReadSite& site = compiled.program.read_sites[i];

@@ -55,7 +55,6 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   cfg.compile.sched.delta = 17;
   cfg.compile.sched.theta = 3;
   cfg.shards = 2;
-  cfg.lane_assign = LaneAssign::kRoundRobin;
   cfg.max_slack = 123;
   cfg.scale.factor = 0.3;
 
@@ -77,7 +76,6 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   EXPECT_EQ(req.config.storage.num_io_nodes, 5);
   EXPECT_EQ(req.config.compile.sched.delta, 17);
   EXPECT_EQ(req.config.shards, 2);
-  EXPECT_EQ(req.config.lane_assign, LaneAssign::kRoundRobin);
   EXPECT_EQ(req.config.seed, 7u);
   // scale.factor crosses as %.17g — bit-exact for doubles.
   EXPECT_EQ(std::bit_cast<std::uint64_t>(req.config.scale.factor),
@@ -109,6 +107,15 @@ TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
     FAIL() << "unknown key accepted";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "bogus_knob");
+  }
+  try {
+    // Protocol version 1 carried a lane placement key; version 2 has one
+    // placement only, so a stale frame must fail loudly, naming the key.
+    parse_run_request("app=sar\nlane_assign=balanced\n", req);
+    FAIL() << "retired lane_assign key accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "lane_assign");
+    EXPECT_NE(std::string(e.what()).find("lane_assign"), std::string::npos);
   }
   try {
     parse_run_request("app=sar\nprocs=notanumber\n", req);

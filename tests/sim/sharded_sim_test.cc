@@ -104,14 +104,15 @@ TEST(ShardedSim, DrainedMailRunsInThePlannedWindow) {
   // keyed the window on (window_end = mail time + lookahead), so the
   // drained event must run inside that same window — not slip one window
   // because the receiving lane's cached next-event time was stale at the
-  // gate.  Node 2 sits on worker 1 at shards=2 (round robin), forcing the
-  // mailbox drain path.
+  // gate.  Node lane 1 sits on worker 1 at shards=2 (the uniform-cost LPT
+  // map sends the first node lane to the empty worker), forcing the mailbox
+  // drain path.
   for (int shards : {1, 2}) {
     ShardedSimulator sim(make_cfg(/*streams=*/3, shards));
     SimTime fired_at = 0;
     bool done = false;
-    sim.post(0, 2, 10, [&] {
-      fired_at = sim.lane(2).now();
+    sim.post(0, 1, 10, [&] {
+      fired_at = sim.lane(1).now();
       done = true;
     });
     const SimTime end = sim.run([&] { return done; });
@@ -131,8 +132,8 @@ TEST(ShardedSim, WindowSequenceIsWorkerCountInvariant) {
     int rounds = 0;
     constexpr int kRounds = 4;
     std::function<void(SimTime)> ping = [&](SimTime t) {
-      sim.post(0, 2, t, [&, t] {
-        sim.post(2, 0, t + 10, [&] {
+      sim.post(0, 1, t, [&, t] {
+        sim.post(1, 0, t + 10, [&] {
           if (++rounds < kRounds) ping(sim.lane(0).now() + 10);
         });
       });
@@ -158,14 +159,14 @@ TEST(ShardedSim, RerunAfterEarlyStopDeliversLeftoverMail) {
     bool delivered = false;
     sim.lane(0).schedule_at(5, [&] {
       posted = true;
-      sim.post(0, 2, 30, [&] { delivered = true; });
+      sim.post(0, 1, 30, [&] { delivered = true; });
     });
     sim.run([&] { return posted; });
     EXPECT_FALSE(delivered) << "shards=" << shards;
     const SimTime end = sim.run([&] { return delivered; });
     EXPECT_TRUE(delivered) << "shards=" << shards;
     EXPECT_EQ(end, 40) << "shards=" << shards;  // window keyed on t=30
-    EXPECT_EQ(sim.lane(2).now(), sim.lane(0).now());
+    EXPECT_EQ(sim.lane(1).now(), sim.lane(0).now());
   }
 }
 
@@ -249,20 +250,12 @@ std::vector<int> lane_to_worker(const std::vector<std::vector<int>>& owned,
   return map;
 }
 
-TEST(LaneAssignment, RoundRobinMatchesTheLegacyMap) {
-  const auto owned = assign_lanes(5, 2, LaneAssign::kRoundRobin, {});
-  ASSERT_EQ(owned.size(), 2u);
-  // Lane 0 on worker 0; node lane j on worker (j-1) % shards.
-  EXPECT_EQ(owned[0], (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(owned[1], (std::vector<int>{2, 4}));
-}
-
 TEST(LaneAssignment, BalancedPutsHeaviestLanesFirst) {
   // Node lane 1 dominates: LPT sends it to the emptiest worker (not worker
   // 0, which already carries the pinned client lane) and routes the light
   // lanes around it.
   const std::vector<double> costs = {1.0, 8.0, 1.0, 1.0, 1.0, 1.0};
-  const auto owned = assign_lanes(6, 2, LaneAssign::kBalanced, costs);
+  const auto owned = assign_lanes(6, 2, costs);
   const std::vector<int> map = lane_to_worker(owned, 6);
   EXPECT_EQ(map[0], 0);
   EXPECT_EQ(map[1], 1);
@@ -271,7 +264,7 @@ TEST(LaneAssignment, BalancedPutsHeaviestLanesFirst) {
 
 TEST(LaneAssignment, BalancedUniformCostsSpreadEvenly) {
   for (int shards : {1, 2, 3, 4}) {
-    const auto owned = assign_lanes(9, shards, LaneAssign::kBalanced, {});
+    const auto owned = assign_lanes(9, shards, {});
     ASSERT_EQ(owned.size(), static_cast<std::size_t>(shards));
     const std::vector<int> map = lane_to_worker(owned, 9);
     EXPECT_EQ(map[0], 0);
@@ -289,28 +282,18 @@ TEST(LaneAssignment, BalancedUniformCostsSpreadEvenly) {
 
 TEST(LaneAssignment, IsDeterministic) {
   const std::vector<double> costs = {2.0, 3.0, 3.0, 1.0, 5.0, 1.0, 3.0};
-  const auto a = assign_lanes(7, 3, LaneAssign::kBalanced, costs);
-  const auto b = assign_lanes(7, 3, LaneAssign::kBalanced, costs);
+  const auto a = assign_lanes(7, 3, costs);
+  const auto b = assign_lanes(7, 3, costs);
   EXPECT_EQ(a, b);
-}
-
-TEST(LaneAssignment, ParseRoundTripsAndRejectsGarbage) {
-  EXPECT_EQ(parse_lane_assign("round_robin"), LaneAssign::kRoundRobin);
-  EXPECT_EQ(parse_lane_assign("balanced"), LaneAssign::kBalanced);
-  EXPECT_FALSE(parse_lane_assign("fastest").has_value());
-  EXPECT_FALSE(parse_lane_assign("").has_value());
-  EXPECT_STREQ(to_string(LaneAssign::kRoundRobin), "round_robin");
-  EXPECT_STREQ(to_string(LaneAssign::kBalanced), "balanced");
 }
 
 TEST(ShardedSim, LaneWorkerReflectsTheConfiguredAssignment) {
   ShardedSimConfig cfg = make_cfg(5, 2);
-  cfg.lane_assign = LaneAssign::kBalanced;
   cfg.lane_costs = {1.0, 6.0, 1.0, 1.0, 1.0};
   ShardedSimulator sim(cfg);
   EXPECT_EQ(sim.lane_worker(0), 0);
   EXPECT_EQ(sim.lane_worker(1), 1);  // the heavy lane got the empty worker
-  const auto owned = assign_lanes(5, 2, LaneAssign::kBalanced, cfg.lane_costs);
+  const auto owned = assign_lanes(5, 2, cfg.lane_costs);
   for (std::size_t w = 0; w < owned.size(); ++w) {
     for (int lane : owned[w]) {
       EXPECT_EQ(sim.lane_worker(lane), static_cast<int>(w));
@@ -319,12 +302,12 @@ TEST(ShardedSim, LaneWorkerReflectsTheConfiguredAssignment) {
 }
 
 TEST(ShardedSim, ScatterResultsAreAssignmentInvariant) {
-  // Same program, both placement policies, multiple worker counts: the
-  // per-lane logs must be identical — placement is wall-clock only.
+  // Same program, skewed lane costs (a different lane→worker map than the
+  // uniform reference), multiple worker counts: the per-lane logs must be
+  // identical — placement is wall-clock only.
   const std::vector<LaneLog> ref = run_scatter(1);
   for (int shards : {1, 2}) {
     ShardedSimConfig cfg = make_cfg(3, shards);
-    cfg.lane_assign = LaneAssign::kBalanced;
     cfg.lane_costs = {4.0, 1.0, 2.0};
     ShardedSimulator sim(cfg);
     std::vector<LaneLog> logs(3);

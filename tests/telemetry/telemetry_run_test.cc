@@ -19,6 +19,7 @@
 #include "driver/experiment.h"
 #include "engine/grid_runner.h"
 #include "engine/result_sink.h"
+#include "scoped_test_dir.h"
 #include "telemetry/analytics.h"
 #include "telemetry/trace_io.h"
 
@@ -138,10 +139,8 @@ TEST(TelemetryRun, ResidencyTilesEveryDiskTimeline) {
 }
 
 TEST(TelemetryRun, ArtifactsRoundTripAndChromeJsonIsValid) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "dasched_telemetry_run_test")
-          .string();
-  std::filesystem::remove_all(dir);
+  const ScopedTestDir tmp;
+  const std::string dir = tmp.file("telemetry");
 
   ExperimentConfig cfg = tiny("sar", PolicyKind::kHistory, true);
   cfg.telemetry.level = TraceLevel::kFull;
@@ -163,7 +162,6 @@ TEST(TelemetryRun, ArtifactsRoundTripAndChromeJsonIsValid) {
     EXPECT_TRUE(json_balanced(ss.str())) << name;
     EXPECT_GT(ss.str().size(), 2u) << name;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(TelemetryRun, GridPlumbsTelemetryIntoCellsAndSinks) {
@@ -203,7 +201,9 @@ TEST(TelemetryRun, UntracedGridEmitsNoTelemetryRows) {
   grid.apps = {"sar"};
   grid.policies = {PolicyKind::kNone};
   grid.schemes = {false};
-  const GridResultSet results = run_grid(grid, GridRunOptions{.threads = 1});
+  GridRunOptions opts;
+  opts.threads = 1;
+  const GridResultSet results = run_grid(grid, opts);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results.rows()[0].result.telemetry, nullptr);
   std::ostringstream csv;

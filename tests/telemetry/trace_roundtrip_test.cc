@@ -5,25 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "scoped_test_dir.h"
 #include "telemetry/events.h"
 #include "telemetry/recorder.h"
 
 namespace dasched {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 class TraceRoundtrip : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = temp_path("dasched_trace_roundtrip_test.bin");
+  ScopedTestDir dir_;
+  std::string path_ = dir_.file("trace.bin");
 };
 
 TEST_F(TraceRoundtrip, PreservesMetaAndEveryEvent) {
@@ -86,7 +82,7 @@ TEST_F(TraceRoundtrip, EmptyTraceRoundTrips) {
 }
 
 TEST_F(TraceRoundtrip, RejectsMissingBadMagicAndTruncated) {
-  EXPECT_FALSE(load_trace(temp_path("dasched_no_such_trace.bin")).has_value());
+  EXPECT_FALSE(load_trace(dir_.file("no_such_trace.bin")).has_value());
 
   {
     std::ofstream out(path_, std::ios::binary);

@@ -109,7 +109,7 @@ TEST_F(PatternsTest, RepeatedUpdateSweepGivesOneSweepSlacks) {
   prog.body.push_back(make_loop("t", 0, AffineExpr(2),
                                 {update_sweep(file_, 6, kib(64))},
                                 /*slot_loop=*/false));
-  const Compiled c = compile(prog, 1, striping_);
+  const Compiled c = compile_trace(lower(prog, 1), striping_);
   // Reads of sweeps 2 and 3 see the writes of the previous sweep.
   int bounded = 0;
   for (const AccessRecord& rec : c.program.reads) {
@@ -143,7 +143,7 @@ TEST_F(PatternsTest, ComposedWorkloadCompilesAndSchedules) {
   prog.body.push_back(sequential_scan(file_, 20, kib(64)));
   prog.body.push_back(compute_phase(sec(10.0)));
   prog.body.push_back(sequential_scan(file_, 20, kib(64), {}, "j"));
-  const Compiled c = compile(prog, 4, striping_);
+  const Compiled c = compile_trace(lower(prog, 4), striping_);
   EXPECT_EQ(c.program.reads.size(), 4u * 40u);
   EXPECT_GT(c.sched_stats.mean_advance_slots, 0.0);
 }

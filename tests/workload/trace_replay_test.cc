@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "driver/experiment.h"
@@ -109,6 +110,13 @@ struct BadCase {
   std::int64_t line;
   const char* field;
 };
+
+// Print a case as the diagnostic it expects. Without this GoogleTest dumps
+// the struct's raw bytes, pointers included, and the registered test names
+// would change with every address-space layout.
+void PrintTo(const BadCase& c, std::ostream* os) {
+  *os << "line " << c.line << " field " << c.field;
+}
 
 class TraceReplayMalformed : public ::testing::TestWithParam<BadCase> {};
 
