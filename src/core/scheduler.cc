@@ -16,8 +16,8 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
       rng_(opts.seed),
       group_(static_cast<std::size_t>(num_slots), Signature(num_io_nodes)),
       sigma_(static_cast<std::size_t>(opts.delta) + 1),
-      inv_d_(static_cast<std::size_t>(num_slots), 0.0),
-      run_end_(static_cast<std::size_t>(num_slots), 0) {
+      inv_dist_(2 * static_cast<std::size_t>(num_io_nodes) + 1),
+      inv_d_(static_cast<std::size_t>(num_slots), 0.0) {
   assert(num_io_nodes > 0 && num_slots > 0);
   if (opts_.theta > 0) {
     node_counts_.assign(
@@ -30,6 +30,13 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
   // division per window term.
   for (int j = 0; j <= opts_.delta; ++j) {
     sigma_[static_cast<std::size_t>(j)] = weight(j, opts_.delta);
+  }
+  // 1/d table: distance(a, b) = n - similarity + difference lies in
+  // [0, 2n].  The paper sets 1/d to 2 when the distance is 0 (a perfect
+  // reuse of an identical active set).
+  inv_dist_[0] = 2.0;
+  for (std::size_t d = 1; d < inv_dist_.size(); ++d) {
+    inv_dist_[d] = 1.0 / static_cast<double>(d);
   }
 }
 
@@ -49,10 +56,8 @@ double AccessScheduler::weight(int outside_distance, int delta) {
 
 double AccessScheduler::reciprocal_distance(const AccessRecord& rec,
                                             Slot s) const {
-  const int d = distance(rec.sig, group_[static_cast<std::size_t>(s)]);
-  // The paper sets 1/d to 2 when the distance is 0 (a perfect reuse of an
-  // identical active set).
-  return d == 0 ? 2.0 : 1.0 / static_cast<double>(d);
+  return inv_dist_[static_cast<std::size_t>(
+      distance(rec.sig, group_[static_cast<std::size_t>(s)]))];
 }
 
 double AccessScheduler::reuse_factor(const AccessRecord& rec, Slot slot) const {
@@ -87,14 +92,6 @@ void AccessScheduler::fill_distance_cache(const AccessRecord& rec,
   for (Slot s = span_lo; s <= span_hi; ++s) {
     inv_d_[static_cast<std::size_t>(s)] = reciprocal_distance(rec, s);
   }
-  run_end_[static_cast<std::size_t>(span_hi)] = span_hi;
-  for (Slot s = span_hi - 1; s >= span_lo; --s) {
-    run_end_[static_cast<std::size_t>(s)] =
-        inv_d_[static_cast<std::size_t>(s)] ==
-                inv_d_[static_cast<std::size_t>(s + 1)]
-            ? run_end_[static_cast<std::size_t>(s + 1)]
-            : s;
-  }
 }
 
 double AccessScheduler::cached_reuse_factor(const AccessRecord& rec,
@@ -113,6 +110,69 @@ double AccessScheduler::cached_reuse_factor(const AccessRecord& rec,
              inv_d_[static_cast<std::size_t>(slot + k)];
   }
   return total;
+}
+
+void AccessScheduler::evaluate_candidates(const AccessRecord& rec) {
+  // Candidates come in increasing slot order, so those whose whole σ window
+  // [s-δ, s+l-1+δ] lies inside the timeline form one contiguous run; the
+  // clipped ones before and after it take the general cached sum, which is
+  // the same float-op sequence as a lane for an interior candidate.
+  const std::size_t n = candidates_.size();
+  const Slot first_interior = opts_.delta;
+  const Slot last_interior = num_slots_ - rec.length - opts_.delta;
+  std::size_t i = 0;
+  for (; i < n && candidates_[i].slot < first_interior; ++i) {
+    candidates_[i].reuse = cached_reuse_factor(rec, candidates_[i].slot);
+  }
+  std::size_t end = i;
+  while (end < n && candidates_[end].slot <= last_interior) ++end;
+
+  // Interior candidates are summed kLanes at a time in independent
+  // accumulators against one shared weight row: the σ weight of each term
+  // of an unclipped window, in the reference's term order (k = -δ ..
+  // l-1+δ).  Every lane performs exactly the float-op sequence of
+  // `cached_reuse_factor`; only the latency chains overlap.
+  constexpr std::size_t kLanes = 4;
+  const int l = rec.length;
+  const auto width = static_cast<std::size_t>(l + 2 * opts_.delta);
+  if (i + kLanes <= end) {
+    // dasched-lint: allow(hot-alloc): the row keeps its capacity across
+    // accesses; growth only happens on the first, longest access.
+    weights_.resize(width);
+    for (std::size_t t = 0; t < width; ++t) {
+      const int k = static_cast<int>(t) - opts_.delta;
+      const int j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
+      weights_[t] = sigma_[static_cast<std::size_t>(j)];
+    }
+  }
+  const double* w = weights_.data();
+  const auto window = [&](std::size_t c) {
+    return inv_d_.data() + (candidates_[c].slot - opts_.delta);
+  };
+  for (; i + kLanes <= end; i += kLanes) {
+    const double* d0 = window(i);
+    const double* d1 = window(i + 1);
+    const double* d2 = window(i + 2);
+    const double* d3 = window(i + 3);
+    double a0 = 0.0;
+    double a1 = 0.0;
+    double a2 = 0.0;
+    double a3 = 0.0;
+    for (std::size_t t = 0; t < width; ++t) {
+      a0 += w[t] * d0[t];
+      a1 += w[t] * d1[t];
+      a2 += w[t] * d2[t];
+      a3 += w[t] * d3[t];
+    }
+    candidates_[i].reuse = a0;
+    candidates_[i + 1].reuse = a1;
+    candidates_[i + 2].reuse = a2;
+    candidates_[i + 3].reuse = a3;
+  }
+  // The last few interior candidates and the clipped ones after them.
+  for (; i < n; ++i) {
+    candidates_[i].reuse = cached_reuse_factor(rec, candidates_[i].slot);
+  }
 }
 
 void AccessScheduler::ensure_process(int process) {
@@ -246,42 +306,19 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       fill_distance_cache(rec, span_lo, span_hi);
     }
 
-    // Constant-run memo: when a candidate's whole σ window is interior and
-    // falls inside one constant run of 1/d, its sum is the exact same
-    // float-operation sequence as the previous such candidate's — reuse the
-    // result in O(1).  (A general prefix-sum slide would reassociate the
-    // sum and break bit-identical tie behavior; see DESIGN.md §11.)
-    bool have_const = false;
-    double const_val = 0.0;
-    double const_reuse = 0.0;
-    const auto evaluate = [&](Slot s) {
-      const Slot wlo = s - opts_.delta;
-      const Slot whi = s + rec.length - 1 + opts_.delta;
-      if (wlo >= 0 && whi < num_slots_ &&
-          run_end_[static_cast<std::size_t>(wlo)] >= whi) {
-        const double c = inv_d_[static_cast<std::size_t>(wlo)];
-        if (!have_const || c != const_val) {
-          const_val = c;
-          const_reuse = cached_reuse_factor(rec, s);
-          have_const = true;
-        }
-        return const_reuse;
-      }
-      return cached_reuse_factor(rec, s);
-    };
-
     for (Slot s = lo; s <= hi; s += stride) {
       if (!available(rec.process, s, rec.length)) continue;
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({s, evaluate(s)});
+      candidates_.push_back({s, 0.0});
     }
     if (stride > 1 && (hi - lo) % stride != 0 &&
         available(rec.process, hi, rec.length)) {
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({hi, evaluate(hi)});
+      candidates_.push_back({hi, 0.0});
     }
+    evaluate_candidates(rec);
 
     ScheduledAccess result{rec, rec.original, false};
     bool theta_fallback = false;
@@ -317,39 +354,47 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       result.slot = candidates_[best].slot;
       place(rec, result.slot);
     } else {
-      // θ-constrained selection (Sec. IV-B3): visit candidates in
-      // non-increasing reuse order, take the first that satisfies θ at every
-      // occupied slot; otherwise minimize the average excess E_t.  Slots are
-      // generated in strictly increasing order, so sorting by (reuse desc,
-      // slot asc) reproduces the stable sort of the reference without its
-      // temp-buffer allocation.
-      std::sort(candidates_.begin(), candidates_.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.reuse != b.reuse) return a.reuse > b.reuse;
-                  return a.slot < b.slot;
-                });
-      bool placed = false;
-      for (const Candidate& c : candidates_) {
-        if (theta_ok(rec, c.slot)) {
-          result.slot = c.slot;
-          placed = true;
-          break;
-        }
+      // θ-constrained selection (Sec. IV-B3): in non-increasing reuse order
+      // (slot order on ties, as the reference's stable sort), the first
+      // candidate that satisfies θ at every occupied slot wins; if none
+      // does, the one minimizing the average excess E_t, the earlier in that
+      // order on E_t ties.  Candidates are already in slot order, so linear
+      // scans that replace only on a strictly better key find exactly that
+      // candidate without sorting.
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < candidates_.size(); ++i) {
+        if (candidates_[i].reuse > candidates_[best].reuse) best = i;
       }
-      if (!placed) {
-        double best_excess = std::numeric_limits<double>::infinity();
-        Slot best_slot = candidates_.front().slot;
-        for (const Candidate& c : candidates_) {
-          const double e = average_excess(rec, c.slot);
-          if (e < best_excess) {
-            best_excess = e;
-            best_slot = c.slot;
+      std::size_t pick = best;
+      if (!theta_ok(rec, candidates_[best].slot)) {
+        // The best θ-passing candidate; theta_ok only runs on a candidate
+        // that would beat the current pick.
+        bool found = false;
+        for (std::size_t i = 0; i < candidates_.size(); ++i) {
+          if (found && !(candidates_[i].reuse > candidates_[pick].reuse)) {
+            continue;
+          }
+          if (theta_ok(rec, candidates_[i].slot)) {
+            pick = i;
+            found = true;
           }
         }
-        result.slot = best_slot;
-        stats_.theta_fallbacks += 1;
-        theta_fallback = true;
+        if (!found) {
+          double best_excess = std::numeric_limits<double>::infinity();
+          for (std::size_t i = 0; i < candidates_.size(); ++i) {
+            const double e = average_excess(rec, candidates_[i].slot);
+            if (e < best_excess ||
+                (e == best_excess &&
+                 candidates_[i].reuse > candidates_[pick].reuse)) {
+              best_excess = e;
+              pick = i;
+            }
+          }
+          stats_.theta_fallbacks += 1;
+          theta_fallback = true;
+        }
       }
+      result.slot = candidates_[pick].slot;
       place(rec, result.slot);
     }
 

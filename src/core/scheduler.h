@@ -15,22 +15,24 @@
 //      window (σ_j = 1 - j/(δ+1)); 1/d is taken as 2 when d = 0.
 //   4. Pick the slot with the highest reuse factor (first best wins, as in
 //      the pseudo-code of Fig. 11; an optional randomized tie-break matches
-//      the prose).  With θ > 0, slots are examined in non-increasing reuse
-//      order and the first one where every occupied slot keeps at most θ
-//      accesses per I/O node wins; if none qualifies, the slot minimizing
-//      the average excess E_t is selected.
+//      the prose).  With θ > 0, the slot with the highest reuse (earliest
+//      slot on ties) wins if every occupied slot keeps at most θ accesses
+//      per I/O node; otherwise the best such slot in the same order; if
+//      none qualifies, the slot minimizing the average excess E_t.
 //   5. OR the access's signature into the group active signature of every
 //      slot it occupies.
 //
 // Fast path (DESIGN.md §11): `group_[s]` only changes in `place()`, so per
 // access the reciprocal distances 1/d(s) are computed once into a scratch
-// array over the reachable span, a precomputed σ table replaces the
-// per-term `weight()` division, and candidates whose whole σ window falls
-// inside one constant run of 1/d reuse the previous result in O(1).  Every
-// per-candidate sum keeps the exact operation order of the straightforward
-// loop, so schedules are bit-identical to the reference implementation
-// (tests/core/scheduler_differential_test.cc).  After a warm-up run,
-// `reset()` + `schedule_into()` perform zero heap allocations
+// array over the reachable span, with inline popcounts and a 1/d table
+// built at construction.  The available candidates are collected first;
+// those whose σ window lies inside the timeline are then summed several at
+// a time in independent accumulators against one per-access weight row,
+// and the θ rule is a few linear scans over the slot-ordered candidates.
+// Every per-candidate sum keeps the exact operation order of the
+// straightforward loop, so schedules are bit-identical to the reference
+// implementation (tests/core/scheduler_differential_test.cc).  After a
+// warm-up run, `reset()` + `schedule_into()` perform zero heap allocations
 // (tests/core/scheduler_alloc_test.cc).
 #pragma once
 
@@ -163,15 +165,17 @@ class AccessScheduler {
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;
   void ensure_process(int process);
 
-  /// Fills `inv_d_` with 1/d(rec.sig, group_[s]) over [span_lo, span_hi]
-  /// and rebuilds `run_end_` (furthest index of the constant run starting
-  /// at each slot) over the same span.
+  /// Fills `inv_d_` with 1/d(rec.sig, group_[s]) over [span_lo, span_hi].
   void fill_distance_cache(const AccessRecord& rec, Slot span_lo, Slot span_hi);
 
   /// Reuse factor of `rec` at `slot` from the cached reciprocal distances.
   /// Same term order as `reuse_factor`, so the result is bit-identical.
   [[nodiscard]] double cached_reuse_factor(const AccessRecord& rec,
                                            Slot slot) const;
+
+  /// Fills the `reuse` of every entry of `candidates_` from the cached
+  /// reciprocal distances, several interior candidates at a time.
+  void evaluate_candidates(const AccessRecord& rec);
 
   int num_nodes_;
   Slot num_slots_;
@@ -190,11 +194,14 @@ class AccessScheduler {
 
   /// σ table: sigma_[j] = weight(j, δ), precomputed once.
   std::vector<double> sigma_;
+  /// 1/d table over every possible distance d ∈ [0, 2n]: 1.0 / d, and 2.0
+  /// for d == 0.
+  std::vector<double> inv_dist_;
   /// Per-access scratch: reciprocal distance to each slot's group signature.
   std::vector<double> inv_d_;
-  /// run_end_[s] = largest slot r with inv_d_ constant over [s, r], valid
-  /// inside the span of the current access.
-  std::vector<Slot> run_end_;
+  /// Per-access scratch: σ weight of each term of an unclipped window,
+  /// weights_[i] = sigma_[j] for the window's i-th slot.
+  std::vector<double> weights_;
 
   struct Candidate {
     Slot slot;

@@ -275,7 +275,9 @@ void ServeServer::start() {
 
 void ServeServer::request_shutdown() {
   if (stop_.exchange(true)) return;
-  listener_.close();  // wakes the accept loop
+  // Wakes the accept loop, which closes the listener itself: a close here
+  // would write the fd the accept thread is reading.
+  listener_.shutdown();
   std::lock_guard<std::mutex> lock(conns_mutex_);
   for (Conn& c : conns_) c.sock.shutdown_both();
 }
@@ -351,6 +353,7 @@ void ServeServer::accept_loop() {
                    static_cast<unsigned long long>(tenant_id));
     }
   }
+  listener_.close();
 }
 
 void ServeServer::serve_connection(Conn& conn, std::uint64_t tenant_id) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "driver/experiment.h"
 #include "util/parse.h"
 
 namespace dasched::serve {
@@ -34,25 +35,24 @@ ParsedAddress parse_address(const std::string& address) {
     out.is_unix = true;
     out.path = address.substr(5);
     if (out.path.empty()) {
-      throw std::runtime_error("serve address: empty unix socket path");
+      throw ConfigError("address", "empty unix socket path");
     }
     sockaddr_un probe{};
     if (out.path.size() >= sizeof(probe.sun_path)) {
-      throw std::runtime_error("serve address: unix socket path too long");
+      throw ConfigError("address", "unix socket path too long");
     }
     return out;
   }
   if (address.rfind("tcp:", 0) == 0) {
     const auto port = parse_i64(std::string_view(address).substr(4));
     if (!port || *port < 0 || *port > 65535) {
-      throw std::runtime_error("serve address: invalid tcp port in '" +
-                               address + "'");
+      throw ConfigError("address", "invalid tcp port in '" + address + "'");
     }
     out.port = static_cast<int>(*port);
     return out;
   }
-  throw std::runtime_error(
-      "serve address must be unix:PATH or tcp:PORT, got '" + address + "'");
+  throw ConfigError("address",
+                    "must be unix:PATH or tcp:PORT, got '" + address + "'");
 }
 
 /// Waits for readability; 1 ready, 0 timeout, -1 error.
@@ -210,7 +210,13 @@ Socket Listener::accept(int timeout_ms) {
   return Socket{fd};
 }
 
+void Listener::shutdown() {
+  const std::lock_guard<std::mutex> lock(close_mutex_);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
+  const std::lock_guard<std::mutex> lock(close_mutex_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,14 +65,22 @@ class Listener {
   Listener(Listener&& other) noexcept;
   Listener& operator=(Listener&& other) noexcept;
 
-  /// Binds and listens; throws std::runtime_error with errno context.
+  /// Binds and listens; throws ConfigError (field `address`) for a
+  /// malformed address and std::runtime_error with errno context otherwise.
   static Listener open(const std::string& address);
 
-  /// Accepts one connection; invalid Socket on timeout or after close().
+  /// Accepts one connection; invalid Socket on timeout, after shutdown()
+  /// or after close().
   [[nodiscard]] Socket accept(int timeout_ms);
 
-  /// Closes the listening fd (waking a blocked accept) and, for unix
-  /// sockets, unlinks the path.
+  /// Shuts the listening socket down without closing its fd: a blocked or
+  /// later accept() returns an invalid Socket at once.  Safe to call from
+  /// any thread while another one is inside accept() or close().
+  void shutdown();
+
+  /// Closes the listening fd and, for unix sockets, unlinks the path.  Not
+  /// concurrently with accept(): call it on the accepting thread, or after
+  /// that thread has stopped.
   void close();
 
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
@@ -82,9 +91,14 @@ class Listener {
   int fd_ = -1;
   std::string address_;
   std::string unlink_path_;
+  /// Orders shutdown() against close(), so a shutdown from another thread
+  /// never reads the fd while it is being closed (or after its number was
+  /// reused).  accept() needs no lock: it runs on the closing thread.
+  std::mutex close_mutex_;
 };
 
-/// Connects to a listener address; throws std::runtime_error on failure.
+/// Connects to a listener address; throws ConfigError (field `address`)
+/// for a malformed address and std::runtime_error on any other failure.
 [[nodiscard]] Socket connect_to(const std::string& address);
 
 /// Reads one frame into (type, payload); payload is cleared and reused.

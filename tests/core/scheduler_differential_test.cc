@@ -4,10 +4,14 @@
 // same float stats, same group signatures, across every option combination
 // that changes the code path: θ on/off, randomized tie-break on/off,
 // candidate sampling off/aggressive/default, single- and multi-word
-// signatures, mixed access lengths.
+// signatures, mixed access lengths — plus targeted cases for the evaluation
+// lanes and the sort-free θ selection: every candidate count modulo the
+// lane width, windows clipped at both timeline ends, all-equal reuse on an
+// empty timeline, and E_t ties across different reuse values.
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +147,160 @@ TEST(SchedulerDifferentialTest, ResetReplaysIdentically) {
   for (Slot s = 0; s < 256; ++s) {
     ASSERT_EQ(fresh.group_signature(s), reused.group_signature(s));
   }
+}
+
+/// Runs `accesses` through both schedulers after the same `pre` placements
+/// and expects identical placements, stats and group signatures.
+void expect_matches_reference(
+    int nodes, Slot slots, const ScheduleOptions& opts,
+    const std::vector<AccessRecord>& accesses,
+    const std::vector<std::pair<AccessRecord, Slot>>& pre = {}) {
+  ReferenceScheduler ref(nodes, slots, opts);
+  AccessScheduler fast(nodes, slots, opts);
+  for (const auto& [rec, slot] : pre) {
+    ref.place(rec, slot);
+    fast.place(rec, slot);
+  }
+  const auto expected = ref.schedule(accesses);
+  const auto actual = fast.schedule(accesses);
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].slot, actual[i].slot)
+        << "access #" << expected[i].rec.id;
+    EXPECT_EQ(expected[i].forced, actual[i].forced)
+        << "access #" << expected[i].rec.id;
+  }
+  EXPECT_EQ(ref.stats().forced, fast.stats().forced);
+  EXPECT_EQ(ref.stats().theta_fallbacks, fast.stats().theta_fallbacks);
+  EXPECT_EQ(ref.stats().mean_advance_slots, fast.stats().mean_advance_slots);
+  for (Slot s = 0; s < slots; ++s) {
+    ASSERT_EQ(ref.group_signature(s), fast.group_signature(s))
+        << "group signature diverges at slot " << s;
+  }
+}
+
+AccessRecord make_access(int id, int process, Slot begin, Slot end, int length,
+                         Signature sig) {
+  AccessRecord rec;
+  rec.id = id;
+  rec.process = process;
+  rec.begin = begin;
+  rec.end = end;
+  rec.length = length;
+  rec.original = end - length + 1;
+  rec.sig = std::move(sig);
+  return rec;
+}
+
+// Every interior candidate count from 1 to 17 covers each remainder modulo
+// 4 and 8 (full lane groups plus a tail of 0..7), for each access length.
+// One process per access, so every start slot of the slack is a candidate.
+TEST(SchedulerDifferentialTest, EveryCandidateCountModuloTheLaneWidth) {
+  for (int theta : {0, 2}) {
+    for (bool tie : {false, true}) {
+      SCOPED_TRACE("theta=" + std::to_string(theta) +
+                   " tie=" + std::to_string(tie));
+      ScheduleOptions opts;
+      opts.theta = theta;
+      opts.random_tie_break = tie;
+      opts.delta = 5;
+      Rng rng(3);
+      std::vector<AccessRecord> accesses;
+      int id = 0;
+      for (int count = 1; count <= 17; ++count) {
+        for (int length = 1; length <= 3; ++length) {
+          const Slot begin = 10 + static_cast<Slot>(rng.next_below(40));
+          Signature sig(8);
+          sig.set(static_cast<int>(rng.next_below(8)));
+          sig.set(static_cast<int>(rng.next_below(8)));
+          accesses.push_back(make_access(id, id, begin,
+                                         begin + count + length - 2, length,
+                                         std::move(sig)));
+          ++id;
+        }
+      }
+      expect_matches_reference(8, 128, opts, accesses);
+    }
+  }
+}
+
+// Timelines shorter than one σ window clip every candidate on both sides;
+// longer ones clip only the candidates near either end.
+TEST(SchedulerDifferentialTest, WindowsClippedAtBothTimelineEnds) {
+  for (Slot slots : {Slot{12}, Slot{30}, Slot{64}}) {
+    for (int theta : {0, 3}) {
+      SCOPED_TRACE("slots=" + std::to_string(slots) +
+                   " theta=" + std::to_string(theta));
+      ScheduleOptions opts;
+      opts.theta = theta;
+      opts.delta = 20;
+      const auto accesses = random_accesses(80, 8, slots, 6, 17 + slots);
+      expect_matches_reference(8, slots, opts, accesses);
+    }
+  }
+}
+
+// On an empty timeline every unclipped window has the same reuse factor,
+// so the θ path's argmax must keep the earliest such slot, exactly as the
+// reference's stable sort does.
+TEST(SchedulerDifferentialTest, EmptyTimelineWithThetaPicksEarliestEqualReuse) {
+  ScheduleOptions opts;
+  opts.theta = 4;
+  opts.delta = 3;
+  const std::vector<AccessRecord> accesses = {
+      make_access(0, 0, 10, 40, 2, Signature::from_nodes(8, {1, 5}))};
+  AccessScheduler fast(8, 64, opts);
+  const auto placed = fast.schedule(accesses);
+  ASSERT_EQ(placed.size(), 1u);
+  EXPECT_EQ(placed[0].slot, 10);
+  expect_matches_reference(8, 64, opts, accesses);
+
+  // A batch of same-signature accesses: every later one meets ties too.
+  std::vector<AccessRecord> batch;
+  for (int i = 0; i < 12; ++i) {
+    batch.push_back(make_access(i, i % 3, 4 + i, 50 + i, 1 + i % 2,
+                                Signature::from_nodes(8, {1, 5})));
+  }
+  expect_matches_reference(8, 64, opts, batch);
+  opts.random_tie_break = true;
+  expect_matches_reference(8, 64, opts, batch);
+}
+
+// Every candidate violates θ and has the same E_t, but reuse differs from
+// slot to slot: the fallback must pick the highest reuse among the E_t
+// minimizers (earliest slot on a further tie), not merely the first slot.
+TEST(SchedulerDifferentialTest, ThetaFallbackEtTiesAcrossDifferentReuse) {
+  ScheduleOptions opts;
+  opts.theta = 1;
+  opts.delta = 2;
+  const int nodes = 8;
+  const Slot slots = 64;
+  std::vector<std::pair<AccessRecord, Slot>> pre;
+  int id = 100;
+  // Saturate node 0 once in every slot of [20, 40]: E_t = 1 everywhere.
+  for (Slot s = 20; s <= 40; ++s) {
+    pre.push_back({make_access(id++, 10, s, s, 1,
+                               Signature::from_nodes(nodes, {0})),
+                   s});
+  }
+  // Extra node-1 accesses on some slots raise the distance there without
+  // touching node 0's counts, so reuse differs while E_t stays tied.
+  for (Slot s : {Slot{22}, Slot{23}, Slot{29}, Slot{35}, Slot{36}, Slot{37}}) {
+    pre.push_back({make_access(id++, 11, s, s, 1,
+                               Signature::from_nodes(nodes, {1})),
+                   s});
+  }
+  const std::vector<AccessRecord> accesses = {
+      make_access(0, 0, 22, 38, 1, Signature::from_nodes(nodes, {0, 1})),
+      make_access(1, 1, 21, 39, 2, Signature::from_nodes(nodes, {0})),
+      make_access(2, 2, 24, 34, 1, Signature::from_nodes(nodes, {0, 2})),
+  };
+  expect_matches_reference(nodes, slots, opts, accesses, pre);
+
+  AccessScheduler fast(nodes, slots, opts);
+  for (const auto& [rec, slot] : pre) fast.place(rec, slot);
+  (void)fast.schedule(accesses);
+  EXPECT_EQ(fast.stats().theta_fallbacks, 3);
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 #include "core/signature.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace dasched {
 namespace {
@@ -150,6 +157,82 @@ TEST(Distance, Symmetric) {
   const Signature a = Signature::from_nodes(8, {0, 3, 5});
   const Signature b = Signature::from_nodes(8, {3, 6});
   EXPECT_EQ(distance(a, b), distance(b, a));
+}
+
+// --- Inline popcount and the distance definition ----------------------------
+
+static_assert(popcount_word(0) == 0);
+static_assert(popcount_word(~0ULL) == 64);
+static_assert(popcount_word(0x8000000000000001ULL) == 2);
+
+TEST(PopcountWord, MatchesStdPopcountOnEdgeAndRandomWords) {
+  std::vector<std::uint64_t> words = {0, ~0ULL, 0x5555555555555555ULL,
+                                      0xaaaaaaaaaaaaaaaaULL,
+                                      0x00000000ffffffffULL,
+                                      0xffffffff00000000ULL};
+  for (int b = 0; b < 64; ++b) {
+    words.push_back(1ULL << b);             // single bit
+    words.push_back(~(1ULL << b));          // all but one bit
+    words.push_back((1ULL << b) - 1);       // low run
+  }
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    words.push_back(rng.next_u64());
+    words.push_back(rng.next_u64() & rng.next_u64());  // sparse
+    words.push_back(rng.next_u64() | rng.next_u64());  // dense
+  }
+  for (std::uint64_t w : words) {
+    EXPECT_EQ(popcount_word(w), std::popcount(w)) << std::hex << w;
+  }
+}
+
+/// The paper's definition, evaluated bit by bit through `test()`.
+int distance_by_definition(const Signature& a, const Signature& b) {
+  int sim = 0;
+  int diff = 0;
+  for (int i = 0; i < a.size(); ++i) {
+    sim += a.test(i) && b.test(i) ? 1 : 0;
+    diff += a.test(i) != b.test(i) ? 1 : 0;
+  }
+  return a.size() - sim + diff;
+}
+
+Signature full_signature(int n) {
+  Signature s(n);
+  for (int i = 0; i < n; ++i) s.set(i);
+  return s;
+}
+
+TEST(Distance, MatchesDefinitionAcrossWidthsAndEdgeSignatures) {
+  Rng rng(11);
+  for (int n : {1, 8, 63, 64, 65, 256}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<Signature> sigs = {Signature(n), full_signature(n)};
+    for (int b : {0, n / 2, n - 1}) {
+      Signature one(n);
+      one.set(b);
+      sigs.push_back(one);
+      Signature all_but_one = full_signature(n);
+      all_but_one.reset(b);
+      sigs.push_back(all_but_one);
+    }
+    for (int r = 0; r < 12; ++r) {
+      Signature s(n);
+      for (int i = 0; i < n; ++i) {
+        if (rng.next_below(3) == 0) s.set(i);
+      }
+      sigs.push_back(s);
+    }
+    for (const Signature& a : sigs) {
+      EXPECT_EQ(a.popcount(), static_cast<int>(a.nodes().size()));
+      for (const Signature& b : sigs) {
+        ASSERT_EQ(distance(a, b), distance_by_definition(a, b))
+            << a.to_string() << " vs " << b.to_string();
+        EXPECT_GE(distance(a, b), 0);
+        EXPECT_LE(distance(a, b), 2 * n);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,13 +11,16 @@
 //
 // The resolved address is printed to stdout (flushed) once the daemon is
 // accepting, so scripts can `read` it.  SIGINT/SIGTERM or a client
-// --shutdown drain gracefully.
+// --shutdown drain gracefully.  Exit codes follow dasched_run
+// (tools/cli_main.h): a malformed --socket address exits 2, a bind or
+// listen failure exits 1.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "cli_main.h"
 #include "serve/server.h"
 #include "util/parse.h"
 
@@ -42,9 +45,7 @@ namespace {
   std::exit(code);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   ServeOptions opts = serve_options_from_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -81,12 +82,7 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
 
   ServeServer server(opts);
-  try {
-    server.start();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dasched_serve: %s\n", e.what());
-    return 1;
-  }
+  server.start();
   std::printf("%s\n", server.address().c_str());
   std::fflush(stdout);
 
@@ -106,4 +102,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(server.requests_served()));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main("dasched_serve", [&] { return run_cli(argc, argv); });
 }

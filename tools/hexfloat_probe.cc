@@ -13,12 +13,14 @@
 // CI enforces it.  The same holds for cross-run workspace reuse
 // (--workspace routes all 32 cells through ONE reused ExperimentWorkspace —
 // warm pools, compile cache and all — instead of a fresh stack per cell;
-// DESIGN.md §16): every axis must diff clean.
+// DESIGN.md §16): every axis must diff clean.  Exit codes follow
+// dasched_run (tools/cli_main.h): an invalid cell config exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli_main.h"
 #include "driver/experiment.h"
 #include "driver/workspace.h"
 #include "util/parse.h"
@@ -67,10 +69,7 @@ int run_probe(int procs, double scale, int shards, bool use_workspace) {
   return 0;
 }
 
-}  // namespace
-}  // namespace dasched
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   int procs = 8;
   double scale = 0.2;
   int shards = 0;
@@ -78,16 +77,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--procs" && i + 1 < argc) {
-      const auto v = dasched::parse_i64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--procs", argv[i], "an integer");
+      const auto v = parse_i64(argv[++i]);
+      if (!v) die_invalid_value("--procs", argv[i], "an integer");
       procs = static_cast<int>(*v);
     } else if (arg == "--scale" && i + 1 < argc) {
-      const auto v = dasched::parse_f64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--scale", argv[i], "a number");
+      const auto v = parse_f64(argv[++i]);
+      if (!v) die_invalid_value("--scale", argv[i], "a number");
       scale = *v;
     } else if (arg == "--shards" && i + 1 < argc) {
-      const auto v = dasched::parse_i64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--shards", argv[i], "an integer");
+      const auto v = parse_i64(argv[++i]);
+      if (!v) die_invalid_value("--shards", argv[i], "an integer");
       shards = static_cast<int>(*v);
     } else if (arg == "--workspace") {
       use_workspace = true;
@@ -98,5 +97,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return dasched::run_probe(procs, scale, shards, use_workspace);
+  return run_probe(procs, scale, shards, use_workspace);
+}
+
+}  // namespace
+}  // namespace dasched
+
+int main(int argc, char** argv) {
+  return dasched::cli_main("hexfloat_probe",
+                           [&] { return dasched::run_cli(argc, argv); });
 }

@@ -8,12 +8,16 @@
 //   trace_dump --head 50 trace.bin               # first 50 events only
 //   trace_dump --chrome trace.bin > trace.json   # Chrome trace_event JSON
 //   trace_dump --summary trace.bin               # analytics summary JSON
+//
+// Exit codes follow dasched_run (tools/cli_main.h): a file that is not a
+// readable dasched trace exits 2 with `trace: <path>: ...` on stderr.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "cli_main.h"
 #include "disk/disk.h"
 #include "telemetry/analytics.h"
 #include "telemetry/events.h"
@@ -144,9 +148,7 @@ void print_event(const TraceEvent& ev) {
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   bool chrome = false;
   bool summary = false;
   long long head = -1;
@@ -178,8 +180,7 @@ int main(int argc, char** argv) {
 
   const auto trace = load_trace(path);
   if (!trace) {
-    std::fprintf(stderr, "%s: not a readable dasched trace\n", path.c_str());
-    return 1;
+    throw ConfigError("trace", path + ": not a readable dasched trace");
   }
 
   if (chrome) {
@@ -210,4 +211,10 @@ int main(int argc, char** argv) {
     printed += 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main("trace_dump", [&] { return run_cli(argc, argv); });
 }
