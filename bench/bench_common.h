@@ -171,7 +171,7 @@ inline double median_seconds(std::vector<double> v) {
 }
 
 /// Shared envelope of the BENCH_*.json throughput reports
-/// (event_queue_throughput, shard_throughput, grid_throughput): every file
+/// (event_queue_throughput, grid_throughput): every file
 /// carries the same identification fields — name, workload-knob object,
 /// host_cores, nproc, reps — followed by one row object per measured
 /// setting, so tooling can diff any of them with the same reader.

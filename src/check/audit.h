@@ -87,12 +87,6 @@ class SimAuditor {
   /// true count.
   void record(Violation v);
 
-  /// Folds another auditor's findings into this one (a sharded run merges
-  /// its per-lane auditors after the workers stop).  The other auditor keeps
-  /// its checks; violations and counters are copied over (up to the same
-  /// storage cap), and its check count joins this report's total.
-  void absorb(const SimAuditor& other);
-
   /// Runs every check's end-of-run pass.  Idempotent.
   void finalize();
 
@@ -105,7 +99,7 @@ class SimAuditor {
   }
   [[nodiscard]] std::int64_t evaluations() const { return evaluations_; }
   [[nodiscard]] std::size_t num_checks() const {
-    return checks_.size() + absorbed_checks_;
+    return checks_.size();
   }
 
   /// Multi-line human-readable report (violations or an all-clear line).
@@ -121,7 +115,6 @@ class SimAuditor {
   std::vector<Violation> violations_;
   std::int64_t violations_total_ = 0;
   std::int64_t evaluations_ = 0;
-  std::size_t absorbed_checks_ = 0;
   bool finalized_ = false;
 };
 

@@ -27,60 +27,6 @@ InstalledChecks install_audit(SimAuditor& auditor, Simulator& sim,
   return out;
 }
 
-void install_audit_sharded(ShardedAuditLanes& lanes, ShardedSimulator& sim,
-                           StorageSystem& storage, PolicyKind policy,
-                           const PolicyConfig& policy_cfg) {
-  lanes = ShardedAuditLanes{};
-  const int streams = sim.num_streams();
-  for (int s = 0; s < streams; ++s) {
-    lanes.auditors.push_back(std::make_unique<SimAuditor>());
-  }
-
-  SimAuditor& client = *lanes.auditors[0];
-  sim.lane(0).add_observer(&client.add_check<EventQueueCheck>());
-  lanes.routing =
-      &client.add_check<StorageAccountingCheck>(&storage.striping());
-  storage.add_observer(lanes.routing);
-  lanes.energy = &client.add_check<EnergyConservationCheck>();
-
-  for (int n = 0; n < storage.num_io_nodes(); ++n) {
-    SimAuditor& aud = *lanes.auditors[static_cast<std::size_t>(1 + n)];
-    sim.lane(1 + n).add_observer(&aud.add_check<EventQueueCheck>());
-    auto& energy = aud.add_check<EnergyConservationCheck>();
-    auto& disk_state = aud.add_check<DiskStateMachineCheck>(policy, policy_cfg);
-    // No striping map: the node-lane check keeps delivery ledgers only; the
-    // routing-side stripe math runs on lane 0.
-    auto& accounting = aud.add_check<StorageAccountingCheck>();
-    IoNode& node = storage.node(n);
-    node.add_observer(&accounting);
-    for (int d = 0; d < node.num_disks(); ++d) {
-      node.disk(d).add_observer(&energy);
-      node.disk(d).add_observer(&disk_state);
-    }
-    lanes.node_accounting.push_back(&accounting);
-    lanes.node_energy.push_back(&energy);
-  }
-}
-
-void merge_sharded_ledgers(ShardedAuditLanes& lanes) {
-  if (lanes.merged) return;
-  lanes.merged = true;
-  for (const StorageAccountingCheck* c : lanes.node_accounting) {
-    lanes.routing->absorb_node_ledgers(*c);
-  }
-  for (const EnergyConservationCheck* c : lanes.node_energy) {
-    lanes.energy->absorb_ledgers(*c);
-  }
-}
-
-void finalize_audit_sharded(ShardedAuditLanes& lanes, SimAuditor& into) {
-  merge_sharded_ledgers(lanes);
-  for (auto& aud : lanes.auditors) {
-    aud->finalize();
-    into.absorb(*aud);
-  }
-}
-
 ScheduleConsistencyCheck& audit_compiled(SimAuditor& auditor,
                                          const Compiled& compiled,
                                          const ScheduleOptions& opts,

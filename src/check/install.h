@@ -18,11 +18,8 @@
 #include "check/event_check.h"
 #include "check/schedule_check.h"
 #include "check/storage_check.h"
-#include <memory>
-#include <vector>
 
 #include "compiler/compile.h"
-#include "sim/sharded_sim.h"
 #include "sim/simulator.h"
 #include "storage/storage_system.h"
 
@@ -49,41 +46,5 @@ ScheduleConsistencyCheck& audit_compiled(SimAuditor& auditor,
                                          const Compiled& compiled,
                                          const ScheduleOptions& opts,
                                          bool scheduling_enabled = true);
-
-/// Shard-local audit wiring: one auditor per lane, so every observer
-/// callback stays on the worker thread that owns its lane, with no shared
-/// mutable state between workers.  Merged into one report after the run by
-/// `finalize_audit_sharded`.
-struct ShardedAuditLanes {
-  std::vector<std::unique_ptr<SimAuditor>> auditors;  // one per lane
-  /// Lane 0's routing-side accounting check (sees on_request_routed only).
-  StorageAccountingCheck* routing = nullptr;
-  /// Lane 0's energy check: owns no disks, serves as the aggregate sink the
-  /// node lanes' ledgers merge into (cross_check_aggregate target).
-  EnergyConservationCheck* energy = nullptr;
-  std::vector<StorageAccountingCheck*> node_accounting;  // per node lane
-  std::vector<EnergyConservationCheck*> node_energy;     // per node lane
-  bool merged = false;  // set by merge_sharded_ledgers
-
-  [[nodiscard]] bool installed() const { return !auditors.empty(); }
-};
-
-/// Sharded counterpart of `install_audit`: lane 0 gets the event-queue and
-/// routing checks, each node lane gets event-queue, energy, disk-state and
-/// delivery-ledger checks wired to its own node and disks.
-void install_audit_sharded(ShardedAuditLanes& lanes, ShardedSimulator& sim,
-                           StorageSystem& storage, PolicyKind policy,
-                           const PolicyConfig& policy_cfg);
-
-/// Merges the node lanes' delivery and energy ledgers into lane 0's checks.
-/// Call after the run and after `StorageSystem::finalize()` (the node-side
-/// finalize cross-checks fire there); afterwards `lanes.energy` covers the
-/// whole disk fleet (cross_check_aggregate works).  Idempotent.
-void merge_sharded_ledgers(ShardedAuditLanes& lanes);
-
-/// Runs every lane's end-of-run pass and absorbs all findings into `into`
-/// (merging the ledgers first if the caller has not).  Call last, before
-/// reading `into`'s report.
-void finalize_audit_sharded(ShardedAuditLanes& lanes, SimAuditor& into);
 
 }  // namespace dasched

@@ -51,15 +51,6 @@ class DASCHED_OBSERVER_PASSIVE StorageAccountingCheck final
 
   void at_end() override;
 
-  /// Folds a shard-local peer's per-node delivery ledgers into this
-  /// (routing-side) check ahead of `at_end`'s routed-vs-delivered pass.
-  /// Lanes own disjoint node sets, so this is a plain union.
-  void absorb_node_ledgers(const StorageAccountingCheck& other) {
-    // dasched-lint: allow(nondet-unordered-iter): union into another
-    // unordered map — the merged content is iteration-order independent.
-    for (const auto& [id, ledger] : other.ledgers_) ledgers_[id] = ledger;
-  }
-
  private:
   struct NodeLedger {
     std::int64_t hits = 0;

@@ -7,25 +7,6 @@
 
 namespace dasched {
 
-std::vector<double> default_lane_costs(const StorageConfig& storage,
-                                       const WorkloadScale& scale) {
-  // Event-count proxies, not microseconds.  Per client request the client
-  // lane runs the compute timer, the request dispatch, one routing hop per
-  // stripe piece, and the join completion; a node lane runs its share of
-  // the cache-lookup / elevator / disk-service / response chain plus policy
-  // timers.  Requests spread evenly over nodes (RAID-0 striping), so each
-  // node lane carries ~1/num_io_nodes of the disk-side work, scaled by its
-  // disk count for the per-disk service and policy events.
-  const double clients = static_cast<double>(scale.num_processes);
-  const double nodes = static_cast<double>(storage.num_io_nodes);
-  const double disks = static_cast<double>(storage.node.num_disks);
-  std::vector<double> costs(static_cast<std::size_t>(1 + storage.num_io_nodes));
-  costs[0] = clients * 4.0;
-  const double per_node = (clients * 4.0) / nodes + disks * 2.0;
-  for (std::size_t i = 1; i < costs.size(); ++i) costs[i] = per_node;
-  return costs;
-}
-
 std::size_t default_event_reserve(const StorageConfig& storage,
                                   const WorkloadScale& scale) {
   // Concurrently *outstanding* events, not total events: each client keeps
@@ -52,25 +33,24 @@ void validate_experiment_topology(const ExperimentConfig& cfg) {
                       "experiment: num_io_nodes must be >= 1, got " +
                           std::to_string(cfg.storage.num_io_nodes));
   }
-  if (cfg.shards < 0) {
+  if (cfg.storage.node.cache_capacity < cfg.storage.stripe_size) {
     throw ConfigError(
-        "shards",
-        "experiment: shards must be >= 0 (0 = classic serial engine), got " +
-            std::to_string(cfg.shards));
+        "storage.node.cache_capacity",
+        "experiment: cache capacity must hold at least one stripe-sized "
+        "block (" +
+            std::to_string(cfg.storage.stripe_size.count()) + " bytes), got " +
+            std::to_string(cfg.storage.node.cache_capacity.count()));
   }
-  if (cfg.shards > cfg.storage.num_io_nodes) {
-    throw ConfigError(
-        "shards",
-        "experiment: shards (" + std::to_string(cfg.shards) +
-            ") exceeds num_io_nodes (" +
-            std::to_string(cfg.storage.num_io_nodes) +
-            "); every worker needs at least one I/O-node event lane");
+  if (cfg.compile.sched.delta < 0) {
+    throw ConfigError("compile.sched.delta",
+                      "experiment: delta must be >= 0, got " +
+                          std::to_string(cfg.compile.sched.delta));
   }
-  if (cfg.shards > 0 && cfg.storage.network_latency <= SimTime{0}) {
-    throw ConfigError(
-        "storage.network_latency",
-        "experiment: sharded execution derives its lookahead from "
-        "storage.network_latency, which must be positive");
+  if (cfg.shards != 0) {
+    throw ConfigError("shards",
+                      "experiment: shards must be 0 (the serial engine is "
+                      "the only engine), got " +
+                          std::to_string(cfg.shards));
   }
 }
 

@@ -13,19 +13,19 @@
 // interposer).
 //
 // Reuse is bit-identical to fresh construction by the same argument that
-// makes the engines deterministic: all event ordering is (time, seq) keyed,
-// and seq values are dense per-stream counters rewound by the resets.  Slot
+// makes the engine deterministic: all event ordering is (time, seq) keyed,
+// and seq values are a dense counter rewound by the resets.  Slot
 // indices, generation counters and free-list layout never enter an ordering
 // key, so warm pools are observationally indistinguishable from cold ones
 // (DESIGN.md §16; tests/driver/workspace_differential_test.cc).
 //
 // Shape changes are handled with a capacity high-water-mark policy: growing
 // a dimension (more processes, more events) reallocates once and keeps the
-// larger footprint; nothing ever shrinks.  A genuine topology change
-// (classic <-> sharded, shard count, node count, ...) rebuilds the affected
-// components cleanly.  A run that threw mid-flight poisons the workspace;
-// the next run detects it and rebuilds from scratch instead of trusting
-// half-mutated state.
+// larger footprint; nothing ever shrinks.  A genuine topology change (node
+// count, stripe size, workload identity) rebuilds the affected components
+// cleanly; the engine itself serves any topology and is built once.  A run
+// that threw mid-flight poisons the workspace; the next run detects it and
+// rebuilds from scratch instead of trusting half-mutated state.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "driver/experiment.h"
-#include "sim/sharded_sim.h"
+#include "sim/simulator.h"
 #include "util/annotations.h"
 
 namespace dasched {
@@ -51,8 +51,8 @@ class ExperimentWorkspace {
   ExperimentWorkspace& operator=(const ExperimentWorkspace&) = delete;
 
   /// Makes the workspace ready to run `cfg`: resets compatible components in
-  /// place, rebuilds the ones whose shape genuinely changed (engine kind or
-  /// sharding, storage topology, workload identity).  Called by `run`;
+  /// place, rebuilds the ones whose shape genuinely changed (storage
+  /// topology, workload identity).  Called by `run`;
   /// exposed for tests that want to observe the rebuild decisions.
   void prepare(const ExperimentConfig& cfg);
 
@@ -78,22 +78,6 @@ class ExperimentWorkspace {
   [[nodiscard]] std::uint64_t runs_completed() const { return runs_completed_; }
 
  private:
-  /// Everything that forces an engine (and therefore storage + cluster)
-  /// rebuild.  The classic engine is topology-independent — its pools grow
-  /// monotonically via reserve_events — so its key is a constant; the
-  /// sharded engine bakes the lane layout and lookahead into construction.
-  struct EngineKey {
-    bool is_sharded = false;
-    int shards = 0;
-    int num_io_nodes = 0;
-    SimTime lookahead = 0;
-    // lane_costs inputs (the lane→worker map is a pure function of these):
-    int num_processes = 0;
-    int num_disks = 0;
-
-    friend bool operator==(const EngineKey&, const EngineKey&) = default;
-  };
-
   /// Identity of the built workload: `App::build` registers files on the
   /// striping map, so it must run exactly once per (app, scale, striping
   /// geometry) — rerunning it would append duplicate files.
@@ -114,10 +98,9 @@ class ExperimentWorkspace {
     std::unique_ptr<Compiled> compiled;
   };
 
-  [[nodiscard]] static EngineKey engine_key_of(const ExperimentConfig& cfg);
   /// Drops every component; the next prepare() builds from scratch.
   void clear_all();
-  /// Detaches audit/telemetry observers from every layer (simulator lanes,
+  /// Detaches audit/telemetry observers from every layer (simulator,
   /// storage, nodes, disks, policies); they are re-installed per run.
   void detach_observers();
   /// Compiled schedule for the current workload under `copts`, via the LRU
@@ -131,10 +114,9 @@ class ExperimentWorkspace {
   DASCHED_HOT const ExperimentResult& run_impl(const ExperimentConfig& cfg,
                                                SimAuditor* auditor);
 
-  // Engine (exactly one of the two is non-null once prepared).
-  std::unique_ptr<ShardedSimulator> sharded_;
-  std::unique_ptr<Simulator> serial_;
-  std::optional<EngineKey> engine_key_;
+  // Engine: built on the first prepare() (or after a poisoned run), then
+  // reset in place; its pools grow monotonically via reserve_events.
+  std::unique_ptr<Simulator> sim_;
 
   // Storage (optional<> so a topology change can re-emplace in place).
   std::optional<StorageSystem> storage_;

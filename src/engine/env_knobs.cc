@@ -60,8 +60,6 @@ std::string env_string(const char* name, const char* fallback) {
   return v == nullptr ? fallback : v;
 }
 
-int shards_from_env(int fallback) { return env_int("DASCHED_SHARDS", fallback); }
-
 TelemetryConfig telemetry_from_env() {
   TelemetryConfig cfg;
   cfg.dir = env_string("DASCHED_TRACE", "");

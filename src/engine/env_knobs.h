@@ -27,12 +27,6 @@ namespace dasched {
 /// Raw environment lookup; `fallback` when unset (any set value is valid).
 [[nodiscard]] std::string env_string(const char* name, const char* fallback);
 
-/// Shard count from DASCHED_SHARDS (`fallback` when unset).  The strict
-/// integer parse of env_int applies; range validation (0 = classic serial,
-/// 1..num_io_nodes = sharded) is validate_experiment_topology's job, so a
-/// bad count still names the topology it conflicts with.
-[[nodiscard]] int shards_from_env(int fallback);
-
 /// Telemetry capture from the environment: DASCHED_TRACE names the output
 /// directory and enables tracing; DASCHED_TRACE_LEVEL selects
 /// {state,request,full} (default "state", "off" disables).  A malformed

@@ -36,14 +36,10 @@ SweepAxis sweep_axis_by_name(const std::string& name,
     axis.apply = [](ExperimentConfig& cfg, double v) {
       cfg.max_slack = static_cast<Slot>(v);
     };
-  } else if (name == "shards") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.shards = static_cast<int>(v);
-    };
   } else {
     throw std::invalid_argument("unknown sweep axis '" + name +
                                 "' (known: nodes, delta, theta, cache_mib, "
-                                "buffer_mib, slack, shards)");
+                                "buffer_mib, slack)");
   }
   return axis;
 }

@@ -43,7 +43,7 @@
 namespace dasched::serve {
 
 /// Protocol version, exchanged in hello.  Bump on any wire change.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Hard cap on one frame (type + payload); oversized frames are a protocol
 /// error, closing the connection before a hostile length can balloon memory.

@@ -47,7 +47,7 @@
 
 namespace dasched {
 
-/// One queued event: fire time, total-order key (stream << 48 | local seq),
+/// One queued event: fire time, total-order key (the scheduling counter),
 /// and the pooled record slot holding the callback.  24 bytes, trivially
 /// copyable — the queues move these with memmove.
 struct QueuedEvent {

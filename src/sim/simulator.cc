@@ -48,7 +48,7 @@ void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
 }
 
 EventHandle Simulator::schedule_at(SimTime t, Callback cb) {
-  const std::uint64_t seq = seq_base_ | next_seq_++;
+  const std::uint64_t seq = next_seq_++;
   observers_.notify(
       [&](SimObserver* o) { o->on_event_scheduled(seq, t, now_); });
   // Under audit the violation is recorded instead of aborting; either way the
@@ -65,39 +65,6 @@ EventHandle Simulator::schedule_at(SimTime t, Callback cb) {
 
 EventHandle Simulator::schedule_after(SimTime delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
-}
-
-void Simulator::inject(SimTime t, std::uint64_t seq, Callback cb) {
-  observers_.notify(
-      [&](SimObserver* o) { o->on_event_scheduled(seq, t, now_); });
-  assert(t >= now_ && "injected event must be ahead of the receiving lane");
-  const std::uint32_t slot = acquire_slot();
-  Record& rec = records_[slot];
-  rec.cb = std::move(cb);
-  queue_.push(QueuedEvent{t, seq, slot});
-}
-
-void Simulator::run_window(SimTime end) {
-  // Same body as step(), with the window bound folded into the pop loop:
-  // step() would run the first live event even when it lies at or past
-  // `end`, which breaks the conservative-lookahead contract.
-  while (!queue_.empty() && queue_.top().time < end) {
-    const QueuedEvent ev = queue_.top();
-    queue_.pop();
-    Record& rec = records_[ev.slot];
-    if (rec.cancelled) {
-      observers_.notify([&](SimObserver* o) { o->on_event_discarded(ev.seq); });
-      release_slot(ev.slot);
-      continue;
-    }
-    observers_.notify(
-        [&](SimObserver* o) { o->on_event_fired(ev.seq, ev.time, false); });
-    now_ = ev.time;
-    EventFn cb = std::move(rec.cb);
-    release_slot(ev.slot);
-    ++executed_;
-    cb();
-  }
 }
 
 bool Simulator::step() {

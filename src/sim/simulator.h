@@ -14,7 +14,6 @@
 // up.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -83,13 +82,6 @@ class Simulator {
  public:
   using Callback = EventFn;
 
-  /// Bit position of the logical-stream id inside an event sequence key.
-  /// The key is `(stream << kStreamShift) | local_seq`, so the (time, seq)
-  /// comparator realizes the lexicographic order (time, stream, local_seq).
-  /// A classic standalone simulator keeps stream 0, where the key equals
-  /// the plain scheduling counter and nothing changes bit-wise.
-  static constexpr int kStreamShift = 48;
-
   Simulator() = default;
   // Event handles and layer objects hold pointers/references to the
   // simulator, so it is pinned in place.
@@ -125,61 +117,15 @@ class Simulator {
   /// Runs a single event; returns false if the queue is empty.
   DASCHED_HOT bool step();
 
-  // --- Sharded-execution seam (sim/sharded_sim.h) ---------------------------
-  // A `ShardedSimulator` owns one `Simulator` per logical stream and drives
-  // the lanes in conservative lookahead windows.  Events keep their sender's
-  // (time, stream, local_seq) key when they cross lanes, which is what makes
-  // the merged execution order independent of the shard count.
-
-  /// Assigns this simulator's logical stream id.  Must be called before any
-  /// event is scheduled; stream 0 (the default) leaves keys bit-identical to
-  /// a standalone simulator.
-  void set_stream(std::uint32_t stream) {
-    assert(next_seq_ == 0 && "stream id must be set before any event");
-    seq_base_ = static_cast<std::uint64_t>(stream) << kStreamShift;
-  }
-
-  /// Consumes one sequence key from this lane's counter for an event that
-  /// will be injected into another lane (cross-shard send).  Consuming from
-  /// the sender keeps keys unique and the total order shard-invariant.
-  [[nodiscard]] std::uint64_t take_send_seq() { return seq_base_ | next_seq_++; }
-
-  /// Enqueues an event that already carries a sequence key from another
-  /// lane's `take_send_seq`.  `t` must be at or after this lane's current
-  /// window start (the lookahead protocol guarantees it is at or after the
-  /// window *end*).
-  DASCHED_HOT void inject(SimTime t, std::uint64_t seq, Callback cb);
-
-  /// Runs every event with time strictly below `end` (the conservative
-  /// window bound), leaving later events queued.  Does not advance `now()`
-  /// past the last executed event.
-  DASCHED_HOT void run_window(SimTime end);
-
-  /// Time of the earliest queued entry, or SimTime::max() when the queue is
-  /// empty.  Cancelled entries still count — their time is a lower bound, so
-  /// including them is conservative and keeps the answer deterministic.
-  [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? std::numeric_limits<SimTime>::max()
-                          : queue_.top().time;
-  }
-
-  /// Advances the clock to `t` (>= now()) without running anything; the
-  /// sharded driver stamps every lane to the final window end so trailing
-  /// idle accrual is deterministic.
-  void set_now(SimTime t) {
-    assert(t >= now_ && "set_now cannot move the clock backwards");
-    now_ = t;
-  }
-
   /// Restores the constructor postcondition — empty queue, zero clock, zero
   /// sequence counter — while keeping every capacity warm (queue tiers,
   /// record pool, free list) so the next run allocates nothing
   /// (tests/driver/workspace_alloc_test.cc).  Every pooled record's
   /// generation is bumped, so `EventHandle`s held across the reset by
-  /// long-lived layers become inert instead of dangling.  The stream id
-  /// (`set_stream`) and attached observers are preserved; pop order of the
-  /// next run is unaffected by the recycled slot/generation values because
-  /// event ordering depends only on (time, seq) keys.
+  /// long-lived layers become inert instead of dangling.  Attached
+  /// observers are preserved; pop order of the next run is unaffected by
+  /// the recycled slot/generation values because event ordering depends
+  /// only on (time, seq) keys.
   void reset();
 
   /// Number of events executed so far.
@@ -214,7 +160,6 @@ class Simulator {
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
 
   SimTime now_ = 0;
-  std::uint64_t seq_base_ = 0;
   std::uint64_t next_seq_ = 0;
   std::int64_t executed_ = 0;
   ObserverList<SimObserver> observers_;

@@ -26,38 +26,4 @@ void install_telemetry(TelemetryRecorder& recorder, Simulator& sim,
   }
 }
 
-void install_telemetry_sharded(
-    std::vector<std::unique_ptr<TelemetryRecorder>>& recorders,
-    TraceLevel level, ShardedSimulator& sim, StorageSystem& storage) {
-  recorders.clear();
-  for (int s = 0; s < sim.num_streams(); ++s) {
-    recorders.push_back(std::make_unique<TelemetryRecorder>(level));
-  }
-
-  TelemetryRecorder& client = *recorders[0];
-  TraceMeta& meta = client.meta();
-  meta.num_nodes = storage.num_io_nodes();
-  meta.disks_per_node =
-      storage.num_io_nodes() > 0 ? storage.node(0).num_disks() : 0;
-  meta.seed = storage.config().seed;
-  client.set_simulator(sim.lane(0));
-  if (client.level() >= TraceLevel::kFull) sim.lane(0).add_observer(&client);
-  storage.add_observer(&client);
-
-  for (int n = 0; n < storage.num_io_nodes(); ++n) {
-    TelemetryRecorder& rec = *recorders[static_cast<std::size_t>(1 + n)];
-    rec.set_simulator(sim.lane(1 + n));
-    if (rec.level() >= TraceLevel::kFull) sim.lane(1 + n).add_observer(&rec);
-    IoNode& node = storage.node(n);
-    node.add_observer(&rec);
-    for (int d = 0; d < node.num_disks(); ++d) {
-      rec.register_disk(node.disk(d), n, d);
-      node.disk(d).add_observer(&rec);
-      if (PowerPolicy* policy = node.policy(d)) {
-        policy->add_observer(&rec);
-      }
-    }
-  }
-}
-
 }  // namespace dasched

@@ -11,10 +11,6 @@
 // multiplexes its observers (util/observer_list.h).
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "sim/sharded_sim.h"
 #include "sim/simulator.h"
 #include "storage/storage_system.h"
 #include "telemetry/recorder.h"
@@ -27,16 +23,5 @@ namespace dasched {
 /// seed).  App/policy/scheme metadata is the caller's to set.
 void install_telemetry(TelemetryRecorder& recorder, Simulator& sim,
                        StorageSystem& storage);
-
-/// Sharded counterpart: one recorder per lane, so recording stays on the
-/// worker thread that owns the lane.  `recorders[0]` taps the client lane
-/// (storage router, lane-0 simulator) and carries the run metadata;
-/// `recorders[1+i]` taps I/O node i with its disks and policies, using
-/// global disk ids.  Merge the per-lane buffers with `merge_traces` after
-/// the run.  App/policy/scheme metadata on `recorders[0]` is the caller's
-/// to set.
-void install_telemetry_sharded(
-    std::vector<std::unique_ptr<TelemetryRecorder>>& recorders,
-    TraceLevel level, ShardedSimulator& sim, StorageSystem& storage);
 
 }  // namespace dasched

@@ -81,14 +81,6 @@ class TraceBuffer {
   std::size_t size_ = 0;
 };
 
-/// Deterministic k-way merge of per-lane traces into `out`, ordered by
-/// (time, lane index, in-lane order).  A sharded run records one trace per
-/// lane; each lane's sequence depends only on the topology (never on the
-/// worker count), and this merge rule is a pure function of those
-/// sequences, so the merged stream is shard-count invariant
-/// (tests/driver/shard_differential_test.cc).  `out` is cleared first.
-void merge_traces(std::span<const TraceBuffer* const> lanes, TraceBuffer& out);
-
 /// One recorder per run; attach with telemetry/install.h.
 class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
     : public SimObserver,

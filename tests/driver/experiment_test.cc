@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dasched {
 namespace {
 
@@ -121,6 +123,80 @@ TEST(Experiment, HelpersComputeRatios) {
 TEST(Experiment, UnknownAppThrows) {
   ExperimentConfig cfg = tiny("not-an-app");
   EXPECT_THROW((void)run_experiment(cfg), std::out_of_range);
+}
+
+/// The field `validate_experiment_topology(cfg)` rejects, or "" if it
+/// accepts the config.
+std::string rejected_field(const ExperimentConfig& cfg) {
+  try {
+    validate_experiment_topology(cfg);
+  } catch (const ConfigError& e) {
+    return e.field();
+  }
+  return "";
+}
+
+TEST(ShardTopologyValidation, RejectsDegenerateTopologies) {
+  const struct {
+    void (*mutate)(ExperimentConfig&);
+    const char* field;
+  } cases[] = {
+      {[](ExperimentConfig& c) { c.scale.num_processes = 0; },
+       "scale.num_processes"},
+      {[](ExperimentConfig& c) { c.storage.num_io_nodes = 0; },
+       "storage.num_io_nodes"},
+      // The cache must hold at least one stripe-sized block.
+      {[](ExperimentConfig& c) { c.storage.node.cache_capacity = mib(0); },
+       "storage.node.cache_capacity"},
+      {[](ExperimentConfig& c) { c.storage.node.cache_capacity = mib(-1); },
+       "storage.node.cache_capacity"},
+      {[](ExperimentConfig& c) {
+         c.storage.node.cache_capacity = c.storage.stripe_size - 1;
+       },
+       "storage.node.cache_capacity"},
+      {[](ExperimentConfig& c) { c.compile.sched.delta = -1; },
+       "compile.sched.delta"},
+  };
+  for (const auto& c : cases) {
+    ExperimentConfig cfg = tiny("sar");
+    c.mutate(cfg);
+    EXPECT_EQ(rejected_field(cfg), c.field) << "case " << (&c - cases);
+  }
+}
+
+TEST(ShardTopologyValidation, AcceptsTopologiesBeyondThePaperCap) {
+  // >8 nodes and >32 clients are first-class configurations; the validator
+  // only rejects genuinely inconsistent combinations.
+  ExperimentConfig cfg = tiny("sar");
+  cfg.scale.num_processes = 512;
+  cfg.storage.num_io_nodes = 64;
+  EXPECT_NO_THROW(validate_experiment_topology(cfg));
+}
+
+TEST(ShardTopologyValidation, SmallestLegalCacheAndDeltaRun) {
+  ExperimentConfig cfg = tiny("sar");
+  cfg.storage.node.cache_capacity = cfg.storage.stripe_size;
+  cfg.compile.sched.delta = 0;
+  cfg.use_scheme = true;
+  EXPECT_EQ(rejected_field(cfg), "");
+  EXPECT_GT(run_experiment(cfg).events, 0);
+}
+
+TEST(ShardTopologyValidation, RejectsInconsistentShardCounts) {
+  // The serial engine is the only engine; every non-zero count is invalid.
+  for (int shards : {-1, 1, 2, 99}) {
+    ExperimentConfig cfg = tiny("sar");
+    cfg.shards = shards;
+    EXPECT_EQ(rejected_field(cfg), "shards") << "shards=" << shards;
+  }
+  ExperimentConfig cfg = tiny("sar");
+  cfg.shards = 1;
+  try {
+    (void)run_experiment(cfg);
+    FAIL() << "run_experiment accepted shards=1";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "shards");
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // The differential tests pin "reuse == fresh" for a fixed topology; these
 // pin the *rebuild decisions*: a topology change rebuilds exactly the
 // components whose shape changed (and the rebuilt stack matches fresh
-// construction), an engine switch rebuilds the engine, and a run that threw
+// construction), the engine itself is never rebuilt, and a run that threw
 // mid-flight poisons the workspace so the next run rebuilds from scratch
 // instead of trusting half-mutated state.  Plus the grid level: a grid run,
 // whose workers each reuse one workspace across cells, must be
@@ -55,8 +55,8 @@ TEST(WorkspaceShape, NodeCountChangeRebuildsCleanly) {
   ExperimentWorkspace ws;
   expect_matches_fresh(ws, cfg);
 
-  // Topology change: more I/O nodes.  The classic engine survives (its key
-  // is shape-independent); storage and workload rebuild.
+  // Topology change: fewer I/O nodes.  The engine survives (it serves any
+  // topology); storage and workload rebuild.
   cfg.storage.num_io_nodes = 4;
   expect_matches_fresh(ws, cfg);
   EXPECT_EQ(ws.engine_rebuilds(), 1u);
@@ -85,31 +85,13 @@ TEST(WorkspaceShape, DiskAndPolicyChangesResetInPlace) {
       << "none of these shapes should touch the engine";
 }
 
-TEST(WorkspaceShape, EngineSwitchRebuildsEngine) {
-  ExperimentConfig classic = base_cell();
-  ExperimentConfig sharded = classic;
-  sharded.shards = 1;
-
-  ExperimentWorkspace ws;
-  expect_matches_fresh(ws, classic);
-  EXPECT_EQ(ws.engine_rebuilds(), 1u);
-  expect_matches_fresh(ws, sharded);
-  EXPECT_EQ(ws.engine_rebuilds(), 2u);
-  expect_matches_fresh(ws, classic);
-  EXPECT_EQ(ws.engine_rebuilds(), 3u);
-  // Same sharded shape twice in a row does NOT rebuild again.
-  expect_matches_fresh(ws, sharded);
-  expect_matches_fresh(ws, sharded);
-  EXPECT_EQ(ws.engine_rebuilds(), 4u);
-}
-
 TEST(WorkspaceShape, InvalidTopologyRejectedWithoutPoisoning) {
   ExperimentWorkspace ws;
   expect_matches_fresh(ws, base_cell());
 
   ExperimentConfig bad = base_cell();
-  bad.shards = 99;  // > num_io_nodes
-  EXPECT_THROW((void)ws.run(bad), std::invalid_argument);
+  bad.storage.node.cache_capacity = 0;  // below one stripe-sized block
+  EXPECT_THROW((void)ws.run(bad), ConfigError);
   // Validation fails before any component is touched: not poisoned, and the
   // warm stack keeps producing exact results.
   EXPECT_FALSE(ws.poisoned());

@@ -52,14 +52,6 @@ TEST(EnvKnobs, ReadsSetValues) {
   ::unsetenv("DASCHED_TEST_KNOB");
 }
 
-TEST(EnvKnobs, ShardsFromEnv) {
-  ::unsetenv("DASCHED_SHARDS");
-  EXPECT_EQ(shards_from_env(0), 0);
-  ::setenv("DASCHED_SHARDS", "4", 1);
-  EXPECT_EQ(shards_from_env(0), 4);
-  ::unsetenv("DASCHED_SHARDS");
-}
-
 TEST(EnvKnobsDeathTest, MalformedValueIsFatal) {
   ::setenv("DASCHED_TEST_KNOB", "abc", 1);
   EXPECT_EXIT((void)env_double("DASCHED_TEST_KNOB", 0.5),

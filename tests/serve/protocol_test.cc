@@ -54,7 +54,6 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   cfg.storage.num_io_nodes = 5;
   cfg.compile.sched.delta = 17;
   cfg.compile.sched.theta = 3;
-  cfg.shards = 2;
   cfg.max_slack = 123;
   cfg.scale.factor = 0.3;
 
@@ -75,7 +74,7 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   EXPECT_EQ(req.config.policy, PolicyKind::kHistory);
   EXPECT_EQ(req.config.storage.num_io_nodes, 5);
   EXPECT_EQ(req.config.compile.sched.delta, 17);
-  EXPECT_EQ(req.config.shards, 2);
+  EXPECT_EQ(req.config.compile.sched.theta, 3);
   EXPECT_EQ(req.config.seed, 7u);
   // scale.factor crosses as %.17g — bit-exact for doubles.
   EXPECT_EQ(std::bit_cast<std::uint64_t>(req.config.scale.factor),
@@ -86,18 +85,19 @@ TEST(ServeProtocol, RunRequestParseReusesConfigAndResets) {
   RunRequest req;
   std::string text;
   ExperimentConfig cfg = small_cfg();
-  cfg.shards = 3;
+  cfg.telemetry.level = TraceLevel::kRequest;
   format_run_request(cfg, false, text);
   parse_run_request(text, req);
-  ASSERT_EQ(req.config.shards, 3);
+  ASSERT_EQ(req.config.telemetry.level, TraceLevel::kRequest);
 
-  // A second parse without shards= must reset to defaults, not inherit the
-  // previous request's value (the config object is reused for allocation
-  // reasons, never for state).
+  // A second parse without trace_level= must reset to defaults, not inherit
+  // the previous request's value (the config object is reused for
+  // allocation reasons, never for state).
   ExperimentConfig plain = small_cfg();
   format_run_request(plain, false, text);
+  ASSERT_EQ(text.find("trace_level="), std::string::npos);
   parse_run_request(text, req);
-  EXPECT_EQ(req.config.shards, 0);
+  EXPECT_EQ(req.config.telemetry.level, TraceLevel::kOff);
 }
 
 TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
@@ -116,6 +116,15 @@ TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "lane_assign");
     EXPECT_NE(std::string(e.what()).find("lane_assign"), std::string::npos);
+  }
+  try {
+    // Protocol version 3 retired the engine selector along with the sharded
+    // engine; a version-2 frame carrying it must fail loudly, naming the key.
+    parse_run_request("app=sar\nshards=2\n", req);
+    FAIL() << "retired shards key accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "shards");
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos);
   }
   try {
     parse_run_request("app=sar\nprocs=notanumber\n", req);

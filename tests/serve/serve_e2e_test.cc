@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "driver/experiment.h"
@@ -203,15 +204,25 @@ TEST(ServeE2E, BadConfigAnswersStructuredErrorAndTenantSurvives) {
   TestServer ts;
   ServeClient client = ServeClient::connect(ts.server->address());
 
-  ExperimentConfig bad = small_cfg();
-  bad.storage.num_io_nodes = 0;  // rejected by topology validation
-  try {
-    (void)client.run(bad);
-    FAIL() << "invalid topology accepted";
-  } catch (const ServeError& e) {
-    EXPECT_EQ(e.info().kind, "config");
-    EXPECT_EQ(e.info().field, "storage.num_io_nodes");
-    EXPECT_FALSE(e.info().message.empty());
+  ExperimentConfig no_nodes = small_cfg();
+  no_nodes.storage.num_io_nodes = 0;  // rejected by topology validation
+  // A zero-capacity cache must become an error frame, not a crash that
+  // takes every other tenant down with the daemon.
+  ExperimentConfig no_cache = small_cfg();
+  no_cache.storage.node.cache_capacity = 0;
+  const std::pair<ExperimentConfig, const char*> bad_inputs[] = {
+      {no_nodes, "storage.num_io_nodes"},
+      {no_cache, "storage.node.cache_capacity"},
+  };
+  for (const auto& [bad, field] : bad_inputs) {
+    try {
+      (void)client.run(bad);
+      FAIL() << "invalid " << field << " accepted";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.info().kind, "config");
+      EXPECT_EQ(e.info().field, field);
+      EXPECT_FALSE(e.info().message.empty());
+    }
   }
 
   // The same connection still serves good requests afterwards.

@@ -67,7 +67,7 @@ namespace {
       "  --out-jsonl F   per-cell JSON lines\n"
       "config knobs (as dasched_run):\n"
       "  --app --policy --scheme --procs --scale --nodes --delta --theta\n"
-      "  --buffer --cache --seed --shards --audit\n"
+      "  --buffer --cache --seed --audit\n"
       "  --trace DIR --trace-level L   (telemetry runs server-side; the\n"
       "                  summary JSON streams back; artifacts land under the\n"
       "                  daemon's working directory)\n"
@@ -236,8 +236,6 @@ int run_cli(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.seed = static_cast<std::uint64_t>(int_or_die(value(), "--seed"));
       do_run = true;
-    } else if (arg == "--shards") {
-      cfg.shards = int_or_die(value(), "--shards");
       do_run = true;
     } else if (arg == "--audit") {
       audit = true;

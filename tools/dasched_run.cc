@@ -97,10 +97,6 @@ namespace {
       "  --buffer MB       client prefetch buffer capacity (default 128)\n"
       "  --cache MB        per-node storage cache (default 64)\n"
       "  --seed N          RNG seed; grid cells derive per-cell seeds\n"
-      "  --shards N        sharded event engine with N worker threads over\n"
-      "                    per-I/O-node lanes; 0 = classic serial engine\n"
-      "                    (default: DASCHED_SHARDS, then 0); results are\n"
-      "                    bit-identical for every N >= 1\n"
       "  --audit           run the invariant auditor; exits 1 on violations\n"
       "  --help            this text\n",
       argv0);
@@ -186,7 +182,6 @@ int run_cli(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.app = "sar";
   cfg.telemetry = telemetry_from_env();  // CLI flags below override
-  cfg.shards = shards_from_env(0);
   bool csv = false;
   bool hexfloat = false;
   bool audit = false;
@@ -235,8 +230,6 @@ int run_cli(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.seed = static_cast<std::uint64_t>(
           parse_int_or_die(value(), "--seed"));
-    } else if (arg == "--shards") {
-      cfg.shards = parse_int_or_die(value(), "--shards");
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--csv") {

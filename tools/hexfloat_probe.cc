@@ -5,15 +5,11 @@
 // verification harness used by the storage-path and scheduler fast-path
 // rewrites (see EXPERIMENTS.md "Bit-identity probes").
 //
-// Usage: hexfloat_probe [--procs N] [--scale F] [--shards N] [--workspace]
-// (defaults: 8, 0.2, 0 = classic serial engine, fresh-per-cell).
-// Diffing `--shards 1` against `--shards N` output is the tentpole check for
-// the sharded engine: the conservative-lookahead protocol promises
-// bit-identity across worker counts (DESIGN.md §14), and this probe is how
-// CI enforces it.  The same holds for cross-run workspace reuse
-// (--workspace routes all 32 cells through ONE reused ExperimentWorkspace —
-// warm pools, compile cache and all — instead of a fresh stack per cell;
-// DESIGN.md §16): every axis must diff clean.  Exit codes follow
+// Usage: hexfloat_probe [--procs N] [--scale F] [--workspace]
+// (defaults: 8, 0.2, fresh-per-cell).  Cross-run workspace reuse must diff
+// clean against fresh runs: --workspace routes all 32 cells through ONE
+// reused ExperimentWorkspace — warm pools, compile cache and all — instead
+// of a fresh stack per cell (DESIGN.md §16).  Exit codes follow
 // dasched_run (tools/cli_main.h): an invalid cell config exits 2.
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +24,7 @@
 namespace dasched {
 namespace {
 
-int run_probe(int procs, double scale, int shards, bool use_workspace) {
+int run_probe(int procs, double scale, bool use_workspace) {
   const std::vector<std::string> apps = {"sar", "madbench2", "hf", "apsi"};
   const std::vector<PolicyKind> policies = {
       PolicyKind::kNone, PolicyKind::kSimple, PolicyKind::kHistory,
@@ -43,7 +39,6 @@ int run_probe(int procs, double scale, int shards, bool use_workspace) {
         cfg.scale.factor = scale;
         cfg.policy = policy;
         cfg.use_scheme = scheme != 0;
-        cfg.shards = shards;
         const ExperimentResult r =
             use_workspace ? run_experiment(cfg, ws) : run_experiment(cfg);
         std::printf(
@@ -72,7 +67,6 @@ int run_probe(int procs, double scale, int shards, bool use_workspace) {
 int run_cli(int argc, char** argv) {
   int procs = 8;
   double scale = 0.2;
-  int shards = 0;
   bool use_workspace = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -84,20 +78,16 @@ int run_cli(int argc, char** argv) {
       const auto v = parse_f64(argv[++i]);
       if (!v) die_invalid_value("--scale", argv[i], "a number");
       scale = *v;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      const auto v = parse_i64(argv[++i]);
-      if (!v) die_invalid_value("--shards", argv[i], "an integer");
-      shards = static_cast<int>(*v);
     } else if (arg == "--workspace") {
       use_workspace = true;
     } else {
       std::fprintf(stderr,
                    "usage: hexfloat_probe [--procs N] [--scale F] "
-                   "[--shards N] [--workspace]\n");
+                   "[--workspace]\n");
       return 2;
     }
   }
-  return run_probe(procs, scale, shards, use_workspace);
+  return run_probe(procs, scale, use_workspace);
 }
 
 }  // namespace
