@@ -1,47 +1,53 @@
 #include "engine/experiment_grid.h"
 
-#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
+#include "engine/config_keys.h"
 #include "util/rng.h"
 
 namespace dasched {
 
+namespace {
+
+/// A sweep value in the text form the config-key parsers read.  %.17g keeps
+/// integral doubles integral ("16") and everything else visibly not
+/// ("2.5", "1e+20"), so the row parser accepts exactly the integer values
+/// the field can hold.
+std::string sweep_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+}  // namespace
+
 SweepAxis sweep_axis_by_name(const std::string& name,
                              std::vector<double> values) {
-  SweepAxis axis;
-  axis.name = name;
-  axis.values = std::move(values);
-  if (name == "nodes") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.storage.num_io_nodes = static_cast<int>(v);
-    };
-  } else if (name == "delta") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.compile.sched.delta = static_cast<int>(v);
-    };
-  } else if (name == "theta") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.compile.sched.theta = static_cast<int>(v);
-    };
-  } else if (name == "cache_mib") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.storage.node.cache_capacity = mib(static_cast<std::int64_t>(v));
-    };
-  } else if (name == "buffer_mib") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.runtime.buffer_capacity = mib(static_cast<std::int64_t>(v));
-    };
-  } else if (name == "slack") {
-    axis.apply = [](ExperimentConfig& cfg, double v) {
-      cfg.max_slack = static_cast<Slot>(v);
-    };
-  } else {
-    throw std::invalid_argument("unknown sweep axis '" + name +
-                                "' (known: nodes, delta, theta, cache_mib, "
-                                "buffer_mib, slack)");
+  const ConfigKey* row = find_config_key(name);
+  if (row == nullptr || !row->sweep) {
+    std::string known;
+    for (const ConfigKey& k : config_keys()) {
+      if (!k.sweep) continue;
+      if (!known.empty()) known += ", ";
+      known += k.key;
+    }
+    throw ConfigError("sweep", "unknown sweep axis '" + name + "' (known: " +
+                                   known + ")");
   }
-  return axis;
+  ExperimentConfig probe;
+  for (const double v : values) {
+    try {
+      row->set(probe, sweep_text(v));
+    } catch (const ConfigError& e) {
+      throw ConfigError("sweep", name + "=" + sweep_text(v) + ": " + e.what());
+    }
+  }
+  return SweepAxis{row, std::move(values)};
+}
+
+void SweepAxis::apply(ExperimentConfig& cfg, double value) const {
+  key->set(cfg, sweep_text(value));
 }
 
 std::size_t ExperimentGrid::size() const {
@@ -58,8 +64,8 @@ std::vector<GridCell> ExperimentGrid::cells() const {
   if (apps.empty() || policies.empty() || schemes.empty()) {
     throw std::invalid_argument("ExperimentGrid: every axis needs >= 1 value");
   }
-  if (!sweep.empty() && !sweep.apply) {
-    throw std::invalid_argument("ExperimentGrid: sweep axis without apply fn");
+  if (!sweep.empty() && sweep.key == nullptr) {
+    throw std::invalid_argument("ExperimentGrid: sweep axis without a key");
   }
   std::vector<GridCell> out;
   out.reserve(size());
@@ -81,7 +87,7 @@ std::vector<GridCell> ExperimentGrid::cells() const {
               derive_seeds ? derive_seed(base_seed, cell.index) : base_seed;
           if (!sweep.empty()) {
             cell.has_sweep = true;
-            cell.sweep_name = sweep.name;
+            cell.sweep_name = sweep.key->key;
             cell.sweep_value = sweep.values[s];
             sweep.apply(cell.config, cell.sweep_value);
           }

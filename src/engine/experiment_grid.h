@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,18 +16,24 @@
 
 namespace dasched {
 
-/// One optional numeric axis.  `apply` writes `value` into the config; the
-/// name doubles as the CLI/result-sink label (e.g. "nodes=16").
+struct ConfigKey;
+
+/// One optional numeric axis over an integer config field; the key name
+/// doubles as the CLI/result-sink label (e.g. "nodes=16").
 struct SweepAxis {
-  std::string name;
+  const ConfigKey* key = nullptr;
   std::vector<double> values;
-  std::function<void(ExperimentConfig&, double)> apply;
 
   [[nodiscard]] bool empty() const { return values.empty(); }
+  /// Writes `value` into the field through its config-key parser.
+  void apply(ExperimentConfig& cfg, double value) const;
 };
 
-/// Builds one of the known sweep axes: nodes, delta, theta, cache_mib,
-/// buffer_mib, slack.  Throws std::invalid_argument for unknown names.
+/// Builds the sweep axis over the config key `name` (a `sweep` row of
+/// engine/config_keys.h: nodes, delta, theta, buffer_mib, cache_mib,
+/// slack).  The axes are integer fields, so a value the field's parser
+/// rejects (2.5, 1e20) is an error, as is an unknown name: both throw
+/// ConfigError naming `sweep`.
 [[nodiscard]] SweepAxis sweep_axis_by_name(const std::string& name,
                                            std::vector<double> values);
 

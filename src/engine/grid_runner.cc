@@ -67,7 +67,6 @@ namespace {
 ExperimentResult run_cell(const GridCell& cell, const GridRunOptions& opts,
                           ExperimentWorkspace& ws) {
   ExperimentConfig cfg = cell.config;
-  cfg.audit = cfg.audit || opts.audit;
   if (opts.telemetry.enabled()) {
     cfg.telemetry = opts.telemetry;
     if (!cfg.telemetry.dir.empty()) {

@@ -26,10 +26,6 @@ struct GridRunOptions {
   /// std::thread::hardware_concurrency().  1 runs serially on the caller's
   /// thread.  The pool never exceeds the number of cells.
   int threads = 0;
-  /// Runs every cell under the invariant auditor; a violation throws from
-  /// `run_grid` with the audit report (same contract as ExperimentConfig::
-  /// audit, which this OR-combines with).
-  bool audit = false;
   /// Traces every cell at `telemetry.level`.  When `telemetry.dir` is set
   /// each cell writes its artifacts under `<dir>/cell_<index>`; either way
   /// the per-cell summary lands in ExperimentResult::telemetry for the

@@ -296,6 +296,15 @@ const char* to_string(PolicyKind k) {
   return "?";
 }
 
+std::optional<PolicyKind> parse_policy(std::string_view name) {
+  if (name == "default" || name == "none") return PolicyKind::kNone;
+  if (name == "simple") return PolicyKind::kSimple;
+  if (name == "prediction") return PolicyKind::kPrediction;
+  if (name == "history") return PolicyKind::kHistory;
+  if (name == "staggered") return PolicyKind::kStaggered;
+  return std::nullopt;
+}
+
 bool needs_multi_speed(PolicyKind k) {
   return k == PolicyKind::kHistory || k == PolicyKind::kStaggered;
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "disk/disk.h"
 #include "power/idle_predictor.h"
@@ -174,6 +175,10 @@ class StaggeredMultiSpeed final : public PowerPolicy {
 enum class PolicyKind { kNone, kSimple, kPrediction, kHistory, kStaggered };
 
 [[nodiscard]] const char* to_string(PolicyKind k);
+
+/// Inverse of to_string; also accepts "none" for kNone.  nullopt on any
+/// other name.  Never allocates.
+[[nodiscard]] std::optional<PolicyKind> parse_policy(std::string_view name);
 
 /// True when the policy needs a multi-speed (DRPM) disk.
 [[nodiscard]] bool needs_multi_speed(PolicyKind k);

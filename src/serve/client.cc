@@ -160,7 +160,13 @@ ServeClient::UploadReply ServeClient::upload_trace(std::string_view content,
 }
 
 void ServeClient::run(const ExperimentConfig& cfg, bool audit, Reply& out) {
-  format_run_request(cfg, audit, text_);
+  if (audit && !cfg.audit) {
+    ExperimentConfig audited = cfg;
+    audited.audit = true;
+    format_run_request(audited, text_);
+  } else {
+    format_run_request(cfg, text_);
+  }
   send(FrameType::kRun, text_);
   bool have_result = false;
   out.telemetry_json.clear();
@@ -185,16 +191,16 @@ void ServeClient::run(const ExperimentConfig& cfg, bool audit, Reply& out) {
   }
 }
 
-ServeClient::Reply ServeClient::run(const ExperimentConfig& cfg, bool audit) {
+ServeClient::Reply ServeClient::run(const ExperimentConfig& cfg) {
   Reply out;
-  run(cfg, audit, out);
+  run(cfg, false, out);
   return out;
 }
 
 std::size_t ServeClient::run_grid(
-    const ExperimentGrid& grid, bool audit,
+    const ExperimentGrid& grid,
     const std::function<void(const Reply&)>& on_cell) {
-  format_grid_request(grid, audit, text_);
+  format_grid_request(grid, text_);
   send(FrameType::kGrid, text_);
   Reply reply;
   std::size_t cells = 0;

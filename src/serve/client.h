@@ -72,13 +72,15 @@ class ServeClient {
                            const ReplayOptions& opts);
 
   /// Runs one experiment on the server, filling `out` (reused by callers
-  /// that care about allocations).
+  /// that care about allocations).  The run is audited when `cfg.audit` or
+  /// `audit` is set; the extra flag stays only for the perfbench harness
+  /// (perfbench/perfbench.cc), which passes it.
   void run(const ExperimentConfig& cfg, bool audit, Reply& out);
-  [[nodiscard]] Reply run(const ExperimentConfig& cfg, bool audit = false);
+  [[nodiscard]] Reply run(const ExperimentConfig& cfg);
 
   /// Streams a grid job; `on_cell` sees a reused Reply per cell, in
   /// deterministic cell order.  Returns the server's final cell count.
-  std::size_t run_grid(const ExperimentGrid& grid, bool audit,
+  std::size_t run_grid(const ExperimentGrid& grid,
                        const std::function<void(const Reply&)>& on_cell);
 
   /// Asks the daemon to shut down gracefully (kShutdown, await kDone).

@@ -1,10 +1,9 @@
 #include "serve/protocol.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
+#include "engine/config_keys.h"
 #include "util/parse.h"
 
 namespace dasched::serve {
@@ -136,104 +135,43 @@ DurationHistogram read_histogram(Reader& r) {
                                           ", got '" + std::string(value) + "'");
 }
 
-std::int64_t want_i64(std::string_view key, std::string_view v) {
-  const auto parsed = parse_i64(v);
-  if (!parsed) bad_field(key, "an integer", v);
-  return *parsed;
-}
-
-int want_int(std::string_view key, std::string_view v) {
-  const std::int64_t n = want_i64(key, v);
-  if (n < std::numeric_limits<int>::min() || n > std::numeric_limits<int>::max()) {
-    bad_field(key, "a 32-bit integer", v);
-  }
-  return static_cast<int>(n);
-}
-
-double want_f64(std::string_view key, std::string_view v) {
-  const auto parsed = parse_f64(v);
-  if (!parsed) bad_field(key, "a number", v);
-  return *parsed;
-}
-
-std::uint64_t want_u64(std::string_view key, std::string_view v) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    bad_field(key, "an unsigned integer", v);
-  }
-  return out;
-}
-
 bool want_bool(std::string_view key, std::string_view v) {
   if (v == "0") return false;
   if (v == "1") return true;
   bad_field(key, "0|1", v);
 }
 
-PolicyKind want_policy(std::string_view v) {
-  if (v == "default" || v == "none") return PolicyKind::kNone;
-  if (v == "simple") return PolicyKind::kSimple;
-  if (v == "prediction") return PolicyKind::kPrediction;
-  if (v == "history") return PolicyKind::kHistory;
-  if (v == "staggered") return PolicyKind::kStaggered;
-  bad_field("policy", "default|simple|prediction|history|staggered", v);
+/// Calls fn(key, value) for each non-empty `key=value` line of `payload`.
+template <typename Fn>
+void for_each_request_line(std::string_view payload, Fn fn) {
+  std::size_t pos = 0;
+  while (pos < payload.size()) {
+    const std::size_t nl = payload.find('\n', pos);
+    const std::string_view line = payload.substr(
+        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
+    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
+    if (line.empty()) continue;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) bad_field("line", "key=value", line);
+    fn(line.substr(0, eq), line.substr(eq + 1));
+  }
 }
 
-/// Dispatches one key=value pair into the config.  Returns false when the
-/// key is unknown (the grid parser layers its own keys on top).
-bool apply_run_field(std::string_view key, std::string_view value,
-                     RunRequest& req) {
-  ExperimentConfig& cfg = req.config;
-  if (key == "app") {
-    // dasched-lint: allow(hot-alloc): string capacity growth to high-water
-    cfg.app.assign(value.data(), value.size());
-  } else if (key == "policy") {
-    cfg.policy = want_policy(value);
-  } else if (key == "scheme") {
-    cfg.use_scheme = want_bool(key, value);
-  } else if (key == "procs") {
-    cfg.scale.num_processes = want_int(key, value);
-  } else if (key == "scale") {
-    cfg.scale.factor = want_f64(key, value);
-  } else if (key == "nodes") {
-    cfg.storage.num_io_nodes = want_int(key, value);
-  } else if (key == "delta") {
-    cfg.compile.sched.delta = want_int(key, value);
-  } else if (key == "theta") {
-    cfg.compile.sched.theta = want_int(key, value);
-  } else if (key == "buffer_mib") {
-    cfg.runtime.buffer_capacity = mib(want_int(key, value));
-  } else if (key == "cache_mib") {
-    cfg.storage.node.cache_capacity = mib(want_int(key, value));
-  } else if (key == "seed") {
-    cfg.seed = want_u64(key, value);
-  } else if (key == "slack") {
-    cfg.max_slack = want_int(key, value);
-  } else if (key == "audit") {
-    req.audit = want_bool(key, value);
-  } else if (key == "trace_dir") {
-    // dasched-lint: allow(hot-alloc): telemetry runs opt into allocation
-    cfg.telemetry.dir.assign(value.data(), value.size());
-    if (cfg.telemetry.level == TraceLevel::kOff && !cfg.telemetry.dir.empty()) {
-      cfg.telemetry.level = TraceLevel::kState;
-    }
-  } else if (key == "trace_level") {
-    if (value == "off") {
-      cfg.telemetry.level = TraceLevel::kOff;
-    } else if (value == "state") {
-      cfg.telemetry.level = TraceLevel::kState;
-    } else if (value == "request") {
-      cfg.telemetry.level = TraceLevel::kRequest;
-    } else if (value == "full") {
-      cfg.telemetry.level = TraceLevel::kFull;
-    } else {
-      bad_field(key, "off|state|request|full", value);
-    }
-  } else {
-    return false;
+/// Calls fn(item) for each comma-separated piece of `list` (empty pieces are
+/// rejected — a trailing comma is a client bug worth surfacing).
+template <typename Fn>
+void for_each_list_item(std::string_view key, std::string_view list, Fn fn) {
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t comma = list.find(',', pos);
+    const std::string_view item = list.substr(
+        pos, comma == std::string_view::npos ? std::string_view::npos
+                                             : comma - pos);
+    if (item.empty()) bad_field(key, "a non-empty comma-separated list", list);
+    fn(item);
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
   }
-  return true;
 }
 
 }  // namespace
@@ -275,121 +213,54 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType t,
                    payload.size()));
 }
 
-void parse_run_request(std::string_view payload, RunRequest& req) {
+void parse_run_request(std::string_view payload, ExperimentConfig& cfg) {
   // Reset to defaults in place: assigning short/empty strings into the
   // reused config keeps their capacity, so a warm tenant parses without
   // touching the heap.
-  req.config = ExperimentConfig{};
-  req.audit = false;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t nl = payload.find('\n', pos);
-    const std::string_view line = payload.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      bad_field("line", "key=value", line);
-    }
-    const std::string_view key = line.substr(0, eq);
-    const std::string_view value = line.substr(eq + 1);
-    if (!apply_run_field(key, value, req)) {
-      bad_field(key, "a known request key", value);
-    }
-  }
+  cfg = ExperimentConfig{};
+  for_each_request_line(payload, [&](std::string_view key,
+                                     std::string_view value) {
+    const ConfigKey* row = find_config_key(key);
+    if (row == nullptr) bad_field(key, "a known request key", value);
+    row->set(cfg, value);
+  });
 }
 
-void format_run_request(const ExperimentConfig& cfg, bool audit,
-                        std::string& out) {
+void format_run_request(const ExperimentConfig& cfg, std::string& out) {
   out.clear();
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "app=%s\npolicy=%s\nscheme=%d\nprocs=%d\nscale=%.17g\nnodes=%d\n"
-      "delta=%d\ntheta=%d\nbuffer_mib=%lld\ncache_mib=%lld\nseed=%llu\n"
-      "slack=%lld\naudit=%d\n",
-      cfg.app.c_str(), dasched::to_string(cfg.policy), cfg.use_scheme ? 1 : 0,
-      cfg.scale.num_processes, cfg.scale.factor, cfg.storage.num_io_nodes,
-      cfg.compile.sched.delta, cfg.compile.sched.theta,
-      static_cast<long long>(cfg.runtime.buffer_capacity.count() >> 20),
-      static_cast<long long>(cfg.storage.node.cache_capacity.count() >> 20),
-      static_cast<unsigned long long>(cfg.seed),
-      static_cast<long long>(cfg.max_slack),
-      audit ? 1 : 0);
-  out += buf;
-  if (cfg.telemetry.enabled()) {
-    out += "trace_level=";
-    switch (cfg.telemetry.level) {
-      case TraceLevel::kOff: out += "off"; break;
-      case TraceLevel::kState: out += "state"; break;
-      case TraceLevel::kRequest: out += "request"; break;
-      case TraceLevel::kFull: out += "full"; break;
-    }
-    out += "\n";
-    if (!cfg.telemetry.dir.empty()) {
-      out += "trace_dir=" + cfg.telemetry.dir + "\n";
-    }
-  }
+  format_config(cfg, out);
 }
 
-namespace {
-
-/// Calls fn(item) for each comma-separated piece of `list` (empty pieces are
-/// rejected — a trailing comma is a client bug worth surfacing).
-template <typename Fn>
-void for_each_list_item(std::string_view key, std::string_view list, Fn fn) {
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string_view item = list.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
-    if (item.empty()) bad_field(key, "a non-empty comma-separated list", list);
-    fn(item);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
-  }
-}
-
-}  // namespace
-
-void parse_grid_request(std::string_view payload, GridRequest& req) {
-  req.grid = ExperimentGrid{};
-  req.audit = false;
-  RunRequest base;
+void parse_grid_request(std::string_view payload, ExperimentGrid& grid) {
+  grid = ExperimentGrid{};
+  ExperimentConfig base;
   bool saw_apps = false, saw_policies = false, saw_schemes = false;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t nl = payload.find('\n', pos);
-    const std::string_view line = payload.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) bad_field("line", "key=value", line);
-    const std::string_view key = line.substr(0, eq);
-    const std::string_view value = line.substr(eq + 1);
+  for_each_request_line(payload, [&](std::string_view key,
+                                     std::string_view value) {
     if (key == "apps") {
-      req.grid.apps.clear();
+      grid.apps.clear();
       for_each_list_item(key, value, [&](std::string_view item) {
-        req.grid.apps.emplace_back(item);
+        grid.apps.emplace_back(item);
       });
       saw_apps = true;
     } else if (key == "policies") {
-      req.grid.policies.clear();
+      grid.policies.clear();
       for_each_list_item(key, value, [&](std::string_view item) {
-        req.grid.policies.push_back(want_policy(item));
+        const auto policy = parse_policy(item);
+        if (!policy) {
+          bad_field(key, "default|simple|prediction|history|staggered", item);
+        }
+        grid.policies.push_back(*policy);
       });
       saw_policies = true;
     } else if (key == "schemes") {
-      req.grid.schemes.clear();
+      grid.schemes.clear();
       for_each_list_item(key, value, [&](std::string_view item) {
-        req.grid.schemes.push_back(want_bool(key, item));
+        grid.schemes.push_back(want_bool(key, item));
       });
       saw_schemes = true;
     } else if (key == "derive_seeds") {
-      req.grid.derive_seeds = want_bool(key, value);
+      grid.derive_seeds = want_bool(key, value);
     } else if (key == "sweep") {
       const std::size_t colon = value.find(':');
       if (colon == std::string_view::npos || colon == 0) {
@@ -398,33 +269,31 @@ void parse_grid_request(std::string_view payload, GridRequest& req) {
       std::vector<double> values;
       for_each_list_item(key, value.substr(colon + 1),
                          [&](std::string_view item) {
-                           values.push_back(want_f64(key, item));
+                           const auto v = parse_f64(item);
+                           if (!v) bad_field(key, "a number", item);
+                           values.push_back(*v);
                          });
-      try {
-        req.grid.sweep = sweep_axis_by_name(
-            std::string(value.substr(0, colon)), std::move(values));
-      } catch (const std::invalid_argument& e) {
-        throw ConfigError("sweep", e.what());
-      }
-    } else if (!apply_run_field(key, value, base)) {
+      grid.sweep = sweep_axis_by_name(std::string(value.substr(0, colon)),
+                                      std::move(values));
+    } else if (const ConfigKey* row = find_config_key(key)) {
+      row->set(base, value);
+    } else {
       bad_field(key, "a known grid request key", value);
     }
-  }
+  });
   if (!saw_apps || !saw_policies || !saw_schemes) {
     bad_field("grid", "apps=, policies= and schemes= lists", payload);
   }
-  req.grid.base_seed = base.config.seed;
-  req.grid.base = std::move(base.config);
-  req.audit = base.audit;
+  grid.base_seed = base.seed;
+  grid.base = std::move(base);
 }
 
-void format_grid_request(const ExperimentGrid& grid, bool audit,
-                         std::string& out) {
+void format_grid_request(const ExperimentGrid& grid, std::string& out) {
   // The base config carries the grid's base seed so parse(format(g))
   // round-trips base_seed through the shared `seed=` run key.
   ExperimentConfig base = grid.base;
   base.seed = grid.base_seed;
-  format_run_request(base, audit, out);
+  format_run_request(base, out);
   out += "apps=";
   for (std::size_t i = 0; i < grid.apps.size(); ++i) {
     if (i) out += ',';
@@ -442,7 +311,9 @@ void format_grid_request(const ExperimentGrid& grid, bool audit,
   }
   out += '\n';
   if (!grid.sweep.empty()) {
-    out += "sweep=" + grid.sweep.name + ":";
+    out += "sweep=";
+    out += grid.sweep.key->key;
+    out += ':';
     char buf[64];
     for (std::size_t i = 0; i < grid.sweep.values.size(); ++i) {
       if (i) out += ',';

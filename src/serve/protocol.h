@@ -84,41 +84,33 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType t,
                   std::string_view payload);
 
 // --- run requests ----------------------------------------------------------
+//
+// A request is one `key=value` line per user-settable config field, keyed
+// and formatted by the config-key table (engine/config_keys.h).
 
-/// One parsed kRun payload.  The embedded config is *reused* across parses —
-/// strings keep their capacity — so the steady-state daemon path performs
-/// zero allocations per request (tests/serve/serve_alloc_test.cc).
-struct RunRequest {
-  ExperimentConfig config;
-  bool audit = false;
-};
-
-/// Parses `key=value` lines into `req` (resetting it to defaults first).
-/// Unknown keys and malformed values throw ConfigError naming the field.
-DASCHED_HOT void parse_run_request(std::string_view payload, RunRequest& req);
+/// Parses `key=value` lines into `cfg`, resetting it to defaults first.  The
+/// config is *reused* across parses — strings keep their capacity — so the
+/// steady-state daemon path performs zero allocations per request
+/// (tests/serve/serve_alloc_test.cc).  Unknown keys and malformed values
+/// throw ConfigError naming the field.
+DASCHED_HOT void parse_run_request(std::string_view payload,
+                                   ExperimentConfig& cfg);
 
 /// Serializes a run request; the client-side inverse of parse_run_request.
-void format_run_request(const ExperimentConfig& cfg, bool audit,
-                        std::string& out);
+void format_run_request(const ExperimentConfig& cfg, std::string& out);
 
 // --- grid requests ---------------------------------------------------------
 
-/// One parsed kGrid payload.  Grid jobs reuse every kRun key for the base
-/// config and add `apps=`, `policies=`, `schemes=`, `sweep=name:v1,v2,...`
-/// and `derive_seeds=` list keys.  The server streams one kResult per cell
-/// in deterministic ExperimentGrid::cells() order, so a client holding the
-/// same grid can pair headers with locally re-derived cells.
-struct GridRequest {
-  ExperimentGrid grid;
-  bool audit = false;
-};
-
-/// Parses `key=value` lines into `req`.  Throws ConfigError naming the field.
-void parse_grid_request(std::string_view payload, GridRequest& req);
+/// Parses a kGrid payload into `grid`.  Grid jobs reuse every kRun key for
+/// the base config and add `apps=`, `policies=`, `schemes=`,
+/// `sweep=name:v1,v2,...` and `derive_seeds=` list keys.  The server streams
+/// one kResult per cell in deterministic ExperimentGrid::cells() order, so a
+/// client holding the same grid can pair headers with locally re-derived
+/// cells.  Throws ConfigError naming the field.
+void parse_grid_request(std::string_view payload, ExperimentGrid& grid);
 
 /// Serializes a grid request; the client-side inverse of parse_grid_request.
-void format_grid_request(const ExperimentGrid& grid, bool audit,
-                         std::string& out);
+void format_grid_request(const ExperimentGrid& grid, std::string& out);
 
 // --- result codec ----------------------------------------------------------
 

@@ -6,6 +6,7 @@
 
 #include "engine/env_knobs.h"
 #include "telemetry/export.h"
+#include "util/parse.h"
 #include "workload/trace_replay.h"
 
 namespace dasched::serve {
@@ -121,7 +122,7 @@ bool TenantSession::handle(FrameType type, std::span<const std::uint8_t> payload
 }
 
 void TenantSession::resolve_app() {
-  ExperimentConfig& cfg = req_.config;
+  ExperimentConfig& cfg = cfg_;
   const App& app = app_by_name(cfg.app);  // std::out_of_range if unknown
   if (app.fixed_processes > 0) {
     if (cfg.scale.num_processes == 0) {
@@ -142,9 +143,9 @@ void TenantSession::resolve_app() {
 }
 
 bool TenantSession::handle_run(std::string_view payload, Sink& sink) {
-  parse_run_request(payload, req_);
+  parse_run_request(payload, cfg_);
   resolve_app();
-  const ExperimentResult& r = ws_.run(req_.config);
+  const ExperimentResult& r = ws_.run(cfg_);
   out_.clear();
   static const CellHeader kNoCell{};
   serialize_result(kNoCell, r, out_);
@@ -160,14 +161,12 @@ bool TenantSession::handle_run(std::string_view payload, Sink& sink) {
 }
 
 bool TenantSession::handle_grid(std::string_view payload, Sink& sink) {
-  GridRequest grid;
+  ExperimentGrid grid;
   parse_grid_request(payload, grid);
-  const std::vector<GridCell> cells = grid.grid.cells();
+  const std::vector<GridCell> cells = grid.cells();
   CellHeader header;
   for (const GridCell& cell : cells) {
-    ExperimentConfig cfg = cell.config;
-    cfg.audit = cfg.audit || grid.audit;
-    const ExperimentResult& r = ws_.run(cfg);
+    const ExperimentResult& r = ws_.run(cell.config);
     header.index = static_cast<std::uint32_t>(cell.index);
     header.has_sweep = cell.has_sweep;
     header.sweep_name = cell.sweep_name;
@@ -231,7 +230,13 @@ bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
     } else if (key == "granularity") {
       opts.granularity = static_cast<int>(as_i64());
     } else if (key == "seed") {
-      opts.seed = static_cast<std::uint64_t>(as_i64());
+      const auto parsed = parse_u64(value);
+      if (!parsed) {
+        throw ConfigError("seed", "trace upload field 'seed': expected an "
+                                  "unsigned 64-bit integer, got '" + value +
+                                  "'");
+      }
+      opts.seed = *parsed;
     } else if (key == "jitter") {
       const auto parsed = parse_double(value);
       if (!parsed) {

@@ -108,7 +108,7 @@ class TenantSession {
   DASCHED_HOT bool handle_run(std::string_view payload, Sink& sink);
   bool handle_grid(std::string_view payload, Sink& sink);
   bool handle_trace_upload(std::string_view payload, Sink& sink);
-  /// Resolves req_.config.app and reconciles procs with a replay app's
+  /// Resolves cfg_.app and reconciles procs with a replay app's
   /// fixed process count (procs=0 = "use the app's own").
   void resolve_app();
   bool send_error(Sink& sink, const char* kind, std::string field,
@@ -116,7 +116,7 @@ class TenantSession {
 
   std::uint64_t tenant_id_ = 0;
   ExperimentWorkspace ws_;
-  RunRequest req_;                  // reused: strings keep capacity
+  ExperimentConfig cfg_;            // reused: strings keep capacity
   std::vector<std::uint8_t> out_;   // reused result-frame scratch
   std::string text_;                // reused control-frame scratch
   bool shutdown_requested_ = false;

@@ -12,7 +12,7 @@ const char* to_string(TraceLevel level) {
   return "?";
 }
 
-std::optional<TraceLevel> parse_trace_level(const std::string& s) {
+std::optional<TraceLevel> parse_trace_level(std::string_view s) {
   if (s == "off") return TraceLevel::kOff;
   if (s == "state") return TraceLevel::kState;
   if (s == "request") return TraceLevel::kRequest;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "util/units.h"
@@ -38,8 +39,8 @@ enum class TraceLevel : int {
 [[nodiscard]] const char* to_string(TraceLevel level);
 
 /// Parses "off" / "state" / "request" / "full"; nullopt on anything else.
-[[nodiscard]] std::optional<TraceLevel> parse_trace_level(
-    const std::string& s);
+/// Never allocates.
+[[nodiscard]] std::optional<TraceLevel> parse_trace_level(std::string_view s);
 
 /// Event kinds, grouped by the minimum level that records them.  The
 /// numeric gaps between groups are deliberate: `kind / 16` is the group.

@@ -33,6 +33,15 @@ namespace dasched {
   return v;
 }
 
+/// Parses the entire view as a base-10 unsigned integer; nullopt on empty
+/// input, a sign, trailing garbage, or overflow.  Never allocates.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 /// Parses the entire view as a floating-point number; nullopt on garbage.
 /// Never allocates.
 [[nodiscard]] inline std::optional<double> parse_f64(std::string_view s) {

@@ -96,6 +96,9 @@ ExperimentConfig small_cell() {
   cfg.scale.factor = 0.1;
   cfg.policy = PolicyKind::kHistory;
   cfg.use_scheme = true;
+  // A plain run: DASCHED_AUDIT=ON builds audit by default, and the count
+  // must not include the auditor's own allocations.
+  cfg.audit = false;
   return cfg;
 }
 

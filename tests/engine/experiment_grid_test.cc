@@ -104,6 +104,21 @@ TEST(ExperimentGrid, UnknownSweepAxisThrows) {
   EXPECT_THROW((void)sweep_axis_by_name("shards", {1}), std::invalid_argument);
 }
 
+TEST(ExperimentGrid, SweepRejectsValuesItsIntegerFieldCannotHold) {
+  // nodes=2.5 once ran as 2 nodes under a "2.5" label, and 1e20 was an
+  // undefined float-to-int conversion.
+  for (const double bad : {2.5, 1e20, -3e9}) {
+    try {
+      (void)sweep_axis_by_name("nodes", {2, bad});
+      FAIL() << "sweep value accepted: " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), "sweep");
+    }
+  }
+  const SweepAxis ok = sweep_axis_by_name("slack", {-1, 0, 2147483647});
+  EXPECT_EQ(ok.values.size(), 3u);
+}
+
 TEST(ExperimentGrid, EmptyAxisThrows) {
   ExperimentGrid grid;
   grid.apps.clear();

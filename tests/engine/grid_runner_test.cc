@@ -75,9 +75,9 @@ TEST(GridRunner, ProgressTapSeesEveryCell) {
 TEST(GridRunner, AuditOptionAuditsEveryCell) {
   ExperimentGrid grid = tiny_grid();
   grid.apps = {"sar"};
+  grid.base.audit = true;
   GridRunOptions opts;
   opts.threads = 2;
-  opts.audit = true;
   const GridResultSet r = run_grid(grid, opts);
   for (const GridCellResult& row : r.rows()) {
     EXPECT_TRUE(row.result.audited);

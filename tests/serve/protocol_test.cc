@@ -56,52 +56,55 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   cfg.compile.sched.theta = 3;
   cfg.max_slack = 123;
   cfg.scale.factor = 0.3;
+  cfg.audit = true;
+  // Above 2^32: a seed must cross whole, not through a 32-bit int.
+  cfg.seed = (std::uint64_t{1} << 32) + 7;
 
   std::string text;
-  format_run_request(cfg, /*audit=*/true, text);
+  format_run_request(cfg, text);
 
-  RunRequest req;
-  parse_run_request(text, req);
-  EXPECT_TRUE(req.audit);
+  ExperimentConfig got;
+  parse_run_request(text, got);
+  EXPECT_TRUE(got.audit);
 
   // Round-tripping the parsed config must reproduce the same wire text:
   // format∘parse is the identity on the wire representation.
   std::string text2;
-  format_run_request(req.config, req.audit, text2);
+  format_run_request(got, text2);
   EXPECT_EQ(text, text2);
 
-  EXPECT_EQ(req.config.app, "sar");
-  EXPECT_EQ(req.config.policy, PolicyKind::kHistory);
-  EXPECT_EQ(req.config.storage.num_io_nodes, 5);
-  EXPECT_EQ(req.config.compile.sched.delta, 17);
-  EXPECT_EQ(req.config.compile.sched.theta, 3);
-  EXPECT_EQ(req.config.seed, 7u);
+  EXPECT_EQ(got.app, "sar");
+  EXPECT_EQ(got.policy, PolicyKind::kHistory);
+  EXPECT_EQ(got.storage.num_io_nodes, 5);
+  EXPECT_EQ(got.compile.sched.delta, 17);
+  EXPECT_EQ(got.compile.sched.theta, 3);
+  EXPECT_EQ(got.seed, (std::uint64_t{1} << 32) + 7);
   // scale.factor crosses as %.17g — bit-exact for doubles.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(req.config.scale.factor),
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scale.factor),
             std::bit_cast<std::uint64_t>(0.3));
 }
 
 TEST(ServeProtocol, RunRequestParseReusesConfigAndResets) {
-  RunRequest req;
+  ExperimentConfig req;
   std::string text;
   ExperimentConfig cfg = small_cfg();
   cfg.telemetry.level = TraceLevel::kRequest;
-  format_run_request(cfg, false, text);
+  format_run_request(cfg, text);
   parse_run_request(text, req);
-  ASSERT_EQ(req.config.telemetry.level, TraceLevel::kRequest);
+  ASSERT_EQ(req.telemetry.level, TraceLevel::kRequest);
 
   // A second parse without trace_level= must reset to defaults, not inherit
   // the previous request's value (the config object is reused for
   // allocation reasons, never for state).
   ExperimentConfig plain = small_cfg();
-  format_run_request(plain, false, text);
+  format_run_request(plain, text);
   ASSERT_EQ(text.find("trace_level="), std::string::npos);
   parse_run_request(text, req);
-  EXPECT_EQ(req.config.telemetry.level, TraceLevel::kOff);
+  EXPECT_EQ(req.telemetry.level, TraceLevel::kOff);
 }
 
 TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
-  RunRequest req;
+  ExperimentConfig req;
   try {
     parse_run_request("app=sar\nbogus_knob=1\n", req);
     FAIL() << "unknown key accepted";
@@ -138,6 +141,33 @@ TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "policy");
   }
+  // Integer fields are range-checked, never narrowed: 2^32 + 8 is not 8.
+  try {
+    parse_run_request("app=sar\nprocs=4294967304\n", req);
+    FAIL() << "procs overflow accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "procs");
+  }
+  try {
+    parse_run_request("app=sar\nseed=-1\n", req);
+    FAIL() << "negative seed accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "seed");
+  }
+  // Sweep axes are integer fields: a fractional or out-of-range value is
+  // rejected, not truncated into a cell that its label misdescribes.
+  ExperimentGrid grid;
+  for (const char* bad : {"sweep=nodes:2.5,2\n", "sweep=theta:1e20\n"}) {
+    try {
+      parse_grid_request(
+          std::string("app=sar\napps=sar\npolicies=default\nschemes=1\n") +
+              bad,
+          grid);
+      FAIL() << "sweep value accepted: " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), "sweep") << bad;
+    }
+  }
 }
 
 TEST(ServeProtocol, GridRequestRoundTrips) {
@@ -151,16 +181,16 @@ TEST(ServeProtocol, GridRequestRoundTrips) {
   grid.derive_seeds = true;
 
   std::string text;
-  format_grid_request(grid, /*audit=*/false, text);
+  format_grid_request(grid, text);
 
-  GridRequest req;
-  parse_grid_request(text, req);
-  EXPECT_FALSE(req.audit);
+  ExperimentGrid parsed;
+  parse_grid_request(text, parsed);
+  EXPECT_EQ(parsed.base.audit, grid.base.audit);
 
   // The parsed grid must expand to the *same cells*: same labels, same
   // derived seeds, same per-cell wire configs.
   const std::vector<GridCell> want = grid.cells();
-  const std::vector<GridCell> got = req.grid.cells();
+  const std::vector<GridCell> got = parsed.cells();
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.size(), 2u * 2u * 2u * 3u);
   std::string a, b;
@@ -172,14 +202,58 @@ TEST(ServeProtocol, GridRequestRoundTrips) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].sweep_value),
               std::bit_cast<std::uint64_t>(want[i].sweep_value));
     EXPECT_EQ(got[i].config.seed, want[i].config.seed);
-    format_run_request(want[i].config, false, a);
-    format_run_request(got[i].config, false, b);
+    format_run_request(want[i].config, a);
+    format_run_request(got[i].config, b);
     EXPECT_EQ(a, b) << "cell " << i << " config diverged over the wire";
   }
 }
 
+TEST(ServeProtocol, RequestTextIsPinned) {
+  // The literal wire text: a change here is a protocol change and needs a
+  // kProtocolVersion bump.
+  ExperimentConfig cfg = small_cfg();
+  cfg.audit = false;
+  std::string text;
+  format_run_request(cfg, text);
+  EXPECT_EQ(text,
+            "app=sar\npolicy=history\nscheme=1\nprocs=4\n"
+            "scale=0.10000000000000001\nnodes=8\ndelta=20\ntheta=4\n"
+            "buffer_mib=128\ncache_mib=64\nseed=7\nslack=600\naudit=0\n");
+
+  cfg.audit = true;
+  cfg.telemetry.level = TraceLevel::kRequest;
+  cfg.telemetry.dir = "t/d";
+  format_run_request(cfg, text);
+  EXPECT_EQ(text,
+            "app=sar\npolicy=history\nscheme=1\nprocs=4\n"
+            "scale=0.10000000000000001\nnodes=8\ndelta=20\ntheta=4\n"
+            "buffer_mib=128\ncache_mib=64\nseed=7\nslack=600\naudit=1\n"
+            "trace_level=request\ntrace_dir=t/d\n");
+
+  ExperimentGrid grid;
+  grid.base = small_cfg();
+  grid.base.audit = false;
+  grid.apps = {"sar", "hf"};
+  grid.policies = {PolicyKind::kNone, PolicyKind::kStaggered};
+  grid.schemes = {false, true};
+  grid.sweep = sweep_axis_by_name("theta", {0, 4});
+  grid.base_seed = 99;
+  format_grid_request(grid, text);
+  const std::string base_text =
+      "app=sar\npolicy=history\nscheme=1\nprocs=4\n"
+      "scale=0.10000000000000001\nnodes=8\ndelta=20\ntheta=4\n"
+      "buffer_mib=128\ncache_mib=64\nseed=99\nslack=600\naudit=0\n"
+      "apps=sar,hf\npolicies=default,staggered\nschemes=0,1\n";
+  EXPECT_EQ(text, base_text + "sweep=theta:0,4\nderive_seeds=1\n");
+
+  grid.sweep = {};
+  grid.derive_seeds = false;
+  format_grid_request(grid, text);
+  EXPECT_EQ(text, base_text + "derive_seeds=0\n");
+}
+
 TEST(ServeProtocol, GridRequestRequiresAxes) {
-  GridRequest req;
+  ExperimentGrid req;
   try {
     parse_grid_request("app=sar\napps=sar\npolicies=default\n", req);
     FAIL() << "missing schemes= accepted";

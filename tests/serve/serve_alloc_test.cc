@@ -125,8 +125,12 @@ TEST(ServeAlloc, WarmTenantRunRequestAllocatesNothing) {
   cfg.scale.factor = 0.1;
   cfg.policy = PolicyKind::kHistory;
   cfg.use_scheme = true;
+  // A plain run: the wire's audit=0 reaches the daemon's config, so the
+  // count does not include an auditor (DASCHED_AUDIT=ON builds audit by
+  // default).
+  cfg.audit = false;
   std::string payload;
-  format_run_request(cfg, /*audit=*/false, payload);
+  format_run_request(cfg, payload);
 
   TenantSession session(/*tenant_id=*/1);
   CaptureSink sink;

@@ -188,7 +188,7 @@ TEST(ServeE2E, GridStreamsCellsInDeterministicOrder) {
   std::vector<std::uint32_t> indices;
   std::vector<std::vector<std::uint8_t>> got;
   const std::size_t n =
-      client.run_grid(grid, /*audit=*/false, [&](const ServeClient::Reply& r) {
+      client.run_grid(grid, [&](const ServeClient::Reply& r) {
         indices.push_back(r.cell.index);
         got.push_back(wire_bytes(r.result));
       });
@@ -198,6 +198,27 @@ TEST(ServeE2E, GridStreamsCellsInDeterministicOrder) {
     EXPECT_EQ(indices[i], i) << "cells must stream in cells() order";
     EXPECT_EQ(got[i], want[i]) << "cell " << i;
   }
+}
+
+TEST(ServeE2E, SingleRunHonoursAudit) {
+  // Both ways of asking for an audited single run reach the daemon's run:
+  // the config's own switch and the client's audit argument.
+  TestServer ts;
+  ServeClient client = ServeClient::connect(ts.server->address());
+  ExperimentConfig cfg = small_cfg();
+  cfg.audit = false;
+  ServeClient::Reply reply;
+  client.run(cfg, /*audit=*/true, reply);
+  EXPECT_TRUE(reply.result.audited);
+  EXPECT_EQ(reply.result.audit_violations, 0);
+
+  cfg.audit = true;
+  client.run(cfg, /*audit=*/false, reply);
+  EXPECT_TRUE(reply.result.audited);
+
+  cfg.audit = false;
+  client.run(cfg, /*audit=*/false, reply);
+  EXPECT_FALSE(reply.result.audited);
 }
 
 TEST(ServeE2E, BadConfigAnswersStructuredErrorAndTenantSurvives) {

@@ -12,19 +12,20 @@
 // of a fresh stack per cell (DESIGN.md §16).  Exit codes follow
 // dasched_run (tools/cli_main.h): an invalid cell config exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_main.h"
+#include "cli_options.h"
 #include "driver/experiment.h"
 #include "driver/workspace.h"
-#include "util/parse.h"
+#include "engine/config_keys.h"
 
 namespace dasched {
 namespace {
 
-int run_probe(int procs, double scale, bool use_workspace) {
+int run_probe(const ExperimentConfig& base, bool use_workspace) {
   const std::vector<std::string> apps = {"sar", "madbench2", "hf", "apsi"};
   const std::vector<PolicyKind> policies = {
       PolicyKind::kNone, PolicyKind::kSimple, PolicyKind::kHistory,
@@ -33,31 +34,12 @@ int run_probe(int procs, double scale, bool use_workspace) {
   for (const std::string& app : apps) {
     for (PolicyKind policy : policies) {
       for (int scheme = 0; scheme <= 1; ++scheme) {
-        ExperimentConfig cfg;
+        ExperimentConfig cfg = base;
         cfg.app = app;
-        cfg.scale.num_processes = procs;
-        cfg.scale.factor = scale;
         cfg.policy = policy;
         cfg.use_scheme = scheme != 0;
-        const ExperimentResult r =
-            use_workspace ? run_experiment(cfg, ws) : run_experiment(cfg);
-        std::printf(
-            "%s %s scheme=%d exec=%lld energy=%a events=%lld "
-            "hit_rate=%a disk_reqs=%lld spin_downs=%lld rpm_changes=%lld "
-            "sched=%lld forced=%lld fallbacks=%lld mean_advance=%a "
-            "buffer_hits=%lld prefetches=%lld\n",
-            app.c_str(), to_string(policy), scheme,
-            static_cast<long long>(r.exec_time.count()), r.energy_j.value(),
-            static_cast<long long>(r.events), r.storage.cache_hit_rate,
-            static_cast<long long>(r.storage.disk_requests),
-            static_cast<long long>(r.storage.spin_downs),
-            static_cast<long long>(r.storage.rpm_changes),
-            static_cast<long long>(r.sched.scheduled),
-            static_cast<long long>(r.sched.forced),
-            static_cast<long long>(r.sched.theta_fallbacks),
-            r.sched.mean_advance_slots,
-            static_cast<long long>(r.runtime.buffer_hits),
-            static_cast<long long>(r.runtime.prefetches));
+        print_hexfloat_line(use_workspace ? run_experiment(cfg, ws)
+                                          : run_experiment(cfg));
       }
     }
   }
@@ -65,19 +47,14 @@ int run_probe(int procs, double scale, bool use_workspace) {
 }
 
 int run_cli(int argc, char** argv) {
-  int procs = 8;
-  double scale = 0.2;
+  ExperimentConfig base;
+  base.scale.num_processes = 8;
+  base.scale.factor = 0.2;
   bool use_workspace = false;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--procs" && i + 1 < argc) {
-      const auto v = parse_i64(argv[++i]);
-      if (!v) die_invalid_value("--procs", argv[i], "an integer");
-      procs = static_cast<int>(*v);
-    } else if (arg == "--scale" && i + 1 < argc) {
-      const auto v = parse_f64(argv[++i]);
-      if (!v) die_invalid_value("--scale", argv[i], "a number");
-      scale = *v;
+    const std::string_view arg = argv[i];
+    if ((arg == "--procs" || arg == "--scale") && i + 1 < argc) {
+      find_config_flag(arg)->set(base, argv[++i]);
     } else if (arg == "--workspace") {
       use_workspace = true;
     } else {
@@ -87,7 +64,7 @@ int run_cli(int argc, char** argv) {
       return 2;
     }
   }
-  return run_probe(procs, scale, use_workspace);
+  return run_probe(base, use_workspace);
 }
 
 }  // namespace
