@@ -23,7 +23,12 @@ struct IoOp {
   Bytes offset = 0;
   Bytes size = 0;
   bool is_write = false;
+  /// Index of this read in `CompiledProgram::reads` (set by the slack
+  /// analysis); -1 for writes and for programs not yet analyzed.
+  int access_id = -1;
 };
+// The runtime walks ops slot by slot; the id rides in former padding.
+static_assert(sizeof(IoOp) == 32);
 
 /// One scheduling slot of one process.
 struct SlotPlan {

@@ -127,10 +127,10 @@ void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
     }
 
     for (int p = 0; p < program.num_processes(); ++p) {
-      const auto& ops =
+      auto& ops =
           program.processes[static_cast<std::size_t>(p)].slots[static_cast<std::size_t>(t)].ops;
       for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
-        const IoOp& op = ops[static_cast<std::size_t>(oi)];
+        IoOp& op = ops[static_cast<std::size_t>(oi)];
         if (op.is_write) continue;
 
         AccessRecord rec;
@@ -163,6 +163,7 @@ void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
         rec.length =
             std::min<int>(access_length(op, opts),
                           static_cast<int>(rec.end - rec.begin + 1));
+        op.access_id = rec.id;
         program.reads.push_back(std::move(rec));
         program.read_sites.push_back(ReadSite{p, t, oi});
       }

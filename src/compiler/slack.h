@@ -69,7 +69,7 @@ class LastWriteMap {
 
 /// Populates `program.reads` / `program.read_sites` with one AccessRecord
 /// per read op, slack windows computed as above, signatures taken from
-/// `striping`.
+/// `striping`, and stamps each read op with its `access_id`.
 void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
                     const SlackOptions& opts = {});
 

@@ -54,7 +54,6 @@ ExperimentWorkspace::~ExperimentWorkspace() {
 
 void ExperimentWorkspace::clear_all() {
   cluster_.reset();
-  bound_compiled_ = nullptr;
   compile_cache_.clear();
   observed_compile_.reset();
   storage_.reset();
@@ -133,15 +132,11 @@ const Compiled& ExperimentWorkspace::obtain_compiled(
   ++compile_tick_;
   if (copts.sched_observer != nullptr) {
     // The observer must see every placement, so the compile actually runs.
-    // Allocate the fresh result before releasing the old one: with both
-    // alive at once the addresses must differ, so Cluster::reset's
-    // same-address fast path can never mistake new content for old.
     CompiledProgram copy = trace_;
     // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles every run
-    auto fresh = std::make_unique<Compiled>(compile_trace(
+    observed_compile_ = std::make_unique<Compiled>(compile_trace(
         // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles anew
         std::move(copy), storage_->striping(), copts));
-    observed_compile_ = std::move(fresh);
     ++compile_misses_;
     return *observed_compile_;
   }
@@ -163,11 +158,7 @@ const Compiled& ExperimentWorkspace::obtain_compiled(
     // dasched-lint: allow(hot-alloc): cache warm-up, at most 4 slots ever
     victim = &compile_cache_.emplace_back();
   } else {
-    // Evict the least recently used entry, but never the compile the
-    // cluster is still bound to — freeing it could let a later allocation
-    // reuse its address and defeat the same-address rerun fast path.
     for (CompileSlot& slot : compile_cache_) {
-      if (slot.compiled.get() == bound_compiled_) continue;
       if (victim == nullptr || slot.tick < victim->tick) victim = &slot;
     }
   }
@@ -253,7 +244,6 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   } else {
     cluster_->reset(compiled, rt);
   }
-  bound_compiled_ = &compiled;
 
   // Run until the application completes; power-policy timers may keep the
   // event queue alive past that point, and accounting must stop at the

@@ -7,7 +7,7 @@
 // rebuilds it *in place* between runs: every layer exposes a `reset()` that
 // restores its constructor postcondition while keeping its allocations warm
 // (event-record pools, ladder arenas, cache tables, elevator slabs, join
-// pools, waiter arenas, result histograms), so the second and later runs of
+// pools, wait lists, result histograms), so the second and later runs of
 // a topology-compatible configuration perform zero heap allocations
 // (tests/driver/workspace_alloc_test.cc proves it with an operator-new
 // interposer).
@@ -126,16 +126,12 @@ class ExperimentWorkspace {
   CompiledProgram trace_;
   std::uint64_t workload_epoch_ = 0;
 
-  // Compiled-schedule LRU.  unique_ptr entries give every compile a stable
-  // address, which is what lets Cluster::reset skip its read-site index
-  // rebuild on reruns over the same compile.
+  // Compiled-schedule LRU.  unique_ptr entries keep a compile's address
+  // stable while the cluster runs over it.
   static constexpr std::size_t kCompileCacheSlots = 4;
   std::vector<CompileSlot> compile_cache_;
   std::unique_ptr<Compiled> observed_compile_;  // trace-mode bypass slot
   std::uint64_t compile_tick_ = 0;
-  /// The compile the cluster is currently bound to; never evicted, so the
-  /// address comparison inside Cluster::reset can never see an ABA reuse.
-  const Compiled* bound_compiled_ = nullptr;
 
   // Runtime.
   std::unique_ptr<Cluster> cluster_;

@@ -1,6 +1,5 @@
 #include "engine/env_knobs.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <limits>
 
@@ -18,28 +17,10 @@ namespace {
 
 }  // namespace
 
-std::optional<double> parse_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return std::nullopt;
-  return v;
-}
-
-std::optional<long long> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return std::nullopt;
-  return v;
-}
-
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  const auto parsed = parse_double(v);
+  const auto parsed = parse_f64(v);
   if (!parsed) die(name, v, "a number");
   return *parsed;
 }
@@ -47,7 +28,7 @@ double env_double(const char* name, double fallback) {
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  const auto parsed = parse_int(v);
+  const auto parsed = parse_i64(v);
   if (!parsed || *parsed < std::numeric_limits<int>::min() ||
       *parsed > std::numeric_limits<int>::max()) {
     die(name, v, "an integer");

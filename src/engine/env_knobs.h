@@ -5,21 +5,14 @@
 // instead of silently becoming 0 (atoi) and producing a nonsense run.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "telemetry/events.h"
 
 namespace dasched {
 
-/// Parses the entire string as a floating-point number; nullopt on any
-/// trailing garbage, empty input, or range error.
-[[nodiscard]] std::optional<double> parse_double(const std::string& s);
-
-/// Parses the entire string as a (base-10) integer; nullopt on garbage.
-[[nodiscard]] std::optional<long long> parse_int(const std::string& s);
-
-/// Environment lookups with a fallback.  A set-but-malformed value is fatal:
+/// Environment lookups with a fallback, parsed by util/parse.h (the whole
+/// value, no surrounding whitespace).  A set-but-malformed value is fatal:
 /// prints `<name>: invalid value '<v>'` to stderr and exits with status 2.
 [[nodiscard]] double env_double(const char* name, double fallback);
 [[nodiscard]] int env_int(const char* name, int fallback);

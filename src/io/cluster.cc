@@ -2,18 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace dasched {
-
-namespace {
-constexpr int kMaxOpsPerSlot = 4'096;
-
-std::uint64_t site_key(int process, Slot slot, int op_index) {
-  return (static_cast<std::uint64_t>(process) << 48) ^
-         (static_cast<std::uint64_t>(slot) * kMaxOpsPerSlot) ^
-         static_cast<std::uint64_t>(op_index);
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ClientProcess
@@ -31,14 +22,46 @@ void ClientProcess::reset() {
   finish_time_ = 0;
   waiters_.clear();
   ready_scratch_.clear();
+  parked_id_ = -1;
 }
 
-void ClientProcess::subscribe_progress(Slot needed, std::function<void()> cb) {
-  if (completed_ >= needed || finished_) {
-    cb();
-    return;
-  }
-  waiters_.emplace_back(needed, std::move(cb));
+void ClientProcess::wait_progress(Slot needed, int scheduler) {
+  assert(completed_ < needed && !finished_);
+  waiters_.emplace_back(needed, scheduler);
+}
+
+void ClientProcess::prefetch_landed(int access_id) {
+  if (access_id != parked_id_) return;
+  parked_id_ = -1;
+  serve_from_buffer(parked_op_, access_id, /*waited=*/true);
+}
+
+void ClientProcess::serve_from_buffer(std::size_t op_index, int access_id,
+                                      bool waited) {
+  // Consume, then resume the threads the freed space lets go, then time the
+  // hit: that order fixes the sequence numbers of the events they schedule.
+  cluster_.buffer().consume(access_id, waited);
+  cluster_.space_freed();
+  cluster_.sim().schedule_after(cluster_.config().buffer_hit_latency,
+                                [this, op_index] { op_done(op_index); });
+}
+
+void ClientProcess::resume_waiters(Slot reached) {
+  // Stage the matured waits first: a resumed thread may register new ones.
+  // Taking the staging vector by value keeps a (hypothetical) re-entrant
+  // walk from clobbering this one.
+  std::vector<int> ready = std::move(ready_scratch_);
+  ready.clear();
+  std::erase_if(waiters_, [reached, &ready](const auto& w) {
+    if (w.first <= reached) {
+      ready.push_back(w.second);
+      return true;
+    }
+    return false;
+  });
+  for (const int scheduler : ready) cluster_.resume(scheduler);
+  ready.clear();
+  ready_scratch_ = std::move(ready);
 }
 
 void ClientProcess::begin_slot() {
@@ -54,12 +77,8 @@ void ClientProcess::begin_slot() {
   if (current_ >= static_cast<Slot>(slots.size())) {
     finished_ = true;
     finish_time_ = cluster_.sim().now();
-    // Release anyone still waiting on this process's progress.  With
-    // `finished_` already set, a re-entrant subscribe_progress fires its
-    // callback immediately instead of appending, so iterating in place is
-    // safe — and clear() keeps the vector's capacity for the next run.
-    for (auto& [needed, cb] : waiters_) cb();
-    waiters_.clear();
+    // Release everyone still waiting on this process's progress.
+    resume_waiters(std::numeric_limits<Slot>::max());
     return;
   }
 
@@ -87,26 +106,20 @@ void ClientProcess::run_op(std::size_t op_index) {
   }
 
   if (cluster_.config().use_runtime_scheduler) {
-    const int id = cluster_.access_id_at(pid_, current_, static_cast<int>(op_index));
+    const int id = op.access_id;
     assert(id >= 0);
     GlobalBuffer& buffer = cluster_.buffer();
     switch (buffer.state(id)) {
-      case BufferEntryState::kReady: {
-        buffer.consume(id);
+      case BufferEntryState::kReady:
         stats.buffer_hits += 1;
-        cluster_.sim().schedule_after(cluster_.config().buffer_hit_latency,
-                                      [this, op_index] { op_done(op_index); });
+        serve_from_buffer(op_index, id, /*waited=*/false);
         return;
-      }
-      case BufferEntryState::kInFlight: {
+      case BufferEntryState::kInFlight:
+        // Park until the prefetch lands (SchedulerThread::landed).
         stats.in_flight_hits += 1;
-        buffer.wait_ready(id, [this, id, op_index] {
-          cluster_.buffer().consume(id);
-          cluster_.sim().schedule_after(cluster_.config().buffer_hit_latency,
-                                        [this, op_index] { op_done(op_index); });
-        });
+        parked_id_ = id;
+        parked_op_ = op_index;
         return;
-      }
       case BufferEntryState::kAbsent:
       case BufferEntryState::kDone:
         buffer.mark_done(id);  // the scheduler must not fetch it anymore
@@ -149,21 +162,7 @@ void ClientProcess::after_ops() {
 
 void ClientProcess::finish_slot() {
   completed_ = ++current_;
-  // Fire matured progress subscriptions.  The staging vector is swapped out
-  // of a member so its storage is reused run after run; taking it by value
-  // keeps a (hypothetical) re-entrant finish_slot from clobbering the walk.
-  std::vector<std::function<void()>> ready = std::move(ready_scratch_);
-  ready.clear();
-  std::erase_if(waiters_, [this, &ready](auto& w) {
-    if (w.first <= completed_) {
-      ready.push_back(std::move(w.second));
-      return true;
-    }
-    return false;
-  });
-  for (auto& cb : ready) cb();
-  ready.clear();
-  ready_scratch_ = std::move(ready);
+  resume_waiters(completed_);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ void SchedulerThread::kick() {
     }
     // Wait until this process reaches the scheduled slot.
     if (e.slot > owner.local_time() && !owner.finished()) {
-      owner.subscribe_progress(e.slot, [this] { kick(); });
+      wait_for(owner, e.slot);
       return;
     }
     // If the application has already passed the original point there is no
@@ -210,27 +209,43 @@ void SchedulerThread::kick() {
     if (e.rec.writer_process >= 0 && e.rec.writer_process != pid_) {
       ClientProcess& writer = cluster_.client(e.rec.writer_process);
       if (writer.local_time() <= e.rec.writer_slot && !writer.finished()) {
-        writer.subscribe_progress(e.rec.writer_slot + 1, [this] { kick(); });
+        wait_for(writer, e.rec.writer_slot + 1);
         return;
       }
     }
     const IoOp& op = cluster_.op_for(id);
     if (!buffer.try_reserve(id, op.size)) {
-      buffer.wait_space([this] { kick(); });
+      cluster_.pause_for_space(pid_);
       return;
     }
     stats.prefetches += 1;
     fetches_in_flight_ += 1;
     ++cursor_;
-    cluster_.storage().read(
-        op.file, op.offset, op.size,
-        [this, id] {
-          cluster_.buffer().mark_ready(id);
-          fetches_in_flight_ -= 1;
-          kick();
-        });
+    cluster_.storage().read(op.file, op.offset, op.size,
+                            [this, id] { landed(id); });
     if (fetches_in_flight_ >= cluster_.config().scheduler_fetch_depth) return;
   }
+}
+
+void SchedulerThread::wait_for(ClientProcess& process, Slot needed) {
+  // Local times only grow, so a wait equal to the last one registered has
+  // not fired yet.  A second copy would resume this thread again in the same
+  // walk, after only other threads' reservations, and it would stop at the
+  // same entry: a no-op (DESIGN.md §20).
+  if (process.pid() == wait_pid_ && needed == wait_slot_) return;
+  wait_pid_ = process.pid();
+  wait_slot_ = needed;
+  process.wait_progress(needed, pid_);
+}
+
+void SchedulerThread::landed(int access_id) {
+  if (cluster_.buffer().mark_ready(access_id)) {
+    cluster_.space_freed();  // overtaken: its bytes were reclaimed
+  } else {
+    cluster_.client(pid_).prefetch_landed(access_id);
+  }
+  fetches_in_flight_ -= 1;
+  kick();
 }
 
 // ---------------------------------------------------------------------------
@@ -254,24 +269,20 @@ Cluster::Cluster(Simulator& sim, StorageSystem& storage, const Compiled& compile
       schedulers_.push_back(std::make_unique<SchedulerThread>(*this, p));
     }
   }
-  rebuild_site_index();
+  reset_space_fifo();
 }
 
-void Cluster::rebuild_site_index() {
-  site_index_.clear();
-  for (std::size_t i = 0; i < compiled_->program.read_sites.size(); ++i) {
-    const ReadSite& site = compiled_->program.read_sites[i];
-    assert(site.op_index < kMaxOpsPerSlot);
-    site_index_[site_key(site.process, site.slot, site.op_index)] =
-        static_cast<int>(i);
-  }
+void Cluster::reset_space_fifo() {
+  // Each thread is in the FIFO at most once, so both vectors stay within
+  // the scheduler count and never grow during a run.
+  space_fifo_.clear();
+  space_fifo_.reserve(schedulers_.size());
+  space_spare_.clear();
+  space_spare_.reserve(schedulers_.size());
+  space_paused_.assign(schedulers_.size(), 0);
 }
 
 void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
-  // Index rebuild (which allocates hash nodes) only happens when the driver
-  // hands over a different compiled object; workspace reruns over a cached
-  // compile keep the same address and skip it.
-  const bool same_compiled = compiled_ == &compiled;
   compiled_ = &compiled;
   cfg_ = cfg;
   buffer_.reset(cfg_.buffer_capacity, compiled_->program.read_sites.size());
@@ -295,7 +306,7 @@ void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
   } else {
     for (auto& s : schedulers_) s->reset();
   }
-  if (!same_compiled) rebuild_site_index();
+  reset_space_fifo();
   stats_ = RuntimeStats{};
   started_ = false;
 }
@@ -330,17 +341,37 @@ RuntimeStats Cluster::stats() const {
   return out;
 }
 
-int Cluster::access_id_at(int process, Slot slot, int op_index) const {
-  const auto it = site_index_.find(site_key(process, slot, op_index));
-  return it == site_index_.end() ? -1 : it->second;
-}
-
 const IoOp& Cluster::op_for(int access_id) const {
   const ReadSite& site =
       compiled_->program.read_sites[static_cast<std::size_t>(access_id)];
   return compiled_->program.processes[static_cast<std::size_t>(site.process)]
       .slots[static_cast<std::size_t>(site.slot)]
       .ops[static_cast<std::size_t>(site.op_index)];
+}
+
+void Cluster::pause_for_space(int scheduler) {
+  char& paused = space_paused_[static_cast<std::size_t>(scheduler)];
+  if (paused != 0) return;
+  paused = 1;
+  space_fifo_.push_back(scheduler);
+}
+
+void Cluster::space_freed() {
+  if (space_fifo_.empty()) return;
+  // Detach the FIFO and clear its flags before resuming anyone, so a thread
+  // that fails again re-pauses at the back of the fresh FIFO.  Taking the
+  // detached FIFO by value keeps a (hypothetical) re-entrant release from
+  // clobbering the walk.
+  std::vector<int> waking = std::move(space_fifo_);
+  space_fifo_ = std::move(space_spare_);
+  for (const int id : waking) space_paused_[static_cast<std::size_t>(id)] = 0;
+  for (const int id : waking) resume(id);
+  waking.clear();
+  space_spare_ = std::move(waking);
+}
+
+void Cluster::resume(int scheduler) {
+  schedulers_[static_cast<std::size_t>(scheduler)]->kick();
 }
 
 }  // namespace dasched

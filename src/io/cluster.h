@@ -8,12 +8,15 @@
 // buffer: a hit returns immediately and invalidates the entry; a miss goes
 // to storage.  Scheduler threads respect the writers' "local times" so a
 // prefetch never runs ahead of the producing process.
+//
+// Every wait is an id (DESIGN.md §20): a scheduler thread that cannot go on
+// parks by id on the cluster's space FIFO or on one process's progress list,
+// and an application read that finds its prefetch in flight parks on its own
+// process until the prefetch lands.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/compile.h"
@@ -62,15 +65,19 @@ class ClientProcess {
 
   void start();
 
-  /// Rewinds to slot 0, un-finishes, and drops pending progress waiters.
-  /// Waiter vectors keep their capacity.
+  /// Rewinds to slot 0, un-finishes, and drops pending progress waits and
+  /// the parked read.  Wait vectors keep their capacity.
   void reset();
 
   /// Number of fully completed slots (the paper's "local time").
   [[nodiscard]] Slot local_time() const { return completed_; }
 
-  /// Fires `cb` (once) as soon as local_time() >= needed.
-  void subscribe_progress(Slot needed, std::function<void()> cb);
+  /// Resumes scheduler thread `scheduler` once local_time() >= needed or
+  /// the process finishes.  Only for a slot not yet reached.
+  void wait_progress(Slot needed, int scheduler);
+
+  /// The prefetch of `access_id` landed; resumes the read parked on it.
+  void prefetch_landed(int access_id);
 
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] SimTime finish_time() const { return finish_time_; }
@@ -82,6 +89,12 @@ class ClientProcess {
   void op_done(std::size_t op_index);
   void after_ops();
   void finish_slot();
+  /// Consumes the buffered entry of op `op_index` and completes the op
+  /// after the hit latency.
+  void serve_from_buffer(std::size_t op_index, int access_id, bool waited);
+  /// Resumes, in registration order, every thread waiting for a slot
+  /// <= `reached`.
+  void resume_waiters(Slot reached);
 
   Cluster& cluster_;
   int pid_;
@@ -89,10 +102,15 @@ class ClientProcess {
   Slot completed_ = 0;
   bool finished_ = false;
   SimTime finish_time_ = 0;
-  std::vector<std::pair<Slot, std::function<void()>>> waiters_;
-  /// Matured waiters staged here before firing (finish_slot); a member so
-  /// the staging storage is reused instead of reallocated every slot.
-  std::vector<std::function<void()>> ready_scratch_;
+  /// Pending progress waits: (slot needed, scheduler id).
+  std::vector<std::pair<Slot, int>> waiters_;
+  /// Matured waits staged here before resuming; a member so the staging
+  /// storage is reused instead of reallocated every slot.
+  std::vector<int> ready_scratch_;
+  /// The read parked on an in-flight prefetch: its access id (-1: none)
+  /// and op index in the current slot.
+  int parked_id_ = -1;
+  std::size_t parked_op_ = 0;
 };
 
 /// One runtime data-access scheduler thread (light-weight, per client node).
@@ -110,13 +128,24 @@ class SchedulerThread {
   void reset() {
     cursor_ = 0;
     fetches_in_flight_ = 0;
+    wait_pid_ = -1;
+    wait_slot_ = 0;
   }
 
  private:
+  /// Parks on `process` until it reaches slot `needed`, unless this very
+  /// wait is already pending.
+  void wait_for(ClientProcess& process, Slot needed);
+  /// Completion of the prefetch of `access_id`.
+  void landed(int access_id);
+
   Cluster& cluster_;
   int pid_;
   std::size_t cursor_ = 0;
   int fetches_in_flight_ = 0;
+  /// The last progress wait registered: (process, slot).
+  int wait_pid_ = -1;
+  Slot wait_slot_ = 0;
 };
 
 class Cluster {
@@ -129,10 +158,9 @@ class Cluster {
 
   /// Restores the cluster for a new run over (possibly different) compiled
   /// output and runtime config.  Same-shape parts — clients, schedulers, the
-  /// prefetch buffer — reset in place without allocating; a process-count
-  /// change rebuilds the per-process objects, and a change of compiled
-  /// program (by address) rebuilds the read-site index.  The compiled output
-  /// must outlive the cluster, as with the constructor.
+  /// prefetch buffer, the space FIFO — reset in place without allocating; a
+  /// process-count change rebuilds the per-process objects.  The compiled
+  /// output must outlive the run, as with the constructor.
   void reset(const Compiled& compiled, RuntimeConfig cfg);
 
   /// Launches every client process (and scheduler thread) at the current
@@ -166,14 +194,23 @@ class Cluster {
   [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
   [[nodiscard]] RuntimeStats& mutable_stats() { return stats_; }
 
-  /// Access id of the read at (process, slot, op index); -1 for writes.
-  [[nodiscard]] int access_id_at(int process, Slot slot, int op_index) const;
-
   /// The I/O operation behind an access id.
   [[nodiscard]] const IoOp& op_for(int access_id) const;
 
+  /// Parks scheduler thread `scheduler` until the next buffer-space
+  /// release.  A thread already parked keeps its place.
+  void pause_for_space(int scheduler);
+
+  /// Buffer space was released: resumes every paused thread, in the order
+  /// they paused.  A thread that fails again re-pauses behind them.
+  void space_freed();
+
+  /// Re-runs scheduler thread `scheduler` (a progress wait matured).
+  void resume(int scheduler);
+
  private:
-  void rebuild_site_index();
+  /// Sizes the space FIFO for the current scheduler count.
+  void reset_space_fifo();
 
   Simulator& sim_;
   StorageSystem& storage_;
@@ -182,7 +219,12 @@ class Cluster {
   GlobalBuffer buffer_;
   std::vector<std::unique_ptr<ClientProcess>> clients_;
   std::vector<std::unique_ptr<SchedulerThread>> schedulers_;
-  std::unordered_map<std::uint64_t, int> site_index_;
+  /// Scheduler ids paused for space, in pause order; `space_paused_[id]`
+  /// says whether `id` is in it.  `space_spare_` is the detached FIFO's
+  /// storage, kept for reuse.
+  std::vector<int> space_fifo_;
+  std::vector<int> space_spare_;
+  std::vector<char> space_paused_;
   RuntimeStats stats_;
   bool started_ = false;
 };

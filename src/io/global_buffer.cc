@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace dasched {
 
@@ -12,17 +11,6 @@ void GlobalBuffer::reset(Bytes capacity, std::size_t num_ids) {
   stats_ = BufferStats{};
   if (slots_.size() < num_ids) slots_.resize(num_ids);
   std::fill(slots_.begin(), slots_.end(), Slot{});
-  space_head_ = kNil;
-  space_tail_ = kNil;
-  // Rebuild the free list over the whole arena (descending, so node 0 is
-  // handed out first — indistinguishable from a fresh buffer either way:
-  // waiter order is carried by the chain links, never by node indices).
-  free_head_ = kNil;
-  for (std::size_t i = arena_.size(); i-- > 0;) {
-    arena_[i].fn = EventFn();
-    arena_[i].next = free_head_;
-    free_head_ = static_cast<std::int32_t>(i);
-  }
 }
 
 GlobalBuffer::Slot& GlobalBuffer::slot_for(int access_id) {
@@ -34,53 +22,6 @@ GlobalBuffer::Slot& GlobalBuffer::slot_for(int access_id) {
     slots_.resize(i + 1);
   }
   return slots_[i];
-}
-
-std::int32_t GlobalBuffer::alloc_node(EventFn fn) {
-  std::int32_t idx = free_head_;
-  if (idx != kNil) {
-    free_head_ = arena_[static_cast<std::size_t>(idx)].next;
-  } else {
-    idx = static_cast<std::int32_t>(arena_.size());
-    // dasched-lint: allow(hot-alloc): arena warm-up; reset() recycles every
-    // node, so repeat runs reuse this high-water-mark pool.
-    arena_.emplace_back();
-  }
-  WaiterNode& n = arena_[static_cast<std::size_t>(idx)];
-  n.fn = std::move(fn);
-  n.next = kNil;
-  return idx;
-}
-
-void GlobalBuffer::free_node(std::int32_t idx) {
-  WaiterNode& n = arena_[static_cast<std::size_t>(idx)];
-  n.fn = EventFn();
-  n.next = free_head_;
-  free_head_ = idx;
-}
-
-void GlobalBuffer::append(std::int32_t& head, std::int32_t& tail,
-                          std::int32_t node) {
-  if (head == kNil) {
-    head = node;
-  } else {
-    arena_[static_cast<std::size_t>(tail)].next = node;
-  }
-  tail = node;
-}
-
-void GlobalBuffer::fire_chain(std::int32_t head) {
-  while (head != kNil) {
-    WaiterNode& n = arena_[static_cast<std::size_t>(head)];
-    const std::int32_t next = n.next;
-    EventFn fn = std::move(n.fn);
-    // Free before invoking: the callback may enqueue new waiters, and they
-    // may reuse this node (fn was moved out; `n` must not be touched after
-    // the callback — a re-entrant wait can grow the arena).
-    free_node(head);
-    head = next;
-    fn();
-  }
 }
 
 bool GlobalBuffer::try_reserve(int access_id, Bytes size) {
@@ -98,9 +39,9 @@ bool GlobalBuffer::try_reserve(int access_id, Bytes size) {
   return true;
 }
 
-void GlobalBuffer::mark_ready(int access_id) {
+bool GlobalBuffer::mark_ready(int access_id) {
   Slot& s = slot_for(access_id);
-  if (s.state == BufferEntryState::kAbsent) return;  // consumed in flight
+  if (s.state == BufferEntryState::kAbsent) return false;  // consumed in flight
   if (s.done) {
     // The application overtook the prefetch with its own demand read; the
     // landed data is useless — reclaim the space.
@@ -108,29 +49,13 @@ void GlobalBuffer::mark_ready(int access_id) {
     s.state = BufferEntryState::kAbsent;
     s.size = 0;
     stats_.wasted += 1;
-    // No one can be waiting on an overtaken entry, but recycle defensively.
-    const std::int32_t orphans = s.waiter_head;
-    s.waiter_head = kNil;
-    s.waiter_tail = kNil;
-    for (std::int32_t i = orphans; i != kNil;) {
-      const std::int32_t next = arena_[static_cast<std::size_t>(i)].next;
-      free_node(i);
-      i = next;
-    }
-    const std::int32_t head = space_head_;
-    space_head_ = kNil;
-    space_tail_ = kNil;
-    fire_chain(head);
-    return;
+    return true;
   }
   s.state = BufferEntryState::kReady;
-  const std::int32_t head = s.waiter_head;
-  s.waiter_head = kNil;
-  s.waiter_tail = kNil;
-  fire_chain(head);
+  return false;
 }
 
-void GlobalBuffer::consume(int access_id) {
+void GlobalBuffer::consume(int access_id, bool waited) {
   Slot& s = slot_for(access_id);
   assert(s.state == BufferEntryState::kReady);
   used_ -= s.size;
@@ -138,10 +63,7 @@ void GlobalBuffer::consume(int access_id) {
   s.size = 0;
   s.done = true;
   stats_.consumed += 1;
-  const std::int32_t head = space_head_;
-  space_head_ = kNil;
-  space_tail_ = kNil;
-  fire_chain(head);
+  if (waited) stats_.consumed_in_flight += 1;
 }
 
 void GlobalBuffer::mark_done(int access_id) { slot_for(access_id).done = true; }
@@ -152,17 +74,6 @@ BufferEntryState GlobalBuffer::state(int access_id) const {
   const Slot& s = slots_[i];
   if (s.state != BufferEntryState::kAbsent) return s.state;
   return s.done ? BufferEntryState::kDone : BufferEntryState::kAbsent;
-}
-
-void GlobalBuffer::wait_ready(int access_id, EventFn cb) {
-  Slot& s = slot_for(access_id);
-  assert(s.state == BufferEntryState::kInFlight);
-  append(s.waiter_head, s.waiter_tail, alloc_node(std::move(cb)));
-  stats_.consumed_in_flight += 1;
-}
-
-void GlobalBuffer::wait_space(EventFn cb) {
-  append(space_head_, space_tail_, alloc_node(std::move(cb)));
 }
 
 }  // namespace dasched

@@ -8,16 +8,15 @@
 // resume when space frees up.
 //
 // Access ids are the dense indices of the compiled program's read sites, so
-// the buffer is a flat id-indexed table rather than a hash map, and the
-// waiter callbacks live in a pooled node arena (EventFn, so captures up to
-// the inline budget never touch the heap).  After a warm-up run through a
-// workspace the buffer performs zero allocations.
+// the buffer is a flat id-indexed table rather than a hash map.  It holds
+// state only: who waits for space or for an in-flight entry is the
+// cluster's business (io/cluster.h), so a release here wakes no one.  After
+// a warm-up run through a workspace the buffer performs zero allocations.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_fn.h"
 #include "util/units.h"
 
 namespace dasched {
@@ -44,21 +43,22 @@ class GlobalBuffer {
   GlobalBuffer& operator=(const GlobalBuffer&) = delete;
 
   /// Restores the buffer to its fresh state for ids in [0, num_ids).  The
-  /// slot table and waiter arena keep their high-water-mark capacity (the
-  /// table only grows), so a workspace rerun over the same program allocates
-  /// nothing here.
+  /// slot table keeps its high-water-mark capacity (it only grows), so a
+  /// workspace rerun over the same program allocates nothing here.
   void reset(Bytes capacity, std::size_t num_ids);
 
   /// Reserves space for a prefetch; false when the buffer is full.  In-flight
   /// data counts against capacity.
   bool try_reserve(int access_id, Bytes size);
 
-  /// The prefetch completed; wakes any application read waiting on it.
-  void mark_ready(int access_id);
+  /// The prefetch completed.  Returns true when the application had
+  /// already overtaken it (see mark_done): the entry is then reclaimed, and
+  /// its bytes are free again.
+  bool mark_ready(int access_id);
 
-  /// The application consumed the entry (hit): frees the bytes and wakes
-  /// scheduler threads waiting for space.
-  void consume(int access_id);
+  /// The application consumed the entry (hit) and its bytes are free.
+  /// `waited` marks a read that arrived while the prefetch was in flight.
+  void consume(int access_id, bool waited = false);
 
   /// The application handled this access itself (prefetch never issued or
   /// arrived too late to be useful); scheduler threads must skip it.  If a
@@ -72,51 +72,24 @@ class GlobalBuffer {
     return i < slots_.size() && slots_[i].done;
   }
 
-  /// Fires `cb` once when the in-flight entry becomes ready.
-  void wait_ready(int access_id, EventFn cb);
-
-  /// Fires `cb` once at the next space release.
-  void wait_space(EventFn cb);
-
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] const BufferStats& stats() const { return stats_; }
 
  private:
-  static constexpr std::int32_t kNil = -1;
-
   struct Slot {
     BufferEntryState state = BufferEntryState::kAbsent;
     bool done = false;
     Bytes size = 0;
-    /// FIFO chain of ready-waiters through the shared node arena.
-    std::int32_t waiter_head = kNil;
-    std::int32_t waiter_tail = kNil;
-  };
-
-  struct WaiterNode {
-    EventFn fn;
-    std::int32_t next = kNil;
   };
 
   /// Grows the slot table to cover `access_id` (tests drive the buffer
   /// directly with ad-hoc ids; the cluster pre-sizes via reset()).
   Slot& slot_for(int access_id);
-  [[nodiscard]] std::int32_t alloc_node(EventFn fn);
-  void free_node(std::int32_t idx);
-  void append(std::int32_t& head, std::int32_t& tail, std::int32_t node);
-  /// Detaches and fires a waiter chain in FIFO order.  Callbacks may re-enter
-  /// the buffer (reserve, wait, consume); the chain is unlinked first so
-  /// re-entry can never corrupt the walk.
-  void fire_chain(std::int32_t head);
 
   Bytes capacity_;
   Bytes used_ = 0;
   std::vector<Slot> slots_;
-  std::vector<WaiterNode> arena_;
-  std::int32_t free_head_ = kNil;
-  std::int32_t space_head_ = kNil;
-  std::int32_t space_tail_ = kNil;
   BufferStats stats_;
 };
 

@@ -202,7 +202,7 @@ bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
     const std::string_view key = line.substr(0, eq);
     const std::string value(line.substr(eq + 1));
     const auto as_i64 = [&]() -> std::int64_t {
-      const auto parsed = parse_int(value);
+      const auto parsed = parse_i64(value);
       if (!parsed) {
         throw ConfigError(std::string(key), "trace upload field '" +
                                                 std::string(key) +
@@ -238,7 +238,7 @@ bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
       }
       opts.seed = *parsed;
     } else if (key == "jitter") {
-      const auto parsed = parse_double(value);
+      const auto parsed = parse_f64(value);
       if (!parsed) {
         throw ConfigError("jitter", "trace upload field 'jitter': expected "
                                     "a number, got '" + value + "'");

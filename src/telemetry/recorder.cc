@@ -2,20 +2,6 @@
 
 namespace dasched {
 
-void TraceBuffer::reserve(std::size_t events) {
-  std::size_t capacity = free_.size() * kChunkEvents;
-  if (!chunks_.empty()) {
-    capacity += kChunkEvents - chunks_.back()->used;
-  }
-  while (capacity < events) {
-    free_.push_back(std::make_unique<Chunk>());
-    capacity += kChunkEvents;
-  }
-  // grow() moves free-listed chunks into chunks_; pre-size the pointer
-  // array too, so the reserved appends stay allocation-free.
-  chunks_.reserve(chunks_.size() + free_.size());
-}
-
 void TraceBuffer::clear() {
   for (auto& c : chunks_) {
     c->used = 0;
@@ -27,8 +13,8 @@ void TraceBuffer::clear() {
 
 void TraceBuffer::grow() {
   if (!free_.empty()) {
-    // dasched-lint: allow(hot-alloc): pointer-array growth amortizes; a
-    // reserve() pre-sizes it for bounded captures.
+    // dasched-lint: allow(hot-alloc): pointer-array growth amortizes, and
+    // the array keeps its capacity across clear().
     chunks_.push_back(std::move(free_.back()));
     free_.pop_back();
   } else {

@@ -1,10 +1,9 @@
 // Low-overhead per-run trace recorder.
 //
 // `TraceBuffer` stores events in pooled fixed-size chunks: appending is a
-// bounds check plus a 32-byte store, chunks are recycled through a free
-// list on `clear()`, and `reserve()` pre-allocates so steady-state
-// recording performs zero heap allocations
-// (tests/telemetry/recorder_alloc_test.cc).
+// bounds check plus a 32-byte store, and chunks are recycled through a free
+// list on `clear()`, so steady-state recording performs zero heap
+// allocations (tests/telemetry/recorder_alloc_test.cc).
 //
 // `TelemetryRecorder` implements every layer's observer interface and
 // filters by `TraceLevel`, so one object taps the whole stack (simulator,
@@ -44,9 +43,6 @@ class TraceBuffer {
     c.used += 1;
     size_ += 1;
   }
-
-  /// Pre-allocates capacity for at least `events` further appends.
-  void reserve(std::size_t events);
 
   /// Drops all events, recycling every chunk into the free list (no
   /// deallocation; the next recording reuses the memory).

@@ -9,8 +9,7 @@
 // steady-state request path, where a temporary std::string per field would
 // be a heap allocation.
 //
-// engine/env_knobs keeps its std::string front end (and the historic
-// strtod/strtoll semantics) for the knob helpers; the fatal-error print
+// engine/env_knobs parses its knobs with these too; the fatal-error print
 // shared by every strict knob (env knobs and every tool's flags) lives
 // here.
 #pragma once

@@ -25,13 +25,15 @@
 namespace dasched {
 namespace {
 
-ExperimentResult run_cell(const char* app, bool scheme) {
+ExperimentResult run_cell(const char* app, bool scheme,
+                          Bytes buffer = RuntimeConfig{}.buffer_capacity) {
   ExperimentConfig cfg;
   cfg.app = app;
   cfg.scale.num_processes = 4;
   cfg.scale.factor = 0.1;
   cfg.policy = PolicyKind::kHistory;
   cfg.use_scheme = scheme;
+  cfg.runtime.buffer_capacity = buffer;
   return run_experiment(cfg);
 }
 
@@ -47,6 +49,22 @@ TEST(BitIdentity, SarHistoryWithScheme) {
   EXPECT_EQ(r.exec_time.count(), 433'143'601);
   expect_bits(r.energy_j.value(), 0x1.7915d5e8b25b8p+14, "energy_j");
   expect_bits(r.storage.cache_hit_rate, 0x1.0a3d70a3d70a4p-1, "hit_rate");
+  expect_bits(r.sched.mean_advance_slots, 0x1.2cc799999999ap+8,
+              "mean_advance");
+}
+
+TEST(BitIdentity, SarHistoryWithSchemeFullBuffer) {
+  // A 1 MiB buffer fills, so scheduler threads pause for space and resume
+  // on releases (the runtime pause path, DESIGN.md §20).
+  const ExperimentResult r = run_cell("sar", true, mib(1));
+  EXPECT_GT(r.runtime.buffer.full_rejections, 0);
+  EXPECT_EQ(r.exec_time.count(), 434'814'107);
+  EXPECT_EQ(r.events, 19'619);
+  EXPECT_EQ(r.runtime.prefetches, 122);
+  EXPECT_EQ(r.runtime.buffer_hits, 122);
+  EXPECT_EQ(r.runtime.direct_reads, 1'158);
+  expect_bits(r.energy_j.value(), 0x1.7c9268322fdbcp+14, "energy_j");
+  expect_bits(r.storage.cache_hit_rate, 0x1.2a3d70a3d70a4p-1, "hit_rate");
   expect_bits(r.sched.mean_advance_slots, 0x1.2cc799999999ap+8,
               "mean_advance");
 }

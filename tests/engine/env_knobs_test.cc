@@ -4,38 +4,40 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parse.h"
+
 namespace dasched {
 namespace {
 
 TEST(ParseDouble, AcceptsPlainNumbers) {
-  EXPECT_DOUBLE_EQ(*parse_double("0.5"), 0.5);
-  EXPECT_DOUBLE_EQ(*parse_double("1"), 1.0);
-  EXPECT_DOUBLE_EQ(*parse_double("-2.25"), -2.25);
-  EXPECT_DOUBLE_EQ(*parse_double("1e3"), 1000.0);
-  EXPECT_DOUBLE_EQ(*parse_double("  0.75"), 0.75);  // strtod skips leading ws
+  EXPECT_DOUBLE_EQ(*parse_f64("0.5"), 0.5);
+  EXPECT_DOUBLE_EQ(*parse_f64("1"), 1.0);
+  EXPECT_DOUBLE_EQ(*parse_f64("-2.25"), -2.25);
+  EXPECT_DOUBLE_EQ(*parse_f64("1e3"), 1000.0);
 }
 
 TEST(ParseDouble, RejectsGarbage) {
-  EXPECT_FALSE(parse_double(""));
-  EXPECT_FALSE(parse_double("abc"));
-  EXPECT_FALSE(parse_double("0.5x"));
-  EXPECT_FALSE(parse_double("1.0 "));  // trailing whitespace = not consumed
-  EXPECT_FALSE(parse_double("1..5"));
-  EXPECT_FALSE(parse_double("1e999"));  // out of range
+  EXPECT_FALSE(parse_f64(""));
+  EXPECT_FALSE(parse_f64("abc"));
+  EXPECT_FALSE(parse_f64("0.5x"));
+  EXPECT_FALSE(parse_f64("1.0 "));    // trailing whitespace = not consumed
+  EXPECT_FALSE(parse_f64("  0.75"));  // nor is leading whitespace
+  EXPECT_FALSE(parse_f64("1..5"));
+  EXPECT_FALSE(parse_f64("1e999"));   // out of range
 }
 
 TEST(ParseInt, AcceptsPlainIntegers) {
-  EXPECT_EQ(*parse_int("0"), 0);
-  EXPECT_EQ(*parse_int("42"), 42);
-  EXPECT_EQ(*parse_int("-7"), -7);
+  EXPECT_EQ(*parse_i64("0"), 0);
+  EXPECT_EQ(*parse_i64("42"), 42);
+  EXPECT_EQ(*parse_i64("-7"), -7);
 }
 
 TEST(ParseInt, RejectsGarbage) {
-  EXPECT_FALSE(parse_int(""));
-  EXPECT_FALSE(parse_int("abc"));
-  EXPECT_FALSE(parse_int("12abc"));
-  EXPECT_FALSE(parse_int("3.5"));
-  EXPECT_FALSE(parse_int("99999999999999999999999"));  // out of range
+  EXPECT_FALSE(parse_i64(""));
+  EXPECT_FALSE(parse_i64("abc"));
+  EXPECT_FALSE(parse_i64("12abc"));
+  EXPECT_FALSE(parse_i64("3.5"));
+  EXPECT_FALSE(parse_i64("99999999999999999999999"));  // out of range
 }
 
 TEST(EnvKnobs, FallbackWhenUnset) {

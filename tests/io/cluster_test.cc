@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "compiler/compile.h"
 #include "compiler/trace_builder.h"
 
@@ -16,12 +18,6 @@ StorageConfig small_storage() {
   cfg.node.cache_capacity = mib(1).count();
   cfg.node.prefetch_depth = 0;
   return cfg;
-}
-
-CompileOptions no_scheduling() {
-  CompileOptions copts;
-  copts.enable_scheduling = false;
-  return copts;
 }
 
 /// Builds, compiles and runs a program; returns (exec_time, stats).
@@ -135,56 +131,183 @@ TEST(Cluster, LocalTimeAdvancesMonotonically) {
   StorageSystem storage(sim, small_storage());
   (void)storage.create_file("data", mib(64).count());
   const Compiled compiled =
-      compile_trace(lower(read_loop(10), 1), storage.striping(),
-                    no_scheduling());
-  Cluster cluster(sim, storage, compiled,
-                  RuntimeConfig{.use_runtime_scheduler = false});
-  cluster.start();
-  Slot last = 0;
-  bool monotone = true;
-  std::function<void()> watch = [&] {
-    const Slot now = cluster.client(0).local_time();
-    if (now < last) monotone = false;
-    last = now;
-    if (!cluster.client(0).finished()) {
-      cluster.client(0).subscribe_progress(now + 1, watch);
-    }
-  };
-  cluster.client(0).subscribe_progress(1, watch);
-  sim.run();
-  EXPECT_TRUE(monotone);
-  EXPECT_TRUE(cluster.client(0).finished());
-}
-
-TEST(Cluster, ProgressSubscriptionFiresImmediatelyWhenPast) {
-  Simulator sim;
-  StorageSystem storage(sim, small_storage());
-  (void)storage.create_file("data", mib(64).count());
-  const Compiled compiled =
-      compile_trace(lower(read_loop(5), 1), storage.striping(),
-                    no_scheduling());
-  Cluster cluster(sim, storage, compiled,
-                  RuntimeConfig{.use_runtime_scheduler = false});
-  cluster.start();
-  sim.run();
-  bool fired = false;
-  cluster.client(0).subscribe_progress(1, [&] { fired = true; });
-  EXPECT_TRUE(fired);
-}
-
-TEST(Cluster, AccessIdLookupMatchesReadSites) {
-  Simulator sim;
-  StorageSystem storage(sim, small_storage());
-  (void)storage.create_file("data", mib(64).count());
-  const Compiled compiled =
-      compile_trace(lower(read_loop(5), 2), storage.striping());
+      compile_trace(lower(read_loop(10), 2), storage.striping());
   Cluster cluster(sim, storage, compiled, RuntimeConfig{});
-  for (std::size_t i = 0; i < compiled.program.read_sites.size(); ++i) {
-    const ReadSite& site = compiled.program.read_sites[i];
-    EXPECT_EQ(cluster.access_id_at(site.process, site.slot, site.op_index),
-              static_cast<int>(i));
+  cluster.start();
+  std::vector<Slot> last(2, 0);
+  while (!cluster.all_finished() && sim.step()) {
+    for (int p = 0; p < 2; ++p) {
+      const Slot now = cluster.client(p).local_time();
+      EXPECT_GE(now, last[static_cast<std::size_t>(p)]) << "process " << p;
+      last[static_cast<std::size_t>(p)] = now;
+    }
   }
-  EXPECT_EQ(cluster.access_id_at(0, 9'999, 0), -1);
+  EXPECT_TRUE(cluster.all_finished());
+  EXPECT_EQ(last[0], compiled.program.num_slots);
+}
+
+/// Moves every table entry to slot 0, so each read's prefetch is due from
+/// the start.
+Compiled hoisted(CompiledProgram program, StorageSystem& storage) {
+  Compiled compiled = compile_trace(std::move(program), storage.striping());
+  for (ScheduledAccess& s : compiled.scheduled) s.slot = 0;
+  compiled.table = SchedulingTable(compiled.scheduled);
+  return compiled;
+}
+
+/// Each process p computes through slots 0..last-1 and reads its own
+/// 64 KiB block in slot `last`.
+CompiledProgram one_late_read(int nproc, int last) {
+  TraceBuilder tb(nproc);
+  for (int t = 0; t <= last; ++t) {
+    for (int p = 0; p < nproc; ++p) {
+      if (t < last) tb.compute(p, 10);
+      if (t == last) tb.read(p, 0, p * kib(64).count(), kib(64).count());
+    }
+    tb.end_iteration();
+  }
+  return tb.build();
+}
+
+int read_id(const Compiled& compiled, int process, Slot slot) {
+  return compiled.program.processes[static_cast<std::size_t>(process)]
+      .slots[static_cast<std::size_t>(slot)]
+      .ops[0]
+      .access_id;
+}
+
+TEST(Cluster, PausedSchedulersResumeInPauseOrder) {
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = hoisted(one_late_read(3, 5), storage);
+  RuntimeConfig rt;
+  rt.buffer_capacity = kib(64).count();  // one entry
+  Cluster cluster(sim, storage, compiled, rt);
+  GlobalBuffer& buffer = cluster.buffer();
+  const int id0 = read_id(compiled, 0, 5);
+  const int id1 = read_id(compiled, 1, 5);
+  const int id2 = read_id(compiled, 2, 5);
+
+  // Pause order 2, 1, 0; pausing 2 again keeps its place.
+  cluster.pause_for_space(2);
+  cluster.pause_for_space(1);
+  cluster.pause_for_space(2);
+  cluster.pause_for_space(0);
+
+  // The release resumes 2 first: it takes the one free entry, and 1 and 0
+  // find the buffer full and pause again, in that order, once each.
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(id2), BufferEntryState::kInFlight);
+  EXPECT_EQ(buffer.state(id1), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.state(id0), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+
+  // Thread 2's prefetch lands and is consumed: the next release resumes 1
+  // before 0, although 0 has the lower id.
+  while (buffer.state(id2) != BufferEntryState::kReady && sim.step()) {
+  }
+  buffer.consume(id2);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(id1), BufferEntryState::kInFlight);
+  EXPECT_EQ(buffer.state(id0), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.stats().full_rejections, 3);
+}
+
+TEST(Cluster, FullRejectionsAreBoundedByWakeSources) {
+  // A thread is kicked once at start, once per space release (consume or
+  // wasted landing), once per landed prefetch and at most once per finished
+  // slot of its process, and each kick is rejected at most once — provided
+  // a failed kick never adds a second space wait for the same thread.
+  constexpr int kReads = 40;
+  TraceBuilder tb(1);
+  for (int i = 0; i < kReads; ++i) {
+    tb.read(0, 0, i * kib(64).count(), kib(64).count());
+    tb.compute(0, 20'000);  // long enough for the next prefetch to land
+    tb.end_iteration();
+  }
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = hoisted(tb.build(), storage);
+  RuntimeConfig rt;
+  rt.buffer_capacity = kib(64).count();  // one entry
+  Cluster cluster(sim, storage, compiled, rt);
+  cluster.run_to_completion();
+  ASSERT_TRUE(cluster.all_finished());
+  const RuntimeStats st = cluster.stats();
+  EXPECT_GT(st.buffer.full_rejections, 0);
+  EXPECT_LE(st.buffer.full_rejections,
+            st.buffer.consumed + st.buffer.wasted + st.prefetches +
+                compiled.program.num_slots + 1);
+}
+
+TEST(Cluster, ReadParkedOnInFlightPrefetchResumesOnLanding) {
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  // The prefetch is issued at time 0; the read comes 20 us later, long
+  // before a disk read can finish, and it is the process's last op.
+  const Compiled compiled = hoisted(one_late_read(1, 2), storage);
+  const RuntimeConfig rt;
+  Cluster cluster(sim, storage, compiled, rt);
+  const int id = read_id(compiled, 0, 2);
+  cluster.start();
+  ASSERT_EQ(cluster.buffer().state(id), BufferEntryState::kInFlight);
+  SimTime landed = -1;
+  while (!cluster.all_finished() && sim.step()) {
+    if (landed < 0 &&
+        cluster.buffer().state(id) != BufferEntryState::kInFlight) {
+      landed = sim.now();
+    }
+  }
+  ASSERT_TRUE(cluster.all_finished());
+  const RuntimeStats st = cluster.stats();
+  EXPECT_EQ(st.in_flight_hits, 1);
+  EXPECT_EQ(st.buffer_hits + st.direct_reads, 0);
+  EXPECT_EQ(st.buffer.consumed_in_flight, st.in_flight_hits);
+  EXPECT_EQ(cluster.buffer().state(id), BufferEntryState::kDone);
+  // The read resumed in the landing event itself: it finished one hit
+  // latency later.
+  EXPECT_GT(landed, 20);
+  EXPECT_EQ(cluster.client(0).finish_time(), landed + rt.buffer_hit_latency);
+}
+
+TEST(Cluster, WideSlotReadsCarryTheirOwnAccessIds) {
+  // 8,200 reads share slot 0: op 8192 of slot 0 and op 0 of slot 2 must
+  // keep distinct ids even though slot * 4096 ^ op would merge them.
+  constexpr int kWide = 8'200;
+  TraceBuilder tb(1);
+  for (int i = 0; i < kWide; ++i) tb.read(0, 0, i * kib(4).count(), kib(4).count());
+  tb.end_iteration();
+  tb.compute(0, 10);
+  tb.end_iteration();
+  tb.read(0, 0, kWide * kib(4).count(), kib(4).count());
+  tb.end_iteration();
+
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = compile_trace(tb.build(), storage.striping());
+  const CompiledProgram& prog = compiled.program;
+  ASSERT_EQ(prog.reads.size(), static_cast<std::size_t>(kWide + 1));
+  for (Slot t = 0; t < prog.num_slots; ++t) {
+    const auto& ops = prog.processes[0].slots[static_cast<std::size_t>(t)].ops;
+    for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
+      const int id = ops[static_cast<std::size_t>(oi)].access_id;
+      ASSERT_GE(id, 0);
+      const ReadSite& site = prog.read_sites[static_cast<std::size_t>(id)];
+      EXPECT_EQ(site.process, 0);
+      EXPECT_EQ(site.slot, t);
+      EXPECT_EQ(site.op_index, oi);
+    }
+  }
+
+  Cluster cluster(sim, storage, compiled, RuntimeConfig{});
+  cluster.run_to_completion();
+  ASSERT_TRUE(cluster.all_finished());
+  const RuntimeStats st = cluster.stats();
+  EXPECT_EQ(st.buffer_hits + st.in_flight_hits + st.direct_reads, kWide + 1);
 }
 
 TEST(Cluster, SchemeDoesNotSlowExecutionMuch) {

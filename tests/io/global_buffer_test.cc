@@ -19,44 +19,19 @@ TEST(GlobalBuffer, LifecycleAbsentInFlightReadyDone) {
   EXPECT_EQ(buf.state(5), BufferEntryState::kAbsent);
   buf.try_reserve(5, kib(64));
   EXPECT_EQ(buf.state(5), BufferEntryState::kInFlight);
-  buf.mark_ready(5);
+  EXPECT_FALSE(buf.mark_ready(5));  // useful landing: nothing reclaimed
   EXPECT_EQ(buf.state(5), BufferEntryState::kReady);
   buf.consume(5);
   EXPECT_EQ(buf.state(5), BufferEntryState::kDone);
   EXPECT_EQ(buf.used(), 0);
 }
 
-TEST(GlobalBuffer, ConsumeWakesSpaceWaiters) {
-  GlobalBuffer buf(kib(64));
-  buf.try_reserve(0, kib(64));
-  buf.mark_ready(0);
-  int woken = 0;
-  buf.wait_space([&] { ++woken; });
-  buf.wait_space([&] { ++woken; });
-  buf.consume(0);
-  EXPECT_EQ(woken, 2);
-}
-
-TEST(GlobalBuffer, ReadyWaiterFiresOnArrival) {
-  GlobalBuffer buf(kib(128));
-  buf.try_reserve(3, kib(64));
-  bool fired = false;
-  buf.wait_ready(3, [&] { fired = true; });
-  EXPECT_FALSE(fired);
-  buf.mark_ready(3);
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(buf.stats().consumed_in_flight, 1);
-}
-
 TEST(GlobalBuffer, OvertakenPrefetchReclaimedOnLanding) {
   GlobalBuffer buf(kib(64));
   buf.try_reserve(7, kib(64));
   buf.mark_done(7);  // the app fetched the data itself
-  int woken = 0;
-  buf.wait_space([&] { ++woken; });
-  buf.mark_ready(7);  // the stale prefetch lands
+  EXPECT_TRUE(buf.mark_ready(7));  // the stale prefetch lands: space freed
   EXPECT_EQ(buf.used(), 0);
-  EXPECT_EQ(woken, 1);
   EXPECT_EQ(buf.stats().wasted, 1);
   EXPECT_EQ(buf.state(7), BufferEntryState::kDone);
 }
@@ -83,10 +58,11 @@ TEST(GlobalBuffer, StatsCountReservationsAndConsumes) {
   for (int i = 0; i < 5; ++i) {
     buf.try_reserve(i, kib(64));
     buf.mark_ready(i);
-    buf.consume(i);
+    buf.consume(i, /*waited=*/i < 2);
   }
   EXPECT_EQ(buf.stats().reservations, 5);
   EXPECT_EQ(buf.stats().consumed, 5);
+  EXPECT_EQ(buf.stats().consumed_in_flight, 2);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Zero-allocation regression test for the trace recording path.
 //
 // Same operator new/delete interposition as tests/storage/alloc_count_test:
-// after `reserve()` (or a warm-up pass that grew the chunk pool), appending
-// events must perform ZERO heap allocations — recording sits on the
+// after a warm-up pass that grew the chunk pool, appending events must
+// perform ZERO heap allocations — recording sits on the
 // simulation hot path, so a new allocation site in TraceBuffer::append is a
 // perf regression, caught here rather than in a profile.
 
@@ -87,25 +87,10 @@ TraceEvent sample_event(std::uint64_t i) {
                     static_cast<std::uint32_t>(i), i, i * 2};
 }
 
-TEST(RecorderAlloc, ReservedAppendsAreAllocationFree) {
-  TraceBuffer buf;
-  const std::size_t n = 3 * TraceBuffer::kChunkEvents + 123;
-  buf.reserve(n);
-
-  g_allocations.store(0);
-  g_counting.store(true);
-  for (std::uint64_t i = 0; i < n; ++i) buf.append(sample_event(i));
-  g_counting.store(false);
-
-  EXPECT_EQ(buf.size(), n);
-  EXPECT_EQ(g_allocations.load(), 0u)
-      << "TraceBuffer::append allocated after reserve()";
-}
-
 TEST(RecorderAlloc, ClearRecyclesChunksWithoutReallocating) {
   TraceBuffer buf;
   const std::size_t n = 2 * TraceBuffer::kChunkEvents;
-  // Warm-up pass grows the pool organically (no reserve).
+  // Warm-up pass grows the pool.
   for (std::uint64_t i = 0; i < n; ++i) buf.append(sample_event(i));
   buf.clear();
   EXPECT_TRUE(buf.empty());
@@ -125,7 +110,8 @@ TEST(RecorderAlloc, RecorderHotPathIsAllocationFree) {
   // Drive the recorder's own record() path (level filter + append) through
   // a representative state-level callback sequence.
   TelemetryRecorder rec(TraceLevel::kState);
-  rec.buffer().reserve(TraceBuffer::kChunkEvents);
+  for (std::uint64_t i = 0; i < 1000; ++i) rec.buffer().append(sample_event(i));
+  rec.buffer().clear();  // warm-up: the chunk now sits in the free list
 
   g_allocations.store(0);
   g_counting.store(true);
