@@ -16,10 +16,10 @@ MultiExperimentResult run_multi(const std::vector<std::string>& apps,
                                 bool scheme) {
   MultiExperimentConfig cfg;
   cfg.apps = apps;
-  cfg.scale = bench_scale();
-  cfg.scale.num_processes = std::max(4, cfg.scale.num_processes / 2);
-  cfg.policy = PolicyKind::kHistory;
-  cfg.use_scheme = scheme;
+  cfg.base.scale = bench_scale();
+  cfg.base.scale.num_processes = std::max(4, cfg.base.scale.num_processes / 2);
+  cfg.base.policy = PolicyKind::kHistory;
+  cfg.base.use_scheme = scheme;
   std::fprintf(stderr, "[bench] multi-app run (scheme=%d)...\n", scheme);
   return run_multi_experiment(cfg);
 }

@@ -1,22 +1,11 @@
 #include "compiler/trace_io.h"
 
-#include <sstream>
-#include <stdexcept>
+#include <ostream>
 
 namespace dasched {
 
-namespace {
-constexpr const char* kMagic = "dasched-trace";
-constexpr int kVersion = 1;
-
-[[noreturn]] void fail(int line, const std::string& what) {
-  throw std::runtime_error("trace parse error at line " + std::to_string(line) +
-                           ": " + what);
-}
-}  // namespace
-
 void save_trace(const CompiledProgram& program, std::ostream& out) {
-  out << kMagic << ' ' << kVersion << '\n';
+  out << "dasched-trace 1\n";
   out << "processes " << program.num_processes() << '\n';
   for (int p = 0; p < program.num_processes(); ++p) {
     out << "process " << p << '\n';
@@ -28,79 +17,6 @@ void save_trace(const CompiledProgram& program, std::ostream& out) {
       }
     }
   }
-}
-
-std::string trace_to_string(const CompiledProgram& program) {
-  std::ostringstream os;
-  save_trace(program, os);
-  return os.str();
-}
-
-CompiledProgram load_trace(std::istream& in) {
-  CompiledProgram out;
-  std::string line;
-  int lineno = 0;
-  int current = -1;
-  bool have_header = false;
-
-  auto current_slots = [&]() -> std::vector<SlotPlan>& {
-    if (current < 0) fail(lineno, "op before any 'process' line");
-    return out.processes[static_cast<std::size_t>(current)].slots;
-  };
-
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tok;
-    ls >> tok;
-
-    if (!have_header) {
-      int version = 0;
-      if (tok != kMagic || !(ls >> version) || version != kVersion) {
-        fail(lineno, "bad header (expected '" + std::string(kMagic) + " 1')");
-      }
-      have_header = true;
-      continue;
-    }
-
-    if (tok == "processes") {
-      int n = 0;
-      if (!(ls >> n) || n <= 0) fail(lineno, "bad process count");
-      out.processes.resize(static_cast<std::size_t>(n));
-    } else if (tok == "process") {
-      int p = -1;
-      if (!(ls >> p) || p < 0 ||
-          static_cast<std::size_t>(p) >= out.processes.size()) {
-        fail(lineno, "bad process id");
-      }
-      current = p;
-    } else if (tok == "slot") {
-      SimTime compute = 0;
-      if (!(ls >> compute) || compute < 0) fail(lineno, "bad slot compute");
-      current_slots().push_back(SlotPlan{compute, {}});
-    } else if (tok == "r" || tok == "w") {
-      IoOp op;
-      op.is_write = tok == "w";
-      if (!(ls >> op.file >> op.offset >> op.size) || op.size <= 0 ||
-          op.offset < 0 || op.file < 0) {
-        fail(lineno, "bad I/O op");
-      }
-      auto& slots = current_slots();
-      if (slots.empty()) fail(lineno, "op before any 'slot' line");
-      slots.back().ops.push_back(op);
-    } else {
-      fail(lineno, "unknown directive '" + tok + "'");
-    }
-  }
-  if (!have_header) fail(lineno, "empty trace");
-  out.align_slots();
-  return out;
-}
-
-CompiledProgram trace_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_trace(is);
 }
 
 }  // namespace dasched

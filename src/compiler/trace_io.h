@@ -1,9 +1,7 @@
-// Text serialization of lowered programs (recorded traces).
+// Text dump of lowered programs (`dasched_run --dump-trace`).
 //
-// The profiling front end records real runs; persisting those recordings
-// lets a trace be analyzed and scheduled offline, shipped alongside a bug
-// report, or replayed under different storage configurations.  The format
-// is a line-oriented, diff-friendly text file:
+// Writes the slot plans of a lowered program as a line-oriented,
+// diff-friendly text file, for inspecting what a workload builder produced:
 //
 //   dasched-trace 1
 //   processes <N>
@@ -13,24 +11,18 @@
 //   w <file> <offset> <size>
 //
 // Every `slot` line opens a new slot of the current process; `r`/`w` lines
-// append operations to it.  Blank lines and `#` comments are ignored.
+// append operations to it.  Files appear by id, not by name, so the dump
+// is for reading, not for replay (external traces replay through
+// workload/trace_replay.h).
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "compiler/program.h"
 
 namespace dasched {
 
-/// Writes the slot plans of `program` (analysis results are not persisted —
-/// they are recomputed on load).
+/// Writes the slot plans of `program` (analysis results are not written).
 void save_trace(const CompiledProgram& program, std::ostream& out);
-[[nodiscard]] std::string trace_to_string(const CompiledProgram& program);
-
-/// Parses a trace; throws std::runtime_error with a line number on malformed
-/// input.  The result is aligned and ready for compile_trace().
-[[nodiscard]] CompiledProgram load_trace(std::istream& in);
-[[nodiscard]] CompiledProgram trace_from_string(const std::string& text);
 
 }  // namespace dasched

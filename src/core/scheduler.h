@@ -153,13 +153,10 @@ class AccessScheduler {
   [[nodiscard]] Slot num_slots() const { return num_slots_; }
   [[nodiscard]] const ScheduleOptions& options() const { return opts_; }
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.
-  void set_observer(SchedulerObserver* observer) { observers_.reset(observer); }
+  /// Adds one observer (not owned; duplicates and null are ignored).
   void add_observer(SchedulerObserver* observer) { observers_.add(observer); }
-  void remove_observer(SchedulerObserver* observer) {
-    observers_.remove(observer);
-  }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
 
  private:
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;

@@ -92,13 +92,10 @@ class PowerPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.
-  void set_observer(PolicyObserver* observer) { observers_.reset(observer); }
+  /// Adds one observer (not owned; duplicates and null are ignored).
   void add_observer(PolicyObserver* observer) { observers_.add(observer); }
-  void remove_observer(PolicyObserver* observer) {
-    observers_.remove(observer);
-  }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
 
  protected:
   void note_action(PolicyDecision decision, SimTime predicted_idle, Rpm rpm) {
@@ -235,13 +232,11 @@ class Disk {
   /// the policy.
   void set_policy(PowerPolicy* policy);
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.  Legacy single-consumer entry point; see `add_observer`.
-  void set_observer(DiskObserver* observer) { observers_.reset(observer); }
   /// Adds one observer to the multiplexing list (audit and telemetry attach
   /// side by side).  Not owned; duplicates and null are ignored.
   void add_observer(DiskObserver* observer) { observers_.add(observer); }
-  void remove_observer(DiskObserver* observer) { observers_.remove(observer); }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
 
   /// Enqueues a request.  `req.on_complete` fires when the data transfer
   /// finishes, however long power-mode recovery takes.

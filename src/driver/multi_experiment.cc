@@ -1,98 +1,20 @@
 #include "driver/multi_experiment.h"
 
-#include <memory>
-#include <stdexcept>
-
-#include "check/install.h"
+#include "driver/workspace.h"
 
 namespace dasched {
 
+// Thin wrappers over a single-use workspace, like run_experiment.
+
 MultiExperimentResult run_multi_experiment(const MultiExperimentConfig& cfg) {
-  if (!cfg.audit) return run_multi_experiment(cfg, nullptr);
-  // Internal auditor: a violation is a fatal correctness bug, so surface the
-  // report as an exception rather than as statistics.
-  SimAuditor auditor;
-  MultiExperimentResult out = run_multi_experiment(cfg, &auditor);
-  if (!auditor.clean()) {
-    throw std::runtime_error(
-        "multi-application scenario failed its invariant audit:\n" +
-        auditor.report());
-  }
-  return out;
+  ExperimentWorkspace ws;
+  return ws.run(cfg);
 }
 
 MultiExperimentResult run_multi_experiment(const MultiExperimentConfig& cfg,
                                            SimAuditor* auditor) {
-  if (cfg.apps.empty()) {
-    throw std::invalid_argument("run_multi_experiment: no applications");
-  }
-
-  Simulator sim;
-  StorageConfig storage_cfg = cfg.storage;
-  storage_cfg.node.policy = cfg.policy;
-  storage_cfg.node.policy_cfg = cfg.policy_cfg;
-  storage_cfg.seed = cfg.seed;
-  StorageSystem storage(sim, storage_cfg);
-
-  // Hook the auditor in before anything can schedule an event, so the
-  // event-queue ledger sees the complete history.
-  if (auditor != nullptr) {
-    install_audit(*auditor, sim, storage, cfg.policy, cfg.policy_cfg);
-  }
-
-  // Compile every application against the shared striping map (files get
-  // disjoint node-local extents) but with an isolated scheduling pass each —
-  // exactly the interference the future-work scenario studies.
-  std::vector<std::unique_ptr<Compiled>> compiled;
-  for (const std::string& name : cfg.apps) {
-    const App& app = app_by_name(name);
-    CompiledProgram trace = app.build(storage.striping(), cfg.scale);
-    CompileOptions copts = cfg.compile;
-    copts.enable_scheduling = cfg.use_scheme;
-    copts.slack.length_unit = app.length_unit;
-    copts.slack.max_slack = cfg.max_slack;
-    compiled.push_back(std::make_unique<Compiled>(
-        compile_trace(std::move(trace), storage.striping(), copts)));
-    if (auditor != nullptr) {
-      audit_compiled(*auditor, *compiled.back(), copts.sched,
-                     copts.enable_scheduling);
-    }
-  }
-
-  std::vector<std::unique_ptr<Cluster>> clusters;
-  for (const auto& c : compiled) {
-    RuntimeConfig rt = cfg.runtime;
-    rt.use_runtime_scheduler = cfg.use_scheme;
-    clusters.push_back(std::make_unique<Cluster>(sim, storage, *c, rt));
-  }
-
-  for (auto& cluster : clusters) cluster->start();
-  auto all_done = [&clusters] {
-    for (const auto& c : clusters) {
-      if (!c->all_finished()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && sim.step()) {
-  }
-  if (!all_done()) {
-    throw std::runtime_error("run_multi_experiment: clients stuck");
-  }
-
-  MultiExperimentResult out;
-  for (auto& cluster : clusters) {
-    out.exec_times.push_back(cluster->exec_time());
-    out.makespan = std::max(out.makespan, cluster->exec_time());
-    out.runtime.push_back(cluster->stats());
-  }
-  out.storage = storage.finalize();
-  out.energy_j = out.storage.energy_j;
-  if (auditor != nullptr) {
-    auditor->finalize();
-    out.audited = true;
-    out.audit_violations = auditor->violations_total();
-  }
-  return out;
+  ExperimentWorkspace ws;
+  return ws.run(cfg, auditor);
 }
 
 }  // namespace dasched

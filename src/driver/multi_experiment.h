@@ -8,8 +8,13 @@
 // table is computed in isolation, so the per-application node-clustering
 // decisions interfere at the shared disks — quantified by comparing the
 // combined run against the applications run back-to-back.
+//
+// A co-scheduled run is an `ExperimentWorkspace` run with one lane per
+// application (driver/workspace.h), so it is validated, audited and traced
+// exactly like a single-application experiment.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,22 +23,12 @@
 namespace dasched {
 
 struct MultiExperimentConfig {
-  /// Applications to co-schedule; each gets scale.num_processes clients.
+  /// Storage, policy, scheme, scale, audit and telemetry settings shared by
+  /// every application; `base.app` is ignored.
+  ExperimentConfig base;
+  /// Applications to co-schedule, in order; each gets
+  /// `base.scale.num_processes` clients.
   std::vector<std::string> apps;
-  WorkloadScale scale;
-  StorageConfig storage;
-  CompileOptions compile;
-  RuntimeConfig runtime;
-  PolicyKind policy = PolicyKind::kNone;
-  PolicyConfig policy_cfg;
-  bool use_scheme = false;
-  Slot max_slack = 600;
-  std::uint64_t seed = 1;
-
-  /// Runs the scenario under the invariant auditor (src/check).  A violation
-  /// makes `run_multi_experiment` throw with the audit report, mirroring
-  /// `ExperimentConfig::audit`; a DASCHED_AUDIT=ON build audits every run.
-  bool audit = DASCHED_AUDIT_DEFAULT != 0;
 };
 
 struct MultiExperimentResult {
@@ -50,10 +45,16 @@ struct MultiExperimentResult {
   /// (only ever non-zero with an external auditor, which does not throw).
   bool audited = false;
   std::int64_t audit_violations = 0;
+
+  /// Analytics summary of the traced run; null when telemetry was off.
+  std::shared_ptr<const TelemetrySummary> telemetry;
 };
 
 /// Runs all applications concurrently on one storage system; accounting
-/// stops when the last application completes.
+/// stops when the last application completes.  Throws ConfigError on an
+/// empty application list or an invalid topology (the same checks as
+/// `run_experiment`), and std::runtime_error on an audit violation when
+/// `cfg.base.audit` is set.
 [[nodiscard]] MultiExperimentResult run_multi_experiment(
     const MultiExperimentConfig& cfg);
 

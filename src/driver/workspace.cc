@@ -1,5 +1,6 @@
 #include "driver/workspace.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -45,6 +46,17 @@ void write_telemetry_artifacts(const std::string& dir,
   write_chrome_trace(cj, buffer, meta);
 }
 
+/// The run's application names joined with '+', for diagnostics and the
+/// telemetry header.
+std::string lane_names(std::span<const std::string> apps) {
+  std::string out;
+  for (const std::string& app : apps) {
+    if (!out.empty()) out += '+';
+    out += app;
+  }
+  return out;
+}
+
 }  // namespace
 
 ExperimentWorkspace::~ExperimentWorkspace() {
@@ -53,30 +65,38 @@ ExperimentWorkspace::~ExperimentWorkspace() {
 }
 
 void ExperimentWorkspace::clear_all() {
-  cluster_.reset();
+  lanes_.clear();
   compile_cache_.clear();
-  observed_compile_.reset();
   storage_.reset();
   workload_key_.reset();
   sim_.reset();
 }
 
 void ExperimentWorkspace::detach_observers() {
-  if (sim_ != nullptr) sim_->set_observer(nullptr);
+  if (sim_ != nullptr) sim_->clear_observers();
   if (!storage_.has_value()) return;
-  storage_->set_observer(nullptr);
+  storage_->clear_observers();
   for (int i = 0; i < storage_->num_io_nodes(); ++i) {
     IoNode& node = storage_->node(i);
-    node.set_observer(nullptr);
+    node.clear_observers();
     for (int d = 0; d < node.num_disks(); ++d) {
-      node.disk(d).set_observer(nullptr);
-      if (PowerPolicy* policy = node.policy(d)) policy->set_observer(nullptr);
+      node.disk(d).clear_observers();
+      if (PowerPolicy* policy = node.policy(d)) policy->clear_observers();
     }
   }
 }
 
 void ExperimentWorkspace::prepare(const ExperimentConfig& cfg) {
-  validate_experiment_topology(cfg);
+  prepare_lanes(cfg, {&cfg.app, 1});
+}
+
+void ExperimentWorkspace::prepare_lanes(const ExperimentConfig& base,
+                                        std::span<const std::string> apps) {
+  if (apps.empty()) {
+    // dasched-lint: allow(hot-alloc): config-error path, never on success
+    throw ConfigError("apps", "experiment: no applications to run");
+  }
+  validate_experiment_topology(base);
   if (in_run_) {
     // The previous run threw mid-flight; nothing below the driver promises
     // exception-safe partial state, so rebuild everything from scratch.
@@ -92,13 +112,14 @@ void ExperimentWorkspace::prepare(const ExperimentConfig& cfg) {
     sim_->reset();
   }
   // Grow-only and idempotent, so the engine can serve a bigger topology
-  // without a rebuild (capacity high-water-mark policy).
-  sim_->reserve_events(default_event_reserve(cfg.storage, cfg.scale));
+  // without a rebuild (capacity high-water-mark policy).  Extra lanes grow
+  // the pools past it on their first run.
+  sim_->reserve_events(default_event_reserve(base.storage, base.scale));
 
-  StorageConfig storage_cfg = cfg.storage;  // all scalars; no allocation
-  storage_cfg.node.policy = cfg.policy;
-  storage_cfg.node.policy_cfg = cfg.policy_cfg;
-  storage_cfg.seed = cfg.seed;
+  StorageConfig storage_cfg = base.storage;  // all scalars; no allocation
+  storage_cfg.node.policy = base.policy;
+  storage_cfg.node.policy_cfg = base.policy_cfg;
+  storage_cfg.seed = base.seed;
   if (!storage_.has_value()) {
     storage_.emplace(*sim_, storage_cfg);
     workload_key_.reset();
@@ -107,62 +128,83 @@ void ExperimentWorkspace::prepare(const ExperimentConfig& cfg) {
   }
 
   const bool workload_ok =
-      workload_key_.has_value() && workload_key_->app == cfg.app &&
-      workload_key_->num_processes == cfg.scale.num_processes &&
-      workload_key_->factor == cfg.scale.factor &&
-      workload_key_->num_io_nodes == cfg.storage.num_io_nodes &&
-      workload_key_->stripe_size == cfg.storage.stripe_size;
+      workload_key_.has_value() && std::ranges::equal(workload_key_->apps, apps) &&
+      workload_key_->num_processes == base.scale.num_processes &&
+      workload_key_->factor == base.scale.factor &&
+      workload_key_->num_io_nodes == base.storage.num_io_nodes &&
+      workload_key_->stripe_size == base.storage.stripe_size;
   if (!workload_ok) {
     // App::build creates files on the striping map, so the map must be
-    // emptied first; the deterministic rebuild then reproduces the exact
-    // same file->offset mapping a fresh system would produce.
+    // emptied first; the deterministic rebuild then registers every lane's
+    // files in lane order, reproducing the exact file->offset mapping a
+    // fresh system would produce.  The key is dropped first so that an
+    // unknown app name part-way through forces a rebuild next time.
     storage_->striping().reset();
-    const App& app = app_by_name(cfg.app);
-    trace_ = app.build(storage_->striping(), cfg.scale);
-    workload_key_ = WorkloadKey{cfg.app, cfg.scale.num_processes,
-                                cfg.scale.factor, cfg.storage.num_io_nodes,
-                                cfg.storage.stripe_size};
+    workload_key_.reset();
+    // dasched-lint: allow(hot-alloc): workload rebuild, miss path only
+    lanes_.resize(apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      lanes_[i].trace =
+          app_by_name(apps[i]).build(storage_->striping(), base.scale);
+    }
+    WorkloadKey& key = workload_key_.emplace();
+    // dasched-lint: allow(hot-alloc): workload rebuild, miss path only
+    key.apps.assign(apps.begin(), apps.end());
+    key.num_processes = base.scale.num_processes;
+    key.factor = base.scale.factor;
+    key.num_io_nodes = base.storage.num_io_nodes;
+    key.stripe_size = base.storage.stripe_size;
     ++workload_epoch_;
     ++workload_builds_;
   }
 }
 
 const Compiled& ExperimentWorkspace::obtain_compiled(
-    const CompileOptions& copts) {
+    std::size_t lane, const CompileOptions& copts) {
   ++compile_tick_;
+  const CompiledProgram& trace = lanes_[lane].trace;
   if (copts.sched_observer != nullptr) {
     // The observer must see every placement, so the compile actually runs.
-    CompiledProgram copy = trace_;
+    CompiledProgram copy = trace;
     // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles every run
-    observed_compile_ = std::make_unique<Compiled>(compile_trace(
+    lanes_[lane].observed = std::make_unique<Compiled>(compile_trace(
         // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles anew
         std::move(copy), storage_->striping(), copts));
     ++compile_misses_;
-    return *observed_compile_;
+    return *lanes_[lane].observed;
   }
   for (CompileSlot& slot : compile_cache_) {
     if (slot.compiled != nullptr && slot.epoch == workload_epoch_ &&
-        slot.opts == copts) {
+        slot.lane == lane && slot.opts == copts) {
       slot.tick = compile_tick_;
       return *slot.compiled;
     }
   }
   ++compile_misses_;
-  CompiledProgram copy = trace_;  // compile_trace consumes its input
+  CompiledProgram copy = trace;  // compile_trace consumes its input
   // dasched-lint: allow(hot-alloc): compile-cache miss path, bounded by LRU
   auto fresh = std::make_unique<Compiled>(compile_trace(
       // dasched-lint: allow(hot-alloc): compile-cache miss path
       std::move(copy), storage_->striping(), copts));
+  // Lanes compile in order, one tick each, so the slots stamped at or after
+  // `run_first_tick` hold the compiles this run's earlier lanes are bound
+  // to; only older slots may be evicted.
+  const std::uint64_t run_first_tick = compile_tick_ - lane;
   CompileSlot* victim = nullptr;
-  if (compile_cache_.size() < kCompileCacheSlots) {
-    // dasched-lint: allow(hot-alloc): cache warm-up, at most 4 slots ever
-    victim = &compile_cache_.emplace_back();
-  } else {
+  if (compile_cache_.size() >= kCompileCacheSlots) {
     for (CompileSlot& slot : compile_cache_) {
-      if (victim == nullptr || slot.tick < victim->tick) victim = &slot;
+      if (slot.tick < run_first_tick &&
+          (victim == nullptr || slot.tick < victim->tick)) {
+        victim = &slot;
+      }
     }
   }
+  if (victim == nullptr) {
+    // dasched-lint: allow(hot-alloc): cache warm-up, one slot per lane
+    victim = &compile_cache_.emplace_back();
+  }
   victim->epoch = workload_epoch_;
+  victim->lane = lane;
   victim->tick = compile_tick_;
   victim->opts = copts;
   victim->compiled = std::move(fresh);
@@ -170,27 +212,74 @@ const Compiled& ExperimentWorkspace::obtain_compiled(
 }
 
 const ExperimentResult& ExperimentWorkspace::run(const ExperimentConfig& cfg) {
-  if (!cfg.audit) return run_impl(cfg, nullptr);
-  // Internal auditor: a violation is a fatal correctness bug, so surface the
-  // report as an exception rather than as statistics.
-  SimAuditor auditor;
-  const ExperimentResult& out = run_impl(cfg, &auditor);
-  if (!auditor.clean()) {
-    throw std::runtime_error("experiment '" + cfg.app +
-                             "' failed its invariant audit:\n" +
-                             auditor.report());
-  }
-  return out;
+  run_lanes_checked(cfg, {&cfg.app, 1});
+  return single_result(cfg);
 }
 
 const ExperimentResult& ExperimentWorkspace::run(const ExperimentConfig& cfg,
                                                  SimAuditor* auditor) {
-  return run_impl(cfg, auditor);
+  run_lanes(cfg, {&cfg.app, 1}, auditor);
+  return single_result(cfg);
 }
 
-const ExperimentResult& ExperimentWorkspace::run_impl(
-    const ExperimentConfig& cfg, SimAuditor* auditor) {
-  prepare(cfg);
+MultiExperimentResult ExperimentWorkspace::run(
+    const MultiExperimentConfig& cfg) {
+  run_lanes_checked(cfg.base, cfg.apps);
+  return multi_result();
+}
+
+MultiExperimentResult ExperimentWorkspace::run(
+    const MultiExperimentConfig& cfg, SimAuditor* auditor) {
+  run_lanes(cfg.base, cfg.apps, auditor);
+  return multi_result();
+}
+
+void ExperimentWorkspace::run_lanes_checked(
+    const ExperimentConfig& base, std::span<const std::string> apps) {
+  if (!base.audit) {
+    run_lanes(base, apps, nullptr);
+    return;
+  }
+  // Internal auditor: a violation is a fatal correctness bug, so surface the
+  // report as an exception rather than as statistics.
+  SimAuditor auditor;
+  run_lanes(base, apps, &auditor);
+  if (!auditor.clean()) {
+    throw std::runtime_error("experiment '" + lane_names(apps) +
+                             "' failed its invariant audit:\n" +
+                             auditor.report());
+  }
+}
+
+const ExperimentResult& ExperimentWorkspace::single_result(
+    const ExperimentConfig& cfg) {
+  const Cluster& cluster = *lanes_.front().cluster;
+  result_.app = cfg.app;
+  result_.exec_time = cluster.exec_time();
+  result_.runtime = cluster.stats();
+  result_.sched = cluster.compiled().sched_stats;
+  return result_;
+}
+
+MultiExperimentResult ExperimentWorkspace::multi_result() const {
+  MultiExperimentResult out;
+  for (const Lane& lane : lanes_) {
+    out.exec_times.push_back(lane.cluster->exec_time());
+    out.makespan = std::max(out.makespan, out.exec_times.back());
+    out.runtime.push_back(lane.cluster->stats());
+  }
+  out.energy_j = result_.energy_j;
+  out.storage = result_.storage;
+  out.audited = result_.audited;
+  out.audit_violations = result_.audit_violations;
+  out.telemetry = result_.telemetry;
+  return out;
+}
+
+void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
+                                    std::span<const std::string> apps,
+                                    SimAuditor* auditor) {
+  prepare_lanes(base, apps);
   in_run_ = true;  // cleared on success; a throw leaves it set -> poison
   Simulator& sim = *sim_;
   StorageSystem& storage = *storage_;
@@ -207,63 +296,73 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   // event-queue ledger sees the complete history.
   InstalledChecks checks;
   if (auditor != nullptr) {
-    checks = install_audit(*auditor, sim, storage, cfg.policy, cfg.policy_cfg);
+    checks = install_audit(*auditor, sim, storage, base.policy,
+                           base.policy_cfg);
   }
 
   // The telemetry recorder attaches beside the audit checks (every layer
   // multiplexes observers) and is strictly passive.
   std::unique_ptr<TelemetryRecorder> recorder;
-  if (cfg.telemetry.enabled()) {
+  if (base.telemetry.enabled()) {
     // dasched-lint: allow(hot-alloc): telemetry runs opt into recording
-    recorder = std::make_unique<TelemetryRecorder>(cfg.telemetry.level);
+    recorder = std::make_unique<TelemetryRecorder>(base.telemetry.level);
     install_telemetry(*recorder, sim, storage);
     TraceMeta& meta = recorder->meta();
-    meta.app = cfg.app;
-    meta.policy = static_cast<int>(cfg.policy);
-    meta.scheme = cfg.use_scheme;
+    meta.app = lane_names(apps);
+    meta.policy = static_cast<int>(base.policy);
+    meta.scheme = base.use_scheme;
   }
 
-  const App& app = app_by_name(cfg.app);
-  CompileOptions copts = cfg.compile;
-  copts.enable_scheduling = cfg.use_scheme;
-  copts.slack.length_unit = app.length_unit;
-  copts.slack.max_slack = cfg.max_slack;
-  if (recorder != nullptr && recorder->level() >= TraceLevel::kFull) {
-    copts.sched_observer = recorder.get();
-  }
-  const Compiled& compiled = obtain_compiled(copts);
-  if (auditor != nullptr) {
-    audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);
-  }
-
-  RuntimeConfig rt = cfg.runtime;
-  rt.use_runtime_scheduler = cfg.use_scheme;
-  if (cluster_ == nullptr) {
-    // dasched-lint: allow(hot-alloc): first run / post-rebuild construction
-    cluster_ = std::make_unique<Cluster>(sim, storage, compiled, rt);
-  } else {
-    cluster_->reset(compiled, rt);
-  }
-
-  // Run until the application completes; power-policy timers may keep the
-  // event queue alive past that point, and accounting must stop at the
-  // application's end (the paper's energies cover program execution).
-  cluster_->run_to_completion();
-
-  if (!cluster_->all_finished()) {
-    // dasched-lint: allow(hot-alloc): fatal-error path, never on success
-    throw std::runtime_error("experiment '" + cfg.app +
-                             "': simulation drained but clients are stuck");
+  // Compile every lane against the shared striping map (files have
+  // disjoint node-local extents) but with an isolated scheduling pass each,
+  // and bind its cluster to the result.
+  RuntimeConfig rt = base.runtime;
+  rt.use_runtime_scheduler = base.use_scheme;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const App& app = app_by_name(apps[i]);
+    CompileOptions copts = base.compile;
+    copts.enable_scheduling = base.use_scheme;
+    copts.slack.length_unit = app.length_unit;
+    copts.slack.max_slack = base.max_slack;
+    if (recorder != nullptr && recorder->level() >= TraceLevel::kFull) {
+      copts.sched_observer = recorder.get();
+    }
+    const Compiled& compiled = obtain_compiled(i, copts);
+    if (auditor != nullptr) {
+      audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);
+    }
+    std::unique_ptr<Cluster>& cluster = lanes_[i].cluster;
+    if (cluster == nullptr) {
+      // dasched-lint: allow(hot-alloc): first run / post-rebuild construction
+      cluster = std::make_unique<Cluster>(sim, storage, compiled, rt);
+    } else {
+      cluster->reset(compiled, rt);
+    }
   }
 
-  result_.app = cfg.app;
-  result_.policy = cfg.policy;
-  result_.scheme = cfg.use_scheme;
-  result_.exec_time = cluster_->exec_time();
+  // Run until every application completes; power-policy timers may keep
+  // the event queue alive past that point, and accounting must stop at the
+  // last application's end (the paper's energies cover program execution).
+  for (Lane& lane : lanes_) lane.cluster->start();
+  const auto all_finished = [this] {
+    return std::all_of(lanes_.begin(), lanes_.end(), [](const Lane& lane) {
+      return lane.cluster->all_finished();
+    });
+  };
+  while (!all_finished() && sim.step()) {
+  }
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (!lanes_[i].cluster->all_finished()) {
+      // dasched-lint: allow(hot-alloc): fatal-error path, never on success
+      throw std::runtime_error("experiment '" + apps[i] +
+                               "': simulation drained but clients are stuck");
+    }
+  }
+
+  result_.policy = base.policy;
+  result_.scheme = base.use_scheme;
   storage.finalize_into(result_.storage);
   result_.energy_j = result_.storage.energy_j;
-  result_.runtime = cluster_->stats();
-  result_.sched = compiled.sched_stats;
   result_.events = sim.events_executed();
   result_.audited = false;
   result_.audit_violations = 0;
@@ -293,11 +392,11 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
           "telemetry: energy-by-state breakdown diverges from the scalar "
           // dasched-lint: allow(hot-alloc): fatal-error path
           "total for experiment '" +
-          cfg.app + "'");  // dasched-lint: allow(hot-alloc): fatal path
+          recorder->meta().app + "'");  // dasched-lint: allow(hot-alloc): fatal path
     }
 
-    if (!cfg.telemetry.dir.empty()) {
-      write_telemetry_artifacts(cfg.telemetry.dir, recorder->buffer(),
+    if (!base.telemetry.dir.empty()) {
+      write_telemetry_artifacts(base.telemetry.dir, recorder->buffer(),
                                 recorder->meta(), *summary);
     }
     result_.telemetry = std::move(summary);
@@ -310,7 +409,6 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   }
   in_run_ = false;
   ++runs_completed_;
-  return result_;
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,

@@ -1,5 +1,12 @@
 // Allocation-free cross-run reuse: the per-worker experiment workspace.
 //
+// Every simulation in the tree is assembled, observed, run and torn down
+// here.  A run is one engine and one storage system shared by a list of
+// per-application *lanes* — each a built workload, its compiled schedule
+// and its runtime `Cluster`.  A single-application experiment is a list of
+// one; a co-scheduled run (driver/multi_experiment.h) is a longer list, and
+// it gets the same topology validation, telemetry, audit and reuse.
+//
 // `run_experiment` builds a full simulation stack — engine, storage system,
 // workload, compiled schedule, runtime cluster — per call, which is exactly
 // right for one-off runs but dominates grid throughput once the per-cell
@@ -31,10 +38,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "driver/experiment.h"
+#include "driver/multi_experiment.h"
 #include "sim/simulator.h"
 #include "util/annotations.h"
 
@@ -66,6 +75,13 @@ class ExperimentWorkspace {
   /// `cfg.audit`); violations land in the auditor instead of throwing.
   const ExperimentResult& run(const ExperimentConfig& cfg, SimAuditor* auditor);
 
+  /// Co-scheduled counterparts: one lane per application in `cfg.apps`,
+  /// all sharing the storage system configured by `cfg.base` (whose `app`
+  /// is ignored).  Same audit contract as the single-application runs.
+  MultiExperimentResult run(const MultiExperimentConfig& cfg);
+  MultiExperimentResult run(const MultiExperimentConfig& cfg,
+                            SimAuditor* auditor);
+
   /// True after a run threw mid-flight (the in-run marker was never
   /// cleared); the next prepare() rebuilds from scratch and clears it.
   [[nodiscard]] bool poisoned() const { return in_run_; }
@@ -79,10 +95,10 @@ class ExperimentWorkspace {
 
  private:
   /// Identity of the built workload: `App::build` registers files on the
-  /// striping map, so it must run exactly once per (app, scale, striping
-  /// geometry) — rerunning it would append duplicate files.
+  /// striping map, so it must run exactly once per (app list, scale,
+  /// striping geometry) — rerunning it would append duplicate files.
   struct WorkloadKey {
-    std::string app;
+    std::vector<std::string> apps;
     int num_processes = 0;
     double factor = 0.0;
     int num_io_nodes = 0;
@@ -91,28 +107,53 @@ class ExperimentWorkspace {
     friend bool operator==(const WorkloadKey&, const WorkloadKey&) = default;
   };
 
+  /// One application of the run: its built (lowered) trace, reused across
+  /// compiles, and the runtime cluster that executes it.
+  struct Lane {
+    CompiledProgram trace;
+    std::unique_ptr<Compiled> observed;  // trace-mode bypass slot
+    std::unique_ptr<Cluster> cluster;
+  };
+
   struct CompileSlot {
     std::uint64_t epoch = 0;  // workload_epoch_ the compile belongs to
+    std::size_t lane = 0;     // the lane whose trace was compiled
     std::uint64_t tick = 0;   // LRU stamp
     CompileOptions opts;
     std::unique_ptr<Compiled> compiled;
   };
 
+  /// Resets or rebuilds the stack for `apps` over `base`'s topology.
+  void prepare_lanes(const ExperimentConfig& base,
+                     std::span<const std::string> apps);
   /// Drops every component; the next prepare() builds from scratch.
   void clear_all();
   /// Detaches audit/telemetry observers from every layer (simulator,
   /// storage, nodes, disks, policies); they are re-installed per run.
   void detach_observers();
-  /// Compiled schedule for the current workload under `copts`, via the LRU
-  /// cache (bypassed when a scheduler observer is attached — the observer
-  /// must see every placement, so the compile must actually run).
-  const Compiled& obtain_compiled(const CompileOptions& copts);
+  /// Compiled schedule of lane `lane` under `copts`, via the LRU cache
+  /// (bypassed when a scheduler observer is attached — the observer must
+  /// see every placement, so the compile must actually run).  Never evicts
+  /// a compile an earlier lane of the same run is using.
+  const Compiled& obtain_compiled(std::size_t lane,
+                                  const CompileOptions& copts);
+  /// Runs with `base.audit` honoured: an internal auditor whose violations
+  /// throw.
+  void run_lanes_checked(const ExperimentConfig& base,
+                         std::span<const std::string> apps);
+  /// Prepares the lanes, runs every one to completion and fills the
+  /// run-wide fields of `result_` (storage, energy, events, telemetry,
+  /// audit).
   /// The grid's steady-state path: on a topology-compatible rerun it must
   /// not allocate (enforced by the lint's hot-alloc rule + the operator-new
   /// interposition test); every sanctioned warm-up/miss-path allocation in
   /// the implementation carries an inline allow(hot-alloc) justification.
-  DASCHED_HOT const ExperimentResult& run_impl(const ExperimentConfig& cfg,
-                                               SimAuditor* auditor);
+  DASCHED_HOT void run_lanes(const ExperimentConfig& base,
+                             std::span<const std::string> apps,
+                             SimAuditor* auditor);
+  /// Fills the per-application fields of `result_` from the single lane.
+  const ExperimentResult& single_result(const ExperimentConfig& cfg);
+  [[nodiscard]] MultiExperimentResult multi_result() const;
 
   // Engine: built on the first prepare() (or after a poisoned run), then
   // reset in place; its pools grow monotonically via reserve_events.
@@ -121,20 +162,18 @@ class ExperimentWorkspace {
   // Storage (optional<> so a topology change can re-emplace in place).
   std::optional<StorageSystem> storage_;
 
-  // Workload: the built (lowered) trace, reused across compiles.
+  // Workload: one lane per application, in run order.
   std::optional<WorkloadKey> workload_key_;
-  CompiledProgram trace_;
+  std::vector<Lane> lanes_;
   std::uint64_t workload_epoch_ = 0;
 
   // Compiled-schedule LRU.  unique_ptr entries keep a compile's address
-  // stable while the cluster runs over it.
+  // stable while a cluster runs over it.  It grows past
+  // kCompileCacheSlots only for a run with more lanes than that.
   static constexpr std::size_t kCompileCacheSlots = 4;
   std::vector<CompileSlot> compile_cache_;
-  std::unique_ptr<Compiled> observed_compile_;  // trace-mode bypass slot
   std::uint64_t compile_tick_ = 0;
 
-  // Runtime.
-  std::unique_ptr<Cluster> cluster_;
   ExperimentResult result_;
 
   /// Set for the duration of every run; still set at the next prepare()

@@ -134,13 +134,11 @@ class Simulator {
   /// True when no runnable events remain.
   [[nodiscard]] bool idle() const;
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.  Legacy single-consumer entry point; see `add_observer`.
-  void set_observer(SimObserver* observer) { observers_.reset(observer); }
   /// Adds one observer to the multiplexing list (audit and telemetry attach
   /// side by side).  Not owned; duplicates and null are ignored.
   void add_observer(SimObserver* observer) { observers_.add(observer); }
-  void remove_observer(SimObserver* observer) { observers_.remove(observer); }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
   [[nodiscard]] bool has_observers() const { return !observers_.empty(); }
 
  private:

@@ -110,13 +110,11 @@ class IoNode {
   /// drain in the background; `done` fires after the cache latency.
   DASCHED_HOT void write(Bytes offset, Bytes size, EventFn done);
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.  Legacy single-consumer entry point; see `add_observer`.
-  void set_observer(IoNodeObserver* observer) { observers_.reset(observer); }
   /// Adds one observer to the multiplexing list (audit and telemetry attach
   /// side by side).  Not owned; duplicates and null are ignored.
   void add_observer(IoNodeObserver* observer) { observers_.add(observer); }
-  void remove_observer(IoNodeObserver* observer) { observers_.remove(observer); }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
 
   [[nodiscard]] int node_id() const { return node_id_; }
   [[nodiscard]] int num_disks() const { return static_cast<int>(disks_.size()); }

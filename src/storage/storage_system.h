@@ -96,15 +96,11 @@ class StorageSystem {
   [[nodiscard]] int num_io_nodes() const { return cfg_.num_io_nodes; }
   [[nodiscard]] IoNode& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
 
-  /// Detaches every observer, then attaches `observer` (null = detach all).
-  /// Not owned.  Legacy single-consumer entry point; see `add_observer`.
-  void set_observer(StorageObserver* observer) { observers_.reset(observer); }
   /// Adds one observer to the multiplexing list (audit and telemetry attach
   /// side by side).  Not owned; duplicates and null are ignored.
   void add_observer(StorageObserver* observer) { observers_.add(observer); }
-  void remove_observer(StorageObserver* observer) {
-    observers_.remove(observer);
-  }
+  /// Detaches every observer.
+  void clear_observers() { observers_.clear(); }
 
   /// Finalizes all nodes and aggregates system-wide statistics.
   StorageStats finalize();

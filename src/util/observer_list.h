@@ -26,17 +26,8 @@ class ObserverList {
     taps_.push_back(obs);
   }
 
-  /// Detaches `obs` if present, preserving the order of the others.
-  void remove(Observer* obs) {
-    taps_.erase(std::remove(taps_.begin(), taps_.end(), obs), taps_.end());
-  }
-
-  /// Detaches everything, then registers `obs` if non-null — the semantics
-  /// of the layers' legacy single-slot `set_observer(p)`.
-  void reset(Observer* obs) {
-    taps_.clear();
-    add(obs);
-  }
+  /// Detaches everything; the capacity stays warm for the next run's add.
+  void clear() { taps_.clear(); }
 
   [[nodiscard]] bool empty() const { return taps_.empty(); }
   [[nodiscard]] bool contains(Observer* obs) const {

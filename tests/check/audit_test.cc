@@ -76,7 +76,7 @@ TEST(EventQueueCheck, CleanOnRealSimulatorWithCancellation) {
   SimAuditor auditor;
   auto& check = auditor.add_check<EventQueueCheck>();
   Simulator sim;
-  sim.set_observer(&check);
+  sim.add_observer(&check);
   int fired = 0;
   sim.schedule_at(usec(10), [&] { ++fired; });
   EventHandle cancelled = sim.schedule_at(usec(20), [&] { ++fired; });
@@ -109,7 +109,7 @@ TEST(EnergyConservationCheck, CleanOnRealDiskService) {
   auto& check = auditor.add_check<EnergyConservationCheck>();
   Simulator sim;
   Disk disk(sim, DiskParams{});
-  disk.set_observer(&check);
+  disk.add_observer(&check);
   int done = 0;
   disk.submit(DiskRequest{0, kib(256), false, false, [&] { ++done; }});
   disk.submit(DiskRequest{mib(1), kib(64), true, false, [&] { ++done; }});
@@ -154,7 +154,7 @@ TEST(DiskStateMachineCheck, CleanOnRealSpinCycle) {
   auto& check = auditor.add_check<DiskStateMachineCheck>();
   Simulator sim;
   Disk disk(sim, DiskParams{});
-  disk.set_observer(&check);
+  disk.add_observer(&check);
   disk.request_spin_down();
   sim.run();
   ASSERT_EQ(disk.state(), DiskState::kStandby);
@@ -319,9 +319,9 @@ TEST(StorageAccountingCheck, CleanOnRealStorageSystem) {
   StorageSystem storage(sim, cfg);
   auto& check =
       auditor.add_check<StorageAccountingCheck>(&storage.striping());
-  storage.set_observer(&check);
+  storage.add_observer(&check);
   for (int n = 0; n < storage.num_io_nodes(); ++n) {
-    storage.node(n).set_observer(&check);
+    storage.node(n).add_observer(&check);
   }
   const FileId f = storage.create_file("data", mib(8));
   int done = 0;

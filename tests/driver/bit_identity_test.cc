@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "driver/experiment.h"
+#include "driver/multi_experiment.h"
 
 namespace dasched {
 namespace {
@@ -75,6 +76,33 @@ TEST(BitIdentity, Madbench2HistoryWithoutScheme) {
   expect_bits(r.energy_j.value(), 0x1.b3f737f884b51p+13, "energy_j");
   expect_bits(r.storage.cache_hit_rate, 0x1p+0, "hit_rate");
   expect_bits(r.sched.mean_advance_slots, 0x0p+0, "mean_advance");
+}
+
+// sar and madbench2 co-scheduled on one storage system (Default Scheme, no
+// power policy), scheme off and on.
+MultiExperimentResult run_co_scheduled(bool scheme) {
+  MultiExperimentConfig cfg;
+  cfg.apps = {"sar", "madbench2"};
+  cfg.base.scale.num_processes = 4;
+  cfg.base.scale.factor = 0.1;
+  cfg.base.use_scheme = scheme;
+  return run_multi_experiment(cfg);
+}
+
+TEST(BitIdentity, CoScheduledSarMadbench) {
+  const MultiExperimentResult off = run_co_scheduled(false);
+  EXPECT_EQ(off.makespan.count(), 433'771'231);
+  ASSERT_EQ(off.exec_times.size(), 2u);
+  EXPECT_EQ(off.exec_times[0].count(), 433'771'231);
+  EXPECT_EQ(off.exec_times[1].count(), 215'468'768);
+  expect_bits(off.energy_j.value(), 0x1.d39c9b82dd952p+15, "energy_j (off)");
+
+  const MultiExperimentResult on = run_co_scheduled(true);
+  EXPECT_EQ(on.makespan.count(), 433'122'805);
+  ASSERT_EQ(on.exec_times.size(), 2u);
+  EXPECT_EQ(on.exec_times[0].count(), 433'122'805);
+  EXPECT_EQ(on.exec_times[1].count(), 215'347'568);
+  expect_bits(on.energy_j.value(), 0x1.d3012db0ff11bp+15, "energy_j (on)");
 }
 
 }  // namespace

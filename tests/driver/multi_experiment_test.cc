@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <functional>
+
 #include "check/audit.h"
+#include "driver/workspace.h"
+#include "scoped_test_dir.h"
+#include "telemetry/analytics.h"
 
 namespace dasched {
 namespace {
@@ -10,8 +17,8 @@ namespace {
 MultiExperimentConfig tiny(std::vector<std::string> apps) {
   MultiExperimentConfig cfg;
   cfg.apps = std::move(apps);
-  cfg.scale.num_processes = 4;
-  cfg.scale.factor = 0.1;
+  cfg.base.scale.num_processes = 4;
+  cfg.base.scale.factor = 0.1;
   return cfg;
 }
 
@@ -48,7 +55,7 @@ TEST(MultiExperiment, ContentionSlowsBothApplications) {
 
 TEST(MultiExperiment, SchemeRunsOnBothApps) {
   MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
-  cfg.use_scheme = true;
+  cfg.base.use_scheme = true;
   const MultiExperimentResult r = run_multi_experiment(cfg);
   ASSERT_EQ(r.runtime.size(), 2u);
   EXPECT_GT(r.runtime[0].prefetches + r.runtime[1].prefetches, 0);
@@ -56,7 +63,7 @@ TEST(MultiExperiment, SchemeRunsOnBothApps) {
 
 TEST(MultiExperiment, WorksUnderAPolicy) {
   MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
-  cfg.policy = PolicyKind::kHistory;
+  cfg.base.policy = PolicyKind::kHistory;
   const MultiExperimentResult r = run_multi_experiment(cfg);
   EXPECT_GT(r.makespan, 0);
 }
@@ -66,6 +73,71 @@ TEST(MultiExperiment, EmptyAppListThrows) {
                std::invalid_argument);
 }
 
+// A co-scheduled run validates its topology exactly like a single run: the
+// same ConfigError, naming the same field, before any simulation state is
+// built (these inputs used to crash or run silently).
+TEST(MultiExperiment, RejectsInvalidTopology) {
+  const std::vector<std::pair<const char*, std::function<void(ExperimentConfig&)>>>
+      cases = {
+          {"procs=0", [](ExperimentConfig& c) { c.scale.num_processes = 0; }},
+          {"cache<stripe",
+           [](ExperimentConfig& c) { c.storage.node.cache_capacity = kib(4); }},
+          {"nodes=0", [](ExperimentConfig& c) { c.storage.num_io_nodes = 0; }},
+          {"delta<0", [](ExperimentConfig& c) { c.compile.sched.delta = -3; }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    MultiExperimentConfig multi = tiny({"sar", "madbench2"});
+    mutate(multi.base);
+    ExperimentConfig single = multi.base;
+    single.app = "sar";
+    std::string want;
+    try {
+      (void)run_experiment(single);
+      ADD_FAILURE() << name << ": run_experiment accepted the config";
+    } catch (const ConfigError& e) {
+      want = e.field();
+    }
+    try {
+      (void)run_multi_experiment(multi);
+      ADD_FAILURE() << name << ": run_multi_experiment accepted the config";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), want) << name;
+    }
+  }
+}
+
+TEST(MultiExperiment, IdenticalRerunReusesWorkloadAndCompiles) {
+  MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
+  cfg.base.use_scheme = true;
+  ExperimentWorkspace ws;
+  const MultiExperimentResult first = ws.run(cfg);
+  const std::uint64_t builds = ws.workload_builds();
+  const std::uint64_t misses = ws.compile_misses();
+  const MultiExperimentResult second = ws.run(cfg);
+  EXPECT_EQ(ws.workload_builds(), builds);
+  EXPECT_EQ(ws.compile_misses(), misses);
+  EXPECT_EQ(second.exec_times, first.exec_times);
+  EXPECT_EQ(second.energy_j.value(), first.energy_j.value());
+}
+
+TEST(MultiExperiment, TelemetryWritesSummaryAndReconcilesEnergy) {
+  const ScopedTestDir tmp;
+  MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
+  cfg.base.policy = PolicyKind::kHistory;
+  cfg.base.telemetry.level = TraceLevel::kState;
+  cfg.base.telemetry.dir = tmp.file("telemetry");
+  const MultiExperimentResult r = run_multi_experiment(cfg);
+  ASSERT_NE(r.telemetry, nullptr);
+  EXPECT_EQ(r.telemetry->meta.app, "sar+madbench2");
+  EXPECT_TRUE(std::filesystem::exists(tmp.file("telemetry/summary.json")));
+  const double scale = std::max(std::fabs(r.energy_j.value()), 1.0);
+  EXPECT_LE(std::fabs((r.telemetry->energy_total_j - r.energy_j).value()),
+            1e-9 * scale);
+  // Telemetry is passive: the traced run matches the untraced one.
+  cfg.base.telemetry = {};
+  EXPECT_EQ(run_multi_experiment(cfg).energy_j.value(), r.energy_j.value());
+}
+
 // The invariant auditor must hold for co-scheduled applications under every
 // power policy, both via the external-auditor overload (statistics, no
 // throw) and via cfg.audit (throws on violation).
@@ -73,8 +145,8 @@ class MultiExperimentAudit : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(MultiExperimentAudit, CleanUnderExternalAuditor) {
   MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
-  cfg.policy = GetParam();
-  cfg.use_scheme = true;
+  cfg.base.policy = GetParam();
+  cfg.base.use_scheme = true;
   SimAuditor auditor;
   const MultiExperimentResult r = run_multi_experiment(cfg, &auditor);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
@@ -85,16 +157,16 @@ TEST_P(MultiExperimentAudit, CleanUnderExternalAuditor) {
 
 TEST_P(MultiExperimentAudit, ConfigFlagAuditsWithoutThrowing) {
   MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
-  cfg.policy = GetParam();
-  cfg.audit = true;
+  cfg.base.policy = GetParam();
+  cfg.base.audit = true;
   const MultiExperimentResult r = run_multi_experiment(cfg);
   EXPECT_GT(r.makespan, 0);
 }
 
 TEST_P(MultiExperimentAudit, AuditedRunMatchesUnauditedRun) {
   MultiExperimentConfig cfg = tiny({"sar", "madbench2"});
-  cfg.policy = GetParam();
-  cfg.audit = false;
+  cfg.base.policy = GetParam();
+  cfg.base.audit = false;
   const MultiExperimentResult plain = run_multi_experiment(cfg);
   SimAuditor auditor;
   const MultiExperimentResult audited = run_multi_experiment(cfg, &auditor);
