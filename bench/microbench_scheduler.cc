@@ -84,17 +84,17 @@ void BM_ThetaConstrainedScheduling(benchmark::State& state) {
 BENCHMARK(BM_ThetaConstrainedScheduling)->Arg(1'000)->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
-/// Full compiler pipeline on a real workload — the paper's "compilation
-/// time" figure.  Run once per iteration at the test scale.
-void BM_CompilePipeline(benchmark::State& state) {
-  const bool scheduling = state.range(0) != 0;
+/// Full compiler pipeline (slack analysis, scheduling, table) on `app`'s
+/// trace at 32 processes, scale 0.25, over `nodes` I/O nodes.
+void compile_pipeline(benchmark::State& state, const char* app, int nodes,
+                      bool scheduling) {
   WorkloadScale scale;
   scale.num_processes = 32;
   scale.factor = 0.25;
   for (auto _ : state) {
     state.PauseTiming();
-    StripingMap striping(8, kib(64));
-    CompiledProgram trace = app_by_name("sar").build(striping, scale);
+    StripingMap striping(nodes, kib(64));
+    CompiledProgram trace = app_by_name(app).build(striping, scale);
     state.ResumeTiming();
     CompileOptions opts;
     opts.enable_scheduling = scheduling;
@@ -102,11 +102,24 @@ void BM_CompilePipeline(benchmark::State& state) {
     benchmark::DoNotOptimize(compile_trace(std::move(trace), striping, opts));
   }
 }
+
+/// The paper's "compilation time" figure: sar on 8 I/O nodes.  Run once
+/// per iteration at the test scale.
+void BM_CompilePipeline(benchmark::State& state) {
+  compile_pipeline(state, "sar", 8, state.range(0) != 0);
+}
 BENCHMARK(BM_CompilePipeline)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"scheduling"});
+
+/// The class-heavy case of the scheduler's reuse tables: hf on 64 I/O
+/// nodes has 64 (signature, length) classes, sar on 8 nodes 11.
+void BM_CompilePipelineHf64Nodes(benchmark::State& state) {
+  compile_pipeline(state, "hf", 64, true);
+}
+BENCHMARK(BM_CompilePipelineHf64Nodes)->Unit(benchmark::kMillisecond);
 
 /// Event-core throughput: N self-rescheduling timer chains, the simulator's
 /// dominant workload shape (disk timers, client ticks).  Reports events/sec;

@@ -7,6 +7,34 @@
 #include <utility>
 
 namespace dasched {
+namespace {
+
+constexpr std::uint32_t kNoClass = std::numeric_limits<std::uint32_t>::max();
+
+std::uint64_t class_hash(const AccessRecord& rec) {
+  return rec.sig.hash() ^
+         (static_cast<std::uint64_t>(rec.length) * 0x9e3779b97f4a7c15ULL);
+}
+
+/// Σ_k sigma[j] · inv_d(t + k) over the window terms inside the timeline,
+/// k ascending from −range to l − 1 + range (range = sigma.size() − 1), j
+/// the distance of t + k outside [t, t + l − 1].  Every reuse factor is
+/// this one sum, so they agree bit for bit.
+template <typename InvD>
+double window_sum(Slot t, int l, Slot num_slots, std::span<const double> sigma,
+                  InvD inv_d) {
+  const auto range = static_cast<Slot>(sigma.size()) - 1;
+  const Slot k_lo = std::max<Slot>(-range, -t);
+  const Slot k_hi = std::min<Slot>(l - 1 + range, num_slots - 1 - t);
+  double total = 0.0;
+  for (Slot k = k_lo; k <= k_hi; ++k) {
+    const Slot j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
+    total += sigma[static_cast<std::size_t>(j)] * inv_d(t + k);
+  }
+  return total;
+}
+
+}  // namespace
 
 AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
                                  ScheduleOptions opts)
@@ -15,9 +43,9 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
       opts_(opts),
       rng_(opts.seed),
       group_(static_cast<std::size_t>(num_slots), Signature(num_io_nodes)),
-      sigma_(static_cast<std::size_t>(opts.delta) + 1),
-      inv_dist_(2 * static_cast<std::size_t>(num_io_nodes) + 1),
-      inv_d_(static_cast<std::size_t>(num_slots), 0.0) {
+      sigma_(static_cast<std::size_t>(std::min<Slot>(opts.delta, num_slots - 1)) +
+             1),
+      inv_dist_(2 * static_cast<std::size_t>(num_io_nodes) + 1) {
   assert(num_io_nodes > 0 && num_slots > 0);
   if (opts_.theta > 0) {
     node_counts_.assign(
@@ -27,9 +55,10 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
                       Signature(num_io_nodes));
   }
   // σ table: the exact `weight()` values, computed once instead of one
-  // division per window term.
-  for (int j = 0; j <= opts_.delta; ++j) {
-    sigma_[static_cast<std::size_t>(j)] = weight(j, opts_.delta);
+  // division per window term.  A term inside the timeline is at most
+  // num_slots − 1 slots outside its window, so a huge δ needs no more.
+  for (std::size_t j = 0; j < sigma_.size(); ++j) {
+    sigma_[j] = weight(static_cast<int>(j), opts_.delta);
   }
   // 1/d table: distance(a, b) = n - similarity + difference lies in
   // [0, 2n].  The paper sets 1/d to 2 when the distance is 0 (a perfect
@@ -51,7 +80,7 @@ void AccessScheduler::reset() {
 
 double AccessScheduler::weight(int outside_distance, int delta) {
   return 1.0 - static_cast<double>(outside_distance) /
-                   static_cast<double>(delta + 1);
+                   (static_cast<double>(delta) + 1.0);
 }
 
 double AccessScheduler::reciprocal_distance(const AccessRecord& rec,
@@ -61,117 +90,110 @@ double AccessScheduler::reciprocal_distance(const AccessRecord& rec,
 }
 
 double AccessScheduler::reuse_factor(const AccessRecord& rec, Slot slot) const {
-  double total = 0.0;
-  const int l = rec.length;
-  for (int k = -opts_.delta; k <= l - 1 + opts_.delta; ++k) {
-    const Slot s = slot + k;
-    if (s < 0 || s >= num_slots_) continue;
-    const int j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
-    total += weight(j, opts_.delta) * reciprocal_distance(rec, s);
-  }
-  return total;
+  assert(slot >= 0 && slot < num_slots_);
+  return window_sum(slot, rec.length, num_slots_, sigma_,
+                    [&](Slot s) { return reciprocal_distance(rec, s); });
 }
 
 double AccessScheduler::reuse_factor_with_weights(
     const AccessRecord& rec, Slot slot, std::span<const double> sigma) const {
-  double total = 0.0;
-  const int l = rec.length;
-  const int range = static_cast<int>(sigma.size()) - 1;
-  for (int k = -range; k <= l - 1 + range; ++k) {
-    const Slot s = slot + k;
-    if (s < 0 || s >= num_slots_) continue;
-    const int j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
-    total += sigma[static_cast<std::size_t>(j)] * reciprocal_distance(rec, s);
-  }
-  return total;
+  return window_sum(slot, rec.length, num_slots_, sigma,
+                    [&](Slot s) { return reciprocal_distance(rec, s); });
 }
 
-void AccessScheduler::fill_distance_cache(const AccessRecord& rec,
-                                          Slot span_lo, Slot span_hi) {
-  assert(span_lo >= 0 && span_hi < num_slots_ && span_lo <= span_hi);
-  for (Slot s = span_lo; s <= span_hi; ++s) {
-    inv_d_[static_cast<std::size_t>(s)] = reciprocal_distance(rec, s);
-  }
-}
-
-double AccessScheduler::cached_reuse_factor(const AccessRecord& rec,
-                                            Slot slot) const {
-  // Same term order and arithmetic as `reuse_factor`, with the distance
-  // already cached per slot and σ read from the table — the sum is
-  // bit-identical, only cheaper.
-  double total = 0.0;
-  const int l = rec.length;
-  const Slot k_lo = std::max<Slot>(-opts_.delta, -slot);
-  const Slot k_hi = std::min<Slot>(l - 1 + opts_.delta, num_slots_ - 1 - slot);
-  for (Slot k = k_lo; k <= k_hi; ++k) {
-    const int j = k < 0 ? static_cast<int>(-k)
-                        : (k > l - 1 ? static_cast<int>(k) - (l - 1) : 0);
-    total += sigma_[static_cast<std::size_t>(j)] *
-             inv_d_[static_cast<std::size_t>(slot + k)];
-  }
-  return total;
-}
-
-void AccessScheduler::evaluate_candidates(const AccessRecord& rec) {
-  // Candidates come in increasing slot order, so those whose whole σ window
-  // [s-δ, s+l-1+δ] lies inside the timeline form one contiguous run; the
-  // clipped ones before and after it take the general cached sum, which is
-  // the same float-op sequence as a lane for an interior candidate.
-  const std::size_t n = candidates_.size();
-  const Slot first_interior = opts_.delta;
-  const Slot last_interior = num_slots_ - rec.length - opts_.delta;
-  std::size_t i = 0;
-  for (; i < n && candidates_[i].slot < first_interior; ++i) {
-    candidates_[i].reuse = cached_reuse_factor(rec, candidates_[i].slot);
-  }
-  std::size_t end = i;
-  while (end < n && candidates_[end].slot <= last_interior) ++end;
-
-  // Interior candidates are summed kLanes at a time in independent
-  // accumulators against one shared weight row: the σ weight of each term
-  // of an unclipped window, in the reference's term order (k = -δ ..
-  // l-1+δ).  Every lane performs exactly the float-op sequence of
-  // `cached_reuse_factor`; only the latency chains overlap.
-  constexpr std::size_t kLanes = 4;
-  const int l = rec.length;
-  const auto width = static_cast<std::size_t>(l + 2 * opts_.delta);
-  if (i + kLanes <= end) {
-    // dasched-lint: allow(hot-alloc): the row keeps its capacity across
-    // accesses; growth only happens on the first, longest access.
-    weights_.resize(width);
-    for (std::size_t t = 0; t < width; ++t) {
-      const int k = static_cast<int>(t) - opts_.delta;
-      const int j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
-      weights_[t] = sigma_[static_cast<std::size_t>(j)];
+std::uint32_t AccessScheduler::intern(const AccessRecord& rec) {
+  if (2 * (classes_.size() + 1) > class_slots_.size()) {
+    // dasched-lint: allow(hot-alloc): the table keeps its size across
+    // calls; it only grows while the first, largest batch is interned.
+    class_slots_.resize(std::max<std::size_t>(64, 2 * class_slots_.size()));
+    std::fill(class_slots_.begin(), class_slots_.end(), kNoClass);
+    for (std::uint32_t c = 0; c < classes_.size(); ++c) {
+      std::size_t at = class_hash(*classes_[c].rep) & (class_slots_.size() - 1);
+      while (class_slots_[at] != kNoClass) {
+        at = (at + 1) & (class_slots_.size() - 1);
+      }
+      class_slots_[at] = c;
     }
   }
-  const double* w = weights_.data();
-  const auto window = [&](std::size_t c) {
-    return inv_d_.data() + (candidates_[c].slot - opts_.delta);
-  };
-  for (; i + kLanes <= end; i += kLanes) {
-    const double* d0 = window(i);
-    const double* d1 = window(i + 1);
-    const double* d2 = window(i + 2);
-    const double* d3 = window(i + 3);
-    double a0 = 0.0;
-    double a1 = 0.0;
-    double a2 = 0.0;
-    double a3 = 0.0;
-    for (std::size_t t = 0; t < width; ++t) {
-      a0 += w[t] * d0[t];
-      a1 += w[t] * d1[t];
-      a2 += w[t] * d2[t];
-      a3 += w[t] * d3[t];
+  const std::size_t mask = class_slots_.size() - 1;
+  for (std::size_t at = class_hash(rec) & mask;; at = (at + 1) & mask) {
+    const std::uint32_t c = class_slots_[at];
+    if (c == kNoClass) {
+      class_slots_[at] = static_cast<std::uint32_t>(classes_.size());
+      // dasched-lint: allow(hot-alloc): class rows keep their capacity
+      // across calls.
+      classes_.push_back({&rec, rec.begin, rec.latest_start(), 0});
+      return class_slots_[at];
     }
-    candidates_[i].reuse = a0;
-    candidates_[i + 1].reuse = a1;
-    candidates_[i + 2].reuse = a2;
-    candidates_[i + 3].reuse = a3;
+    const AccessRecord& rep = *classes_[c].rep;
+    if (rep.length == rec.length && rep.sig == rec.sig) return c;
   }
-  // The last few interior candidates and the clipped ones after them.
-  for (; i < n; ++i) {
-    candidates_[i].reuse = cached_reuse_factor(rec, candidates_[i].slot);
+}
+
+void AccessScheduler::build_class_tables(std::span<const AccessRecord> accesses) {
+  std::fill(class_slots_.begin(), class_slots_.end(), kNoClass);
+  // dasched-lint: allow(hot-alloc): scratch keeps its capacity across
+  // calls; growth only happens on the first, largest batch.
+  class_of_.resize(accesses.size());
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const std::uint32_t c = intern(accesses[i]);
+    ReuseClass& rc = classes_[c];
+    rc.lo = std::min(rc.lo, accesses[i].begin);
+    rc.hi = std::max(rc.hi, accesses[i].latest_start());
+    class_of_[i] = c;
+  }
+  // From the range of start slots to every slot a σ window can reach.
+  std::size_t total = 0;
+  for (ReuseClass& rc : classes_) {
+    rc.lo = std::max<Slot>(0, rc.lo - opts_.delta);
+    rc.hi = std::min<Slot>(num_slots_ - 1,
+                           rc.hi + rc.rep->length - 1 + opts_.delta);
+    rc.hi = std::max(rc.hi, rc.lo - 1);
+    rc.offset = total;
+    total += static_cast<std::size_t>(rc.hi - rc.lo + 1);
+  }
+  // dasched-lint: allow(hot-alloc): the tables keep their capacity across
+  // calls; growth only happens on the first, largest batch.
+  table_d_.resize(total);
+  table_r_.resize(total);  // dasched-lint: allow(hot-alloc): as above
+  stale_.assign(total, 1);  // dasched-lint: allow(hot-alloc): as above
+  for (const ReuseClass& rc : classes_) {
+    for (Slot s = rc.lo; s <= rc.hi; ++s) {
+      table_d_[rc.offset + static_cast<std::size_t>(s - rc.lo)] =
+          reciprocal_distance(*rc.rep, s);
+    }
+  }
+}
+
+double AccessScheduler::class_reuse(std::uint32_t c, Slot t) {
+  const ReuseClass& rc = classes_[c];
+  assert(t >= rc.lo && t <= rc.hi);
+  const std::size_t at = rc.offset + static_cast<std::size_t>(t - rc.lo);
+  if (stale_[at]) {
+    const double* d = table_d_.data() + rc.offset;
+    table_r_[at] = window_sum(t, rc.rep->length, num_slots_, sigma_,
+                              [&](Slot s) { return d[s - rc.lo]; });
+    stale_[at] = 0;
+  }
+  return table_r_[at];
+}
+
+void AccessScheduler::merge_into_group(const Signature& sig, Slot s) {
+  if (!group_[static_cast<std::size_t>(s)].merge(sig)) return;
+  for (const ReuseClass& rc : classes_) {
+    if (s < rc.lo || s > rc.hi) continue;
+    double& d = table_d_[rc.offset + static_cast<std::size_t>(s - rc.lo)];
+    const double fresh = reciprocal_distance(*rc.rep, s);
+    if (fresh == d) continue;
+    d = fresh;
+    // R_t reads D at s iff s lies in [t − δ, t + l − 1 + δ].
+    const Slot from = std::max<Slot>(rc.lo, s - rc.rep->length + 1 - opts_.delta);
+    const Slot to = std::min<Slot>(rc.hi, s + opts_.delta);
+    std::fill(stale_.begin() + static_cast<std::ptrdiff_t>(rc.offset) +
+                  (from - rc.lo),
+              stale_.begin() + static_cast<std::ptrdiff_t>(rc.offset) +
+                  (to - rc.lo) + 1,
+              std::uint8_t{1});
   }
 }
 
@@ -237,8 +259,8 @@ void AccessScheduler::place(const AccessRecord& rec, Slot slot) {
   ensure_process(rec.process);
   auto& rows = occupied_[static_cast<std::size_t>(rec.process)];
   for (int k = 0; k < rec.length; ++k) {
+    merge_into_group(rec.sig, slot + k);
     const auto s = static_cast<std::size_t>(slot + k);
-    group_[s] |= rec.sig;
     rows[s] = 1;
     if (opts_.theta > 0) {
       const std::size_t base = s * static_cast<std::size_t>(num_nodes_);
@@ -284,8 +306,16 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
   out.reserve(accesses.size());
   double total_advance = 0.0;
 
+  // The class rows point into `accesses`; drop them however this returns.
+  struct DropClasses {
+    std::vector<ReuseClass>& classes;
+    ~DropClasses() { classes.clear(); }
+  } drop_classes{classes_};
+  build_class_tables(accesses);
+
   for (std::uint32_t idx : order_) {
     const AccessRecord& rec = accesses[idx];
+    const std::uint32_t c = class_of_[idx];
     assert(rec.begin <= rec.end && rec.length >= 1);
 
     candidates_.clear();
@@ -296,29 +326,18 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       stride = (hi - lo + opts_.max_candidates) / opts_.max_candidates;
     }
 
-    // Hoisted distance cache: `group_` only changes in place(), so 1/d(s)
-    // over every slot any candidate's window can reach is computed once per
-    // access instead of once per (candidate, window slot) pair.
-    const Slot span_lo = std::max<Slot>(0, lo - opts_.delta);
-    const Slot span_hi =
-        std::min<Slot>(num_slots_ - 1, hi + rec.length - 1 + opts_.delta);
-    if (span_lo <= span_hi && lo <= hi) {
-      fill_distance_cache(rec, span_lo, span_hi);
-    }
-
     for (Slot s = lo; s <= hi; s += stride) {
       if (!available(rec.process, s, rec.length)) continue;
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({s, 0.0});
+      candidates_.push_back({s, class_reuse(c, s)});
     }
     if (stride > 1 && (hi - lo) % stride != 0 &&
         available(rec.process, hi, rec.length)) {
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({hi, 0.0});
+      candidates_.push_back({hi, class_reuse(c, hi)});
     }
-    evaluate_candidates(rec);
 
     ScheduledAccess result{rec, rec.original, false};
     bool theta_fallback = false;
@@ -331,9 +350,7 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       // blocking it further would only cascade more forced placements.
       for (int k = 0; k < rec.length; ++k) {
         const Slot s = result.slot + k;
-        if (s >= 0 && s < num_slots_) {
-          group_[static_cast<std::size_t>(s)] |= rec.sig;
-        }
+        if (s >= 0 && s < num_slots_) merge_into_group(rec.sig, s);
       }
     } else if (opts_.theta <= 0) {
       // Plain max-reuse selection (Fig. 11): first best wins unless the

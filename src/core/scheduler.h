@@ -22,18 +22,21 @@
 //   5. OR the access's signature into the group active signature of every
 //      slot it occupies.
 //
-// Fast path (DESIGN.md §11): `group_[s]` only changes in `place()`, so per
-// access the reciprocal distances 1/d(s) are computed once into a scratch
-// array over the reachable span, with inline popcounts and a 1/d table
-// built at construction.  The available candidates are collected first;
-// those whose σ window lies inside the timeline are then summed several at
-// a time in independent accumulators against one per-access weight row,
-// and the θ rule is a few linear scans over the slot-ordered candidates.
-// Every per-candidate sum keeps the exact operation order of the
-// straightforward loop, so schedules are bit-identical to the reference
-// implementation (tests/core/scheduler_differential_test.cc).  After a
-// warm-up run, `reset()` + `schedule_into()` perform zero heap allocations
-// (tests/core/scheduler_alloc_test.cc).
+// Fast path (DESIGN.md §11): R_t depends only on the access's signature,
+// its length and the group signatures in its σ window.  `schedule_into`
+// therefore interns the batch into (signature, length) classes and keeps
+// two tables per class over the class's reachable span: D = 1/d to each
+// slot's group signature, and R = the reuse factor at each start slot,
+// with a stale flag per entry.  Every write to `group_` goes through one
+// helper; when it changes a slot's signature it refreshes D there for
+// every class and marks the R entries whose window covers the slot stale.
+// A candidate reads R and recomputes a stale entry from D with the same σ
+// values in the same term order as `reuse_factor`, so schedules are
+// bit-identical to the reference implementation
+// (tests/core/scheduler_differential_test.cc).  After a warm-up run,
+// `reset()` + `schedule_into()` perform no heap allocation of their own
+// (tests/core/scheduler_alloc_test.cc); above 64 I/O nodes each result
+// row's copy of the access signature is the one allocation per access.
 #pragma once
 
 #include <cstdint>
@@ -116,7 +119,8 @@ class AccessScheduler {
 
   // --- Introspection (also used by unit tests and incremental callers) -----
 
-  /// Reuse factor of starting `rec` at `slot`, given the current timeline.
+  /// Reuse factor of starting `rec` at `slot` (inside the timeline), given
+  /// the current timeline.
   [[nodiscard]] double reuse_factor(const AccessRecord& rec, Slot slot) const;
 
   /// Same, with explicit outside-window weights: sigma[j] is the weight of a
@@ -162,17 +166,18 @@ class AccessScheduler {
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;
   void ensure_process(int process);
 
-  /// Fills `inv_d_` with 1/d(rec.sig, group_[s]) over [span_lo, span_hi].
-  void fill_distance_cache(const AccessRecord& rec, Slot span_lo, Slot span_hi);
+  /// ORs `sig` into `group_[s]`; every OR into `group_` goes through here.
+  /// When that sets a new bit, refreshes D at `s` for every class and marks
+  /// stale the R entries whose σ window covers `s`.
+  void merge_into_group(const Signature& sig, Slot s);
 
-  /// Reuse factor of `rec` at `slot` from the cached reciprocal distances.
-  /// Same term order as `reuse_factor`, so the result is bit-identical.
-  [[nodiscard]] double cached_reuse_factor(const AccessRecord& rec,
-                                           Slot slot) const;
+  /// Interns `accesses` into (signature, length) classes (`class_of_`) and
+  /// builds each class's D row from the current `group_`, all R stale.
+  void build_class_tables(std::span<const AccessRecord> accesses);
+  [[nodiscard]] std::uint32_t intern(const AccessRecord& rec);
 
-  /// Fills the `reuse` of every entry of `candidates_` from the cached
-  /// reciprocal distances, several interior candidates at a time.
-  void evaluate_candidates(const AccessRecord& rec);
+  /// Reuse factor of class `c` starting at `t`, recomputed from D if stale.
+  [[nodiscard]] double class_reuse(std::uint32_t c, Slot t);
 
   int num_nodes_;
   Slot num_slots_;
@@ -189,16 +194,34 @@ class AccessScheduler {
   /// Per-process slot occupancy.
   std::vector<std::vector<char>> occupied_;
 
-  /// σ table: sigma_[j] = weight(j, δ), precomputed once.
+  /// σ table: sigma_[j] = weight(j, δ) for every j a window term inside
+  /// the timeline can take, j ≤ min(δ, num_slots − 1).
   std::vector<double> sigma_;
   /// 1/d table over every possible distance d ∈ [0, 2n]: 1.0 / d, and 2.0
   /// for d == 0.
   std::vector<double> inv_dist_;
-  /// Per-access scratch: reciprocal distance to each slot's group signature.
-  std::vector<double> inv_d_;
-  /// Per-access scratch: σ weight of each term of an unclipped window,
-  /// weights_[i] = sigma_[j] for the window's i-th slot.
-  std::vector<double> weights_;
+
+  /// One (signature, length) class of the batch in `schedule_into`.  Its
+  /// rows cover the slots [lo, hi] any window of its accesses can reach,
+  /// at `offset` in `table_d_`, `table_r_` and `stale_`.
+  struct ReuseClass {
+    /// First access of the class; points into the batch, so `classes_` is
+    /// emptied when `schedule_into` returns.
+    const AccessRecord* rep;
+    Slot lo;
+    Slot hi;
+    std::size_t offset;
+  };
+  std::vector<ReuseClass> classes_;
+  /// Open-addressed intern table of class ids (kNoClass = empty).
+  std::vector<std::uint32_t> class_slots_;
+  /// Class id of each access of the batch, by batch index.
+  std::vector<std::uint32_t> class_of_;
+  /// D[c][s] = inv_dist_[distance(sig_c, group_[s])].
+  std::vector<double> table_d_;
+  /// R[c][t], valid where `stale_` is 0.
+  std::vector<double> table_r_;
+  std::vector<std::uint8_t> stale_;
 
   struct Candidate {
     Slot slot;

@@ -110,10 +110,20 @@ class Signature {
     return false;
   }
 
-  Signature& operator|=(const Signature& other) {
+  /// ORs `other` in; true when that set at least one new bit.
+  bool merge(const Signature& other) {
     assert(n_ == other.n_);
+    std::uint64_t added = other.word0_ & ~word0_;
     word0_ |= other.word0_;
-    for (std::size_t i = 0; i < rest_.size(); ++i) rest_[i] |= other.rest_[i];
+    for (std::size_t i = 0; i < rest_.size(); ++i) {
+      added |= other.rest_[i] & ~rest_[i];
+      rest_[i] |= other.rest_[i];
+    }
+    return added != 0;
+  }
+
+  Signature& operator|=(const Signature& other) {
+    (void)merge(other);
     return *this;
   }
 
@@ -123,6 +133,18 @@ class Signature {
   }
 
   bool operator==(const Signature&) const = default;
+
+  /// A 64-bit mix of the bits: equal signatures hash equal.  For
+  /// open-addressed tables; allocation-free.
+  [[nodiscard]] std::uint64_t hash() const {
+    std::uint64_t h = word0_ ^ static_cast<std::uint64_t>(n_);
+    for (std::uint64_t w : rest_) {
+      h = ((h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL) ^ w;
+    }
+    h ^= h >> 31;
+    h *= 0x94d049bb133111ebULL;
+    return h ^ (h >> 29);
+  }
 
   /// Visits the index of every set bit in ascending order — the
   /// allocation-free replacement for `nodes()` on hot paths.

@@ -46,6 +46,12 @@ void validate_experiment_topology(const ExperimentConfig& cfg) {
                       "experiment: delta must be >= 0, got " +
                           std::to_string(cfg.compile.sched.delta));
   }
+  if (cfg.compile.sched.theta < 0) {
+    throw ConfigError("compile.sched.theta",
+                      "experiment: theta must be >= 0 (0 disables the cap), "
+                      "got " +
+                          std::to_string(cfg.compile.sched.theta));
+  }
   if (cfg.shards != 0) {
     throw ConfigError("shards",
                       "experiment: shards must be 0 (the serial engine is "

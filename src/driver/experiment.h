@@ -119,8 +119,8 @@ struct ExperimentResult {
 /// Validates the run topology: process/node counts must be positive (any
 /// size is accepted — the paper's 8-node/32-client evaluation cap is a
 /// default, not a limit), every I/O node's cache must hold at least one
-/// stripe-sized block, the vertical reuse range δ must be non-negative, and
-/// `shards` must be 0.  Throws ConfigError (a std::invalid_argument carrying
+/// stripe-sized block, the vertical reuse range δ and the per-node cap θ
+/// must be non-negative (θ = 0 disables the cap), and `shards` must be 0.  Throws ConfigError (a std::invalid_argument carrying
 /// the offending field name) with a specific message otherwise.  Called by
 /// run_experiment; exposed for tools, the daemon, and tests.
 void validate_experiment_topology(const ExperimentConfig& cfg);

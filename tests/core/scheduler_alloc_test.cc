@@ -3,12 +3,13 @@
 // Global operator new/delete are replaced with counting versions gated by a
 // flag (same harness as tests/storage/alloc_count_test.cc).  A warm-up
 // `schedule_into` grows every scratch buffer — candidate list, order index,
-// distance cache, per-process occupancy rows, the output vector — to its
-// high-water mark; after `reset()`, re-scheduling the same accesses must
-// perform ZERO heap allocations.  Covers both the θ-constrained path and the
-// θ=0 randomized-tie-break path, so a new allocation site in
-// `AccessScheduler::schedule_into` or anything it calls fails here instead
-// of quietly costing throughput.
+// class intern table and reuse tables, per-process occupancy rows, the
+// output vector — to its high-water mark; after `reset()`, re-scheduling
+// the same accesses must perform ZERO heap allocations at 8 nodes, and
+// exactly one per access at 96 nodes (each result row's signature copy).
+// Covers both the θ-constrained path and the θ=0 randomized-tie-break
+// path, so a new allocation site in `AccessScheduler::schedule_into` or
+// anything it calls fails here instead of quietly costing throughput.
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,19 @@ TEST(SchedulerAllocCount, RepeatedResetRoundsStayAllocationFree) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(counted_round(sched, accesses, out), 0u) << "round " << round;
   }
+}
+
+// Above 64 I/O nodes a Signature keeps its high words in a heap vector, so
+// copying an access record into its result row allocates once.  That is
+// the only allocation: the class tables and intern table add none.
+TEST(SchedulerAllocCount, WideClusterAllocatesOnlyResultRowSignatures) {
+  const auto accesses = random_accesses(1'000, 96, 1'024, 32, 5);
+  AccessScheduler sched(96, 1'024, ScheduleOptions{});
+  std::vector<ScheduledAccess> out;
+  sched.schedule_into(accesses, out);
+
+  EXPECT_EQ(counted_round(sched, accesses, out), 1'000u);
+  EXPECT_EQ(sched.stats().scheduled, 1'000);
 }
 
 }  // namespace

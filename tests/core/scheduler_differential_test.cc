@@ -4,12 +4,16 @@
 // same float stats, same group signatures, across every option combination
 // that changes the code path: θ on/off, randomized tie-break on/off,
 // candidate sampling off/aggressive/default, single- and multi-word
-// signatures, mixed access lengths — plus targeted cases for the evaluation
-// lanes and the sort-free θ selection: every candidate count modulo the
-// lane width, windows clipped at both timeline ends, all-equal reuse on an
-// empty timeline, and E_t ties across different reuse values.
+// signatures, mixed access lengths — plus targeted cases: every candidate
+// count from 1 to 17 (written for the retired four-lane sums), windows
+// clipped at both timeline ends, all-equal reuse on an empty timeline, E_t
+// ties across different reuse values, and random placement sequences
+// against the per-class reuse tables (placements before a batch, forced
+// pins, a second batch without reset(), δ = 0, a δ wider than the
+// timeline, >= 200 classes over 96 nodes).
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,11 +153,13 @@ TEST(SchedulerDifferentialTest, ResetReplaysIdentically) {
   }
 }
 
-/// Runs `accesses` through both schedulers after the same `pre` placements
-/// and expects identical placements, stats and group signatures.
-void expect_matches_reference(
+/// Places `pre` on both schedulers, then runs every batch through both on
+/// the same timeline (no reset() between batches), and expects identical
+/// placements, stats and group signatures after each.  Returns the forced
+/// count.
+std::int64_t expect_replay_matches_reference(
     int nodes, Slot slots, const ScheduleOptions& opts,
-    const std::vector<AccessRecord>& accesses,
+    const std::vector<std::vector<AccessRecord>>& batches,
     const std::vector<std::pair<AccessRecord, Slot>>& pre = {}) {
   ReferenceScheduler ref(nodes, slots, opts);
   AccessScheduler fast(nodes, slots, opts);
@@ -161,22 +167,37 @@ void expect_matches_reference(
     ref.place(rec, slot);
     fast.place(rec, slot);
   }
-  const auto expected = ref.schedule(accesses);
-  const auto actual = fast.schedule(accesses);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].slot, actual[i].slot)
-        << "access #" << expected[i].rec.id;
-    EXPECT_EQ(expected[i].forced, actual[i].forced)
-        << "access #" << expected[i].rec.id;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const auto expected = ref.schedule(batches[b]);
+    const auto actual = fast.schedule(batches[b]);
+    EXPECT_EQ(expected.size(), actual.size());
+    if (expected.size() != actual.size()) return fast.stats().forced;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].slot, actual[i].slot)
+          << "access #" << expected[i].rec.id;
+      EXPECT_EQ(expected[i].forced, actual[i].forced)
+          << "access #" << expected[i].rec.id;
+    }
+    EXPECT_EQ(ref.stats().forced, fast.stats().forced);
+    EXPECT_EQ(ref.stats().theta_fallbacks, fast.stats().theta_fallbacks);
+    EXPECT_EQ(ref.stats().mean_advance_slots, fast.stats().mean_advance_slots);
+    for (Slot s = 0; s < slots; ++s) {
+      EXPECT_EQ(ref.group_signature(s), fast.group_signature(s))
+          << "group signature diverges at slot " << s;
+      if (ref.group_signature(s) != fast.group_signature(s)) break;
+    }
   }
-  EXPECT_EQ(ref.stats().forced, fast.stats().forced);
-  EXPECT_EQ(ref.stats().theta_fallbacks, fast.stats().theta_fallbacks);
-  EXPECT_EQ(ref.stats().mean_advance_slots, fast.stats().mean_advance_slots);
-  for (Slot s = 0; s < slots; ++s) {
-    ASSERT_EQ(ref.group_signature(s), fast.group_signature(s))
-        << "group signature diverges at slot " << s;
-  }
+  return fast.stats().forced;
+}
+
+/// Runs `accesses` through both schedulers after the same `pre` placements
+/// and expects identical placements, stats and group signatures.
+void expect_matches_reference(
+    int nodes, Slot slots, const ScheduleOptions& opts,
+    const std::vector<AccessRecord>& accesses,
+    const std::vector<std::pair<AccessRecord, Slot>>& pre = {}) {
+  (void)expect_replay_matches_reference(nodes, slots, opts, {accesses}, pre);
 }
 
 AccessRecord make_access(int id, int process, Slot begin, Slot end, int length,
@@ -192,8 +213,8 @@ AccessRecord make_access(int id, int process, Slot begin, Slot end, int length,
   return rec;
 }
 
-// Every interior candidate count from 1 to 17 covers each remainder modulo
-// 4 and 8 (full lane groups plus a tail of 0..7), for each access length.
+// Every candidate count from 1 to 17, for each access length (it covered
+// each remainder modulo the width of the retired four-lane sums).
 // One process per access, so every start slot of the slack is a candidate.
 TEST(SchedulerDifferentialTest, EveryCandidateCountModuloTheLaneWidth) {
   for (int theta : {0, 2}) {
@@ -301,6 +322,79 @@ TEST(SchedulerDifferentialTest, ThetaFallbackEtTiesAcrossDifferentReuse) {
   for (const auto& [rec, slot] : pre) fast.place(rec, slot);
   (void)fast.schedule(accesses);
   EXPECT_EQ(fast.stats().theta_fallbacks, 3);
+}
+
+/// Number of distinct (signature, length) classes among `accesses`.
+std::size_t distinct_classes(const std::vector<AccessRecord>& accesses) {
+  std::set<std::pair<std::string, int>> classes;
+  for (const AccessRecord& rec : accesses) {
+    classes.insert({rec.sig.to_string(), rec.length});
+  }
+  return classes.size();
+}
+
+// The per-class reuse tables against the reference on random placement
+// sequences: placements made with place() before schedule_into, forced
+// pins, a second batch on the same timeline without reset(), δ = 0, a δ
+// wider than the timeline, and a 96-node cluster whose batch holds at
+// least 200 distinct (signature, length) classes.
+TEST(SchedulerDifferentialTest, ClassTablesMatchReferenceOnRandomSequences) {
+  const struct {
+    int nodes;
+    Slot slots;
+    int delta;
+    int processes;
+    int count;
+  } cases[] = {
+      {8, 256, 20, 24, 300},   // Table II δ, a handful of classes
+      {12, 200, 0, 16, 300},   // δ = 0: a window is its occupied slots
+      {8, 96, 500, 12, 150},   // δ wider than the timeline
+      {96, 384, 20, 24, 500},  // multi-word signatures, >= 200 classes
+      {8, 128, 6, 3, 300},     // three processes: full slacks force pins
+  };
+  std::int64_t forced = 0;
+  int runs = 0;
+  for (const auto& c : cases) {
+    for (int theta : {0, 4}) {
+      for (std::uint64_t seed : {11u, 12u}) {
+        SCOPED_TRACE("nodes=" + std::to_string(c.nodes) +
+                     " delta=" + std::to_string(c.delta) +
+                     " theta=" + std::to_string(theta) +
+                     " seed=" + std::to_string(seed));
+        ScheduleOptions opts;
+        opts.delta = c.delta;
+        opts.theta = theta;
+        opts.random_tie_break = seed % 2 == 0;
+        opts.max_candidates = seed % 2 == 0 ? 16 : 0;
+        opts.seed = seed;
+
+        // Placements made before the first batch, each at a random slot of
+        // its own slack.
+        Rng rng(seed * 31);
+        std::vector<std::pair<AccessRecord, Slot>> pre;
+        for (AccessRecord& rec : random_accesses(c.count / 4, c.nodes, c.slots,
+                                                 c.processes, seed * 31)) {
+          const Slot span = rec.latest_start() - rec.begin + 1;
+          const Slot slot = rec.begin + static_cast<Slot>(rng.next_below(
+                                            static_cast<std::uint64_t>(span)));
+          pre.emplace_back(std::move(rec), slot);
+        }
+        const std::vector<std::vector<AccessRecord>> batches = {
+            random_accesses(c.count, c.nodes, c.slots, c.processes, seed),
+            random_accesses(c.count / 2, c.nodes, c.slots, c.processes,
+                            seed + 100),
+        };
+        if (c.nodes > 64) {
+          EXPECT_GE(distinct_classes(batches[0]), 200u);
+        }
+        forced += expect_replay_matches_reference(c.nodes, c.slots, opts,
+                                                  batches, pre);
+        runs += 1;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 20);
+  EXPECT_GT(forced, 0) << "no case exercised the forced pin";
 }
 
 }  // namespace

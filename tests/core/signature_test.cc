@@ -49,6 +49,28 @@ TEST(Signature, OrMergesNodeSets) {
   EXPECT_EQ(c.nodes(), (std::vector<int>{0, 1, 2}));
 }
 
+// merge() is |= that also reports whether any bit was new, in either word.
+TEST(Signature, MergeReportsNewBits) {
+  for (int n : {8, 100}) {
+    Signature g = Signature::from_nodes(n, {1, n - 1});
+    EXPECT_FALSE(g.merge(Signature::from_nodes(n, {n - 1}))) << n;
+    EXPECT_FALSE(g.merge(Signature(n))) << n;
+    EXPECT_TRUE(g.merge(Signature::from_nodes(n, {1, n - 2}))) << n;
+    EXPECT_EQ(g, Signature::from_nodes(n, {1, n - 2, n - 1})) << n;
+  }
+}
+
+TEST(Signature, HashIsEqualForEqualSignatures) {
+  for (int n : {8, 100}) {
+    const Signature a = Signature::from_nodes(n, {2, n - 1});
+    Signature b(n);
+    b.set(n - 1);
+    b.set(2);
+    EXPECT_EQ(a.hash(), b.hash()) << n;
+    EXPECT_NE(a.hash(), Signature::from_nodes(n, {2}).hash()) << n;
+  }
+}
+
 TEST(Signature, WorksBeyondOneWord) {
   Signature s(100);
   s.set(0);

@@ -156,6 +156,8 @@ TEST(ShardTopologyValidation, RejectsDegenerateTopologies) {
        "storage.node.cache_capacity"},
       {[](ExperimentConfig& c) { c.compile.sched.delta = -1; },
        "compile.sched.delta"},
+      {[](ExperimentConfig& c) { c.compile.sched.theta = -3; },
+       "compile.sched.theta"},
   };
   for (const auto& c : cases) {
     ExperimentConfig cfg = tiny("sar");

@@ -84,6 +84,7 @@ TEST(MultiExperiment, RejectsInvalidTopology) {
            [](ExperimentConfig& c) { c.storage.node.cache_capacity = kib(4); }},
           {"nodes=0", [](ExperimentConfig& c) { c.storage.num_io_nodes = 0; }},
           {"delta<0", [](ExperimentConfig& c) { c.compile.sched.delta = -3; }},
+          {"theta<0", [](ExperimentConfig& c) { c.compile.sched.theta = -3; }},
       };
   for (const auto& [name, mutate] : cases) {
     MultiExperimentConfig multi = tiny({"sar", "madbench2"});
