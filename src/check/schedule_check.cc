@@ -17,6 +17,7 @@ void ScheduleConsistencyCheck::validate(const Compiled& compiled,
     check_double_booking(compiled.scheduled);
     check_theta(compiled.scheduled, opts, compiled.sched_stats);
   }
+  check_flags(compiled.scheduled, compiled.sched_stats);
   check_table(compiled.table, compiled.scheduled);
 }
 
@@ -91,6 +92,28 @@ void ScheduleConsistencyCheck::check_double_booking(
         fail(0, os.str());
       }
     }
+  }
+}
+
+void ScheduleConsistencyCheck::check_flags(
+    const std::vector<ScheduledAccess>& scheduled, const ScheduleStats& stats) {
+  const auto forced = std::ranges::count_if(
+      scheduled, [](const ScheduledAccess& s) { return s.forced; });
+  const auto fallbacks = std::ranges::count_if(
+      scheduled, [](const ScheduledAccess& s) { return s.theta_fallback; });
+  evaluated();
+  if (forced != stats.forced) {
+    std::ostringstream os;
+    os << forced << " access(es) flagged forced, but the scheduler counted "
+       << stats.forced;
+    fail(0, os.str());
+  }
+  evaluated();
+  if (fallbacks != stats.theta_fallbacks) {
+    std::ostringstream os;
+    os << fallbacks << " access(es) flagged theta_fallback, but the scheduler "
+       << "counted " << stats.theta_fallbacks;
+    fail(0, os.str());
   }
 }
 

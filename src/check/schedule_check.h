@@ -5,7 +5,9 @@
 // length 1" clamp always applied, every slot index inside the d-coarsened
 // slot space), chosen scheduling points must respect slacks and per-process
 // exclusivity (no slot double-booking except explicitly `forced` pins), the
-// theta cap must hold whenever the scheduler reported no fallbacks, and the
+// per-access `forced` / `theta_fallback` flags must add up to the
+// scheduler's counters, the theta cap must hold whenever the scheduler
+// reported no fallbacks, and the
 // per-process tables the runtime walks must agree exactly with the
 // scheduler's decisions.
 #pragma once
@@ -31,9 +33,9 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
 
   /// Runs every sub-check against one compiled program.  With
   /// `scheduling_enabled == false` (a baseline compile: every access sits at
-  /// its original point, bypassing the scheduler) only the record and table
-  /// invariants apply — the baseline legitimately double-books slots and
-  /// ignores theta.
+  /// its original point, bypassing the scheduler) only the record, flag and
+  /// table invariants apply — the baseline legitimately double-books slots
+  /// and ignores theta.
   void validate(const Compiled& compiled, const ScheduleOptions& opts,
                 bool scheduling_enabled = true);
 
@@ -48,6 +50,12 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
 
   /// Per process, at most one non-forced access per slot.
   void check_double_booking(const std::vector<ScheduledAccess>& scheduled);
+
+  /// The per-access flags agree with the counters: as many `forced` flags
+  /// as `stats.forced`, as many `theta_fallback` flags as
+  /// `stats.theta_fallbacks`.
+  void check_flags(const std::vector<ScheduledAccess>& scheduled,
+                   const ScheduleStats& stats);
 
   /// Theta cap on per-node per-slot access counts.
   void check_theta(const std::vector<ScheduledAccess>& scheduled,

@@ -10,7 +10,6 @@ Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,
   if (opts.enable_scheduling && !lowered.reads.empty()) {
     AccessScheduler scheduler(striping.num_io_nodes(),
                               std::max<Slot>(lowered.num_slots, 1), opts.sched);
-    scheduler.add_observer(opts.sched_observer);
     out.scheduled = scheduler.schedule(lowered.reads);
     out.sched_stats = scheduler.stats();
   } else {

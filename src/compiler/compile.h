@@ -29,12 +29,9 @@ struct CompileOptions {
   /// When false the pipeline stops after slack analysis and every access is
   /// "scheduled" at its original point — the paper's baseline runs.
   bool enable_scheduling = true;
-  /// Optional passive tap on per-access placements (telemetry).  Not owned;
-  /// attached to the AccessScheduler for the duration of the compile.
-  SchedulerObserver* sched_observer = nullptr;
 
-  /// Member-wise (the observer compares by address); lets compile caches
-  /// key on "would this produce the same output".
+  /// Member-wise; lets compile caches key on "would this produce the same
+  /// output".
   friend bool operator==(const CompileOptions&, const CompileOptions&) =
       default;
 };

@@ -53,6 +53,9 @@ struct ScheduledAccess {
   /// True when the slack was so congested that no same-process-free slot
   /// existed and the access was pinned to its original point.
   bool forced = false;
+  /// True when no candidate kept every I/O node within θ and the slot was
+  /// chosen by the average-excess rule E_t (Sec. IV-B3).
+  bool theta_fallback = false;
 };
 
 }  // namespace dasched

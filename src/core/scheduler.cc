@@ -41,7 +41,6 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
     : num_nodes_(num_io_nodes),
       num_slots_(num_slots),
       opts_(opts),
-      rng_(opts.seed),
       group_(static_cast<std::size_t>(num_slots), Signature(num_io_nodes)),
       sigma_(static_cast<std::size_t>(std::min<Slot>(opts.delta, num_slots - 1)) +
              1),
@@ -75,7 +74,6 @@ void AccessScheduler::reset() {
   for (Signature& s : saturated_) s.clear();
   for (auto& rows : occupied_) std::fill(rows.begin(), rows.end(), 0);
   stats_ = ScheduleStats{};
-  rng_.reseed(opts_.seed);
 }
 
 double AccessScheduler::weight(int outside_distance, int delta) {
@@ -286,18 +284,13 @@ std::vector<ScheduledAccess> AccessScheduler::schedule(
 
 void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
                                     std::vector<ScheduledAccess>& out) {
-  // Most-constrained-first: nondecreasing slack length, access id as the
-  // deterministic tie-break.
   // dasched-lint: allow(hot-alloc): scratch vectors keep their capacity
   // across calls; growth only happens on the first, largest batch.
   order_.resize(accesses.size());
   std::iota(order_.begin(), order_.end(), 0u);
   std::sort(order_.begin(), order_.end(),
             [&accesses](std::uint32_t a, std::uint32_t b) {
-              const Slot la = accesses[a].slack_length();
-              const Slot lb = accesses[b].slack_length();
-              if (la != lb) return la < lb;
-              return accesses[a].id < accesses[b].id;
+              return placed_before(accesses[a], accesses[b]);
             });
 
   out.clear();
@@ -340,7 +333,6 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
     }
 
     ScheduledAccess result{rec, rec.original, false};
-    bool theta_fallback = false;
     if (candidates_.empty()) {
       // The whole slack is occupied by this process's other accesses; pin to
       // the original point (the read must still happen there).
@@ -352,32 +344,15 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
         const Slot s = result.slot + k;
         if (s >= 0 && s < num_slots_) merge_into_group(rec.sig, s);
       }
-    } else if (opts_.theta <= 0) {
-      // Plain max-reuse selection (Fig. 11): first best wins unless the
-      // randomized tie-break is enabled.
-      std::size_t best = 0;
-      int ties = 1;
-      for (std::size_t i = 1; i < candidates_.size(); ++i) {
-        if (candidates_[i].reuse > candidates_[best].reuse) {
-          best = i;
-          ties = 1;
-        } else if (opts_.random_tie_break &&
-                   candidates_[i].reuse == candidates_[best].reuse) {
-          // Reservoir-style uniform choice among ties.
-          ties += 1;
-          if (rng_.next_below(static_cast<std::uint64_t>(ties)) == 0) best = i;
-        }
-      }
-      result.slot = candidates_[best].slot;
-      place(rec, result.slot);
     } else {
-      // θ-constrained selection (Sec. IV-B3): in non-increasing reuse order
-      // (slot order on ties, as the reference's stable sort), the first
-      // candidate that satisfies θ at every occupied slot wins; if none
-      // does, the one minimizing the average excess E_t, the earlier in that
-      // order on E_t ties.  Candidates are already in slot order, so linear
-      // scans that replace only on a strictly better key find exactly that
-      // candidate without sorting.
+      // Max-reuse selection (Fig. 11): the first best wins.  Under θ
+      // (Sec. IV-B3), in non-increasing reuse order (slot order on ties, as
+      // the reference's stable sort), the first candidate that satisfies θ
+      // at every occupied slot wins; if none does, the one minimizing the
+      // average excess E_t, the earlier in that order on E_t ties.
+      // Candidates are already in slot order, so linear scans that replace
+      // only on a strictly better key find exactly that candidate without
+      // sorting.  theta_ok always holds when θ is 0.
       std::size_t best = 0;
       for (std::size_t i = 1; i < candidates_.size(); ++i) {
         if (candidates_[i].reuse > candidates_[best].reuse) best = i;
@@ -408,16 +383,13 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
             }
           }
           stats_.theta_fallbacks += 1;
-          theta_fallback = true;
+          result.theta_fallback = true;
         }
       }
       result.slot = candidates_[pick].slot;
       place(rec, result.slot);
     }
 
-    observers_.notify([&](SchedulerObserver* o) {
-      o->on_access_placed(rec, result.slot, result.forced, theta_fallback);
-    });
     total_advance += static_cast<double>(rec.original - result.slot);
     // dasched-lint: allow(hot-alloc): the caller pre-reserves `out` (see
     // Cluster::compile); growth here is first-run only.

@@ -13,12 +13,12 @@
 //      group active signature of slot t+k (unit decomposition of already
 //      scheduled accesses) and σ decays linearly away from the occupied
 //      window (σ_j = 1 - j/(δ+1)); 1/d is taken as 2 when d = 0.
-//   4. Pick the slot with the highest reuse factor (first best wins, as in
-//      the pseudo-code of Fig. 11; an optional randomized tie-break matches
-//      the prose).  With θ > 0, the slot with the highest reuse (earliest
-//      slot on ties) wins if every occupied slot keeps at most θ accesses
-//      per I/O node; otherwise the best such slot in the same order; if
-//      none qualifies, the slot minimizing the average excess E_t.
+//   4. Pick the slot with the highest reuse factor, the earliest slot on
+//      ties (first best wins, as in the pseudo-code of Fig. 11).  With
+//      θ > 0 that slot wins if every occupied slot keeps at most θ
+//      accesses per I/O node; otherwise the best such slot in the same
+//      order; if none qualifies, the slot minimizing the average excess
+//      E_t (flagged `theta_fallback` in the result).
 //   5. OR the access's signature into the group active signature of every
 //      slot it occupies.
 //
@@ -46,26 +46,19 @@
 #include "core/access.h"
 #include "core/signature.h"
 #include "util/annotations.h"
-#include "util/observer_list.h"
-#include "util/rng.h"
 
 namespace dasched {
 
-/// Passive tap on scheduling decisions, used by the telemetry recorder
-/// (src/telemetry).  With nothing attached each placement costs one empty
-/// list test.
-class SchedulerObserver {
- public:
-  virtual ~SchedulerObserver() = default;
-
-  /// `rec` was committed to start at `slot`.  `forced` marks an access
-  /// pinned to its original point because its whole slack was occupied;
-  /// `theta_fallback` marks a placement that violates θ via the E_t rule.
-  virtual void on_access_placed(const AccessRecord& rec, Slot slot,
-                                bool forced, bool theta_fallback) {
-    (void)rec, (void)slot, (void)forced, (void)theta_fallback;
+/// The order accesses are placed in (step 1): most constrained first, i.e.
+/// nondecreasing slack length, access id as the deterministic tie-break.
+/// Telemetry replays placements from a compiled schedule in this order.
+[[nodiscard]] inline bool placed_before(const AccessRecord& a,
+                                        const AccessRecord& b) {
+  if (a.slack_length() != b.slack_length()) {
+    return a.slack_length() < b.slack_length();
   }
-};
+  return a.id < b.id;
+}
 
 struct ScheduleOptions {
   /// Vertical reuse range δ (slots), Table II default 20.
@@ -73,15 +66,11 @@ struct ScheduleOptions {
   /// Per-I/O-node, per-slot access cap θ; 0 disables the constraint.
   /// Table II default 4.
   int theta = 4;
-  /// Resolve reuse-factor ties randomly (paper prose) instead of keeping the
-  /// first maximum (paper pseudo-code).
-  bool random_tie_break = false;
   /// Upper bound on candidate start slots examined per access.  Slacks wider
   /// than this are sampled at an even stride (the original point is always
   /// examined) — the scheduling-cost analogue of the paper's d-coarsening.
   /// 0 examines every slot.
   int max_candidates = 128;
-  std::uint64_t seed = 42;
 
   friend bool operator==(const ScheduleOptions&, const ScheduleOptions&) =
       default;
@@ -113,8 +102,8 @@ class AccessScheduler {
                      std::vector<ScheduledAccess>& out);
 
   /// Clears the timeline (group signatures, θ counts, process occupancy,
-  /// stats) and re-seeds the tie-break RNG, keeping every buffer's capacity
-  /// — the allocation-free way to reuse one scheduler across runs.
+  /// stats), keeping every buffer's capacity — the allocation-free way to
+  /// reuse one scheduler across runs.
   DASCHED_HOT void reset();
 
   // --- Introspection (also used by unit tests and incremental callers) -----
@@ -157,11 +146,6 @@ class AccessScheduler {
   [[nodiscard]] Slot num_slots() const { return num_slots_; }
   [[nodiscard]] const ScheduleOptions& options() const { return opts_; }
 
-  /// Adds one observer (not owned; duplicates and null are ignored).
-  void add_observer(SchedulerObserver* observer) { observers_.add(observer); }
-  /// Detaches every observer.
-  void clear_observers() { observers_.clear(); }
-
  private:
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;
   void ensure_process(int process);
@@ -182,7 +166,6 @@ class AccessScheduler {
   int num_nodes_;
   Slot num_slots_;
   ScheduleOptions opts_;
-  Rng rng_;
 
   /// Per-slot OR of the unit signatures of already-scheduled accesses.
   std::vector<Signature> group_;
@@ -231,7 +214,6 @@ class AccessScheduler {
   std::vector<Candidate> candidates_;
   std::vector<std::uint32_t> order_;
 
-  ObserverList<SchedulerObserver> observers_;
   ScheduleStats stats_;
 };
 

@@ -16,6 +16,7 @@
 #include "power/policies.h"
 #include "storage/storage_system.h"
 #include "telemetry/events.h"
+#include "util/config_error.h"  // ConfigError, re-exported
 #include "util/histogram.h"
 #include "workload/app.h"
 
@@ -29,21 +30,6 @@ namespace dasched {
 
 class SimAuditor;
 struct TelemetrySummary;
-
-/// Configuration rejection with the offending field attached.  Subclasses
-/// std::invalid_argument so existing catch sites keep working; daemon error
-/// frames and CLI diagnostics use `field()` to tell clients *which* knob to
-/// fix instead of forwarding a bare message.
-class ConfigError : public std::invalid_argument {
- public:
-  ConfigError(std::string field, const std::string& message)
-      : std::invalid_argument(message), field_(std::move(field)) {}
-
-  [[nodiscard]] const std::string& field() const noexcept { return field_; }
-
- private:
-  std::string field_;
-};
 
 struct ExperimentConfig {
   std::string app = "hf";

@@ -66,7 +66,6 @@ ExperimentWorkspace::~ExperimentWorkspace() {
 
 void ExperimentWorkspace::clear_all() {
   lanes_.clear();
-  compile_cache_.clear();
   storage_.reset();
   workload_key_.reset();
   sim_.reset();
@@ -144,6 +143,9 @@ void ExperimentWorkspace::prepare_lanes(const ExperimentConfig& base,
     // dasched-lint: allow(hot-alloc): workload rebuild, miss path only
     lanes_.resize(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
+      // The compiles belong to the trace being replaced; a hit on one now
+      // would run the wrong schedule.
+      lanes_[i].compiles.clear();
       lanes_[i].trace =
           app_by_name(apps[i]).build(storage_->striping(), base.scale);
     }
@@ -154,57 +156,32 @@ void ExperimentWorkspace::prepare_lanes(const ExperimentConfig& base,
     key.factor = base.scale.factor;
     key.num_io_nodes = base.storage.num_io_nodes;
     key.stripe_size = base.storage.stripe_size;
-    ++workload_epoch_;
     ++workload_builds_;
   }
 }
 
 const Compiled& ExperimentWorkspace::obtain_compiled(
-    std::size_t lane, const CompileOptions& copts) {
+    Lane& lane, const CompileOptions& copts) {
   ++compile_tick_;
-  const CompiledProgram& trace = lanes_[lane].trace;
-  if (copts.sched_observer != nullptr) {
-    // The observer must see every placement, so the compile actually runs.
-    CompiledProgram copy = trace;
-    // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles every run
-    lanes_[lane].observed = std::make_unique<Compiled>(compile_trace(
-        // dasched-lint: allow(hot-alloc): trace-mode bypass, compiles anew
-        std::move(copy), storage_->striping(), copts));
-    ++compile_misses_;
-    return *lanes_[lane].observed;
-  }
-  for (CompileSlot& slot : compile_cache_) {
-    if (slot.compiled != nullptr && slot.epoch == workload_epoch_ &&
-        slot.lane == lane && slot.opts == copts) {
+  for (CompileSlot& slot : lane.compiles) {
+    if (slot.opts == copts) {
       slot.tick = compile_tick_;
       return *slot.compiled;
     }
   }
   ++compile_misses_;
-  CompiledProgram copy = trace;  // compile_trace consumes its input
+  CompiledProgram copy = lane.trace;  // compile_trace consumes its input
   // dasched-lint: allow(hot-alloc): compile-cache miss path, bounded by LRU
   auto fresh = std::make_unique<Compiled>(compile_trace(
       // dasched-lint: allow(hot-alloc): compile-cache miss path
       std::move(copy), storage_->striping(), copts));
-  // Lanes compile in order, one tick each, so the slots stamped at or after
-  // `run_first_tick` hold the compiles this run's earlier lanes are bound
-  // to; only older slots may be evicted.
-  const std::uint64_t run_first_tick = compile_tick_ - lane;
   CompileSlot* victim = nullptr;
-  if (compile_cache_.size() >= kCompileCacheSlots) {
-    for (CompileSlot& slot : compile_cache_) {
-      if (slot.tick < run_first_tick &&
-          (victim == nullptr || slot.tick < victim->tick)) {
-        victim = &slot;
-      }
-    }
+  if (lane.compiles.size() < kCompilesPerLane) {
+    // dasched-lint: allow(hot-alloc): cache warm-up, bounded per lane
+    victim = &lane.compiles.emplace_back();
+  } else {
+    victim = &*std::ranges::min_element(lane.compiles, {}, &CompileSlot::tick);
   }
-  if (victim == nullptr) {
-    // dasched-lint: allow(hot-alloc): cache warm-up, one slot per lane
-    victim = &compile_cache_.emplace_back();
-  }
-  victim->epoch = workload_epoch_;
-  victim->lane = lane;
   victim->tick = compile_tick_;
   victim->opts = copts;
   victim->compiled = std::move(fresh);
@@ -324,10 +301,12 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
     copts.enable_scheduling = base.use_scheme;
     copts.slack.length_unit = app.length_unit;
     copts.slack.max_slack = base.max_slack;
-    if (recorder != nullptr && recorder->level() >= TraceLevel::kFull) {
-      copts.sched_observer = recorder.get();
+    const Compiled& compiled = obtain_compiled(lanes_[i], copts);
+    if (recorder != nullptr && copts.enable_scheduling) {
+      // Placements are compile-time events, taken from the schedule itself
+      // whether it was compiled now or reused (kFull only).
+      recorder->record_placements(compiled.scheduled);
     }
-    const Compiled& compiled = obtain_compiled(i, copts);
     if (auditor != nullptr) {
       audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);
     }

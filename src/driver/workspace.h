@@ -107,20 +107,21 @@ class ExperimentWorkspace {
     friend bool operator==(const WorkloadKey&, const WorkloadKey&) = default;
   };
 
-  /// One application of the run: its built (lowered) trace, reused across
-  /// compiles, and the runtime cluster that executes it.
-  struct Lane {
-    CompiledProgram trace;
-    std::unique_ptr<Compiled> observed;  // trace-mode bypass slot
-    std::unique_ptr<Cluster> cluster;
-  };
-
+  /// One compile of a lane's trace.  The unique_ptr keeps the compile's
+  /// address stable while a cluster runs over it.
   struct CompileSlot {
-    std::uint64_t epoch = 0;  // workload_epoch_ the compile belongs to
-    std::size_t lane = 0;     // the lane whose trace was compiled
-    std::uint64_t tick = 0;   // LRU stamp
+    std::uint64_t tick = 0;  // LRU stamp
     CompileOptions opts;
     std::unique_ptr<Compiled> compiled;
+  };
+
+  /// One application of the run: its built (lowered) trace, its most
+  /// recent compiles of that trace (LRU, at most kCompilesPerLane), and the
+  /// runtime cluster that executes it.
+  struct Lane {
+    CompiledProgram trace;
+    std::vector<CompileSlot> compiles;
+    std::unique_ptr<Cluster> cluster;
   };
 
   /// Resets or rebuilds the stack for `apps` over `base`'s topology.
@@ -131,12 +132,10 @@ class ExperimentWorkspace {
   /// Detaches audit/telemetry observers from every layer (simulator,
   /// storage, nodes, disks, policies); they are re-installed per run.
   void detach_observers();
-  /// Compiled schedule of lane `lane` under `copts`, via the LRU cache
-  /// (bypassed when a scheduler observer is attached — the observer must
-  /// see every placement, so the compile must actually run).  Never evicts
-  /// a compile an earlier lane of the same run is using.
-  const Compiled& obtain_compiled(std::size_t lane,
-                                  const CompileOptions& copts);
+  /// Compiled schedule of `lane` under `copts`: a hit in the lane's own
+  /// compiles, or a fresh compile that evicts the lane's least recently
+  /// used one.
+  const Compiled& obtain_compiled(Lane& lane, const CompileOptions& copts);
   /// Runs with `base.audit` honoured: an internal auditor whose violations
   /// throw.
   void run_lanes_checked(const ExperimentConfig& base,
@@ -162,16 +161,11 @@ class ExperimentWorkspace {
   // Storage (optional<> so a topology change can re-emplace in place).
   std::optional<StorageSystem> storage_;
 
-  // Workload: one lane per application, in run order.
+  // Workload: one lane per application, in run order.  A workload rebuild
+  // drops every lane's compiles with the trace they were compiled from.
   std::optional<WorkloadKey> workload_key_;
   std::vector<Lane> lanes_;
-  std::uint64_t workload_epoch_ = 0;
-
-  // Compiled-schedule LRU.  unique_ptr entries keep a compile's address
-  // stable while a cluster runs over it.  It grows past
-  // kCompileCacheSlots only for a run with more lanes than that.
-  static constexpr std::size_t kCompileCacheSlots = 4;
-  std::vector<CompileSlot> compile_cache_;
+  static constexpr std::size_t kCompilesPerLane = 4;
   std::uint64_t compile_tick_ = 0;
 
   ExperimentResult result_;

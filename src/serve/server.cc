@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -228,7 +229,14 @@ bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
     } else if (key == "max_compute_us") {
       opts.max_compute_us = as_i64();
     } else if (key == "granularity") {
-      opts.granularity = static_cast<int>(as_i64());
+      const std::int64_t g = as_i64();
+      if (g < std::numeric_limits<int>::min() ||
+          g > std::numeric_limits<int>::max()) {
+        throw ConfigError("granularity",
+                          "trace upload field 'granularity': expected a "
+                          "32-bit integer, got '" + value + "'");
+      }
+      opts.granularity = static_cast<int>(g);
     } else if (key == "seed") {
       const auto parsed = parse_u64(value);
       if (!parsed) {

@@ -1,5 +1,9 @@
 #include "telemetry/recorder.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 namespace dasched {
 
 void TraceBuffer::clear() {
@@ -176,18 +180,29 @@ void TelemetryRecorder::on_request_routed(FileId f, Bytes offset, Bytes size,
          static_cast<std::uint64_t>(size.count()));
 }
 
-void TelemetryRecorder::on_access_placed(const AccessRecord& rec, Slot slot,
-                                         bool forced, bool theta_fallback) {
+void TelemetryRecorder::record_placements(
+    std::span<const ScheduledAccess> placed) {
   if (!wants(TraceLevel::kFull)) return;
-  const std::uint32_t aux = (forced ? 1u : 0u) | (theta_fallback ? 2u : 0u);
-  const std::uint64_t packed =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(slot))) |
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.original))
-       << 32);
-  // Placement happens at compile time, before the simulation clock starts.
-  record(0, TraceEventKind::kAccessPlaced,
-         static_cast<std::uint16_t>(rec.process), aux, packed,
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.id)));
+  std::vector<std::uint32_t> order(placed.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [placed](std::uint32_t a, std::uint32_t b) {
+              return placed_before(placed[a].rec, placed[b].rec);
+            });
+  for (const std::uint32_t i : order) {
+    const ScheduledAccess& p = placed[i];
+    const AccessRecord& rec = p.rec;
+    const std::uint32_t aux =
+        (p.forced ? 1u : 0u) | (p.theta_fallback ? 2u : 0u);
+    const std::uint64_t packed =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.slot))) |
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.original))
+         << 32);
+    // Placement happens at compile time, before the simulation clock starts.
+    record(0, TraceEventKind::kAccessPlaced,
+           static_cast<std::uint16_t>(rec.process), aux, packed,
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.id)));
+  }
 }
 
 }  // namespace dasched

@@ -5,10 +5,12 @@
 // list on `clear()`, so steady-state recording performs zero heap
 // allocations (tests/telemetry/recorder_alloc_test.cc).
 //
-// `TelemetryRecorder` implements every layer's observer interface and
-// filters by `TraceLevel`, so one object taps the whole stack (simulator,
-// disks, power policies, I/O nodes, storage router, access scheduler).  It
-// is strictly passive: it never mutates simulation state, so an enabled
+// `TelemetryRecorder` implements every runtime layer's observer interface
+// and filters by `TraceLevel`, so one object taps the whole stack
+// (simulator, disks, power policies, I/O nodes, storage router).  The
+// compiler's placements are data, not a live tap: `record_placements`
+// reads them from the compiled schedule.  It is strictly passive: it never
+// mutates simulation state, so an enabled
 // recorder cannot change any result — and an absent one costs each hook
 // site a single empty-list test (the disabled path stays bit-identical and
 // allocation-free, tests/telemetry/telemetry_run_test.cc).
@@ -83,8 +85,7 @@ class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
                                 public DiskObserver,
                                 public IoNodeObserver,
                                 public StorageObserver,
-                                public PolicyObserver,
-                                public SchedulerObserver {
+                                public PolicyObserver {
  public:
   explicit TelemetryRecorder(TraceLevel level) : level_(level) {
     meta_.level = level;
@@ -136,9 +137,10 @@ class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
   void on_request_routed(FileId f, Bytes offset, Bytes size, bool is_write,
                          std::span<const StripePiece> pieces) override;
 
-  // SchedulerObserver (kFull; compile time, stamped at t=0) ------------------
-  void on_access_placed(const AccessRecord& rec, Slot slot, bool forced,
-                        bool theta_fallback) override;
+  // Compiled placements (kFull; compile time, stamped at t=0) ---------------
+  /// One kAccessPlaced event per access of `placed` (a compiled schedule),
+  /// in the order the scheduler placed them (`placed_before`).
+  void record_placements(std::span<const ScheduledAccess> placed);
 
  private:
   [[nodiscard]] bool wants(TraceLevel required) const {

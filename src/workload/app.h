@@ -45,7 +45,6 @@ struct App {
   bool uses_profiling = false;
   /// Per-app compile tweaks.
   Bytes length_unit = mib(1);
-  int granularity = 1;
   /// > 0: the workload defines its own process count (replayed traces carry
   /// theirs in the trace); callers must run it with exactly this many
   /// processes instead of scaling WorkloadScale::num_processes freely.

@@ -391,17 +391,17 @@ const std::vector<App>& all_apps() {
   static const std::vector<App> apps = [] {
     std::vector<App> out;
     out.push_back(App{"hf", "Hartree-Fock Method", 27.9, 3'637.4, false,
-                      mib(1), 1, /*fixed_processes=*/0, build_hf});
+                      mib(1), /*fixed_processes=*/0, build_hf});
     out.push_back(App{"sar", "Synthetic Aperture Radar Kernel", 11.1, 1'227.3,
-                      false, kib(192), 1, /*fixed_processes=*/0, build_sar});
+                      false, kib(192), /*fixed_processes=*/0, build_sar});
     out.push_back(App{"astro", "Analysis of Astronomical Data", 16.8, 2'837.6,
-                      false, mib(1), 1, /*fixed_processes=*/0, build_astro});
+                      false, mib(1), /*fixed_processes=*/0, build_astro});
     out.push_back(App{"apsi", "Pollutant Distribution Modeling", 13.7, 3'094.1,
-                      false, mib(1), 1, /*fixed_processes=*/0, build_apsi});
+                      false, mib(1), /*fixed_processes=*/0, build_apsi});
     out.push_back(App{"madbench2", "Cosmic Microwave Background Radiation",
-                      9.8, 1'955.3, true, kib(512), 1, /*fixed_processes=*/0, build_madbench2});
+                      9.8, 1'955.3, true, kib(512), /*fixed_processes=*/0, build_madbench2});
     out.push_back(App{"wupwise", "Physics / Quantum Chromodynamics", 39.8,
-                      4'812.1, false, kib(192), 1, /*fixed_processes=*/0, build_wupwise});
+                      4'812.1, false, kib(192), /*fixed_processes=*/0, build_wupwise});
     return out;
   }();
   return apps;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "compiler/trace_builder.h"
+#include "util/config_error.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -306,21 +307,23 @@ TraceFormat detect_format(std::string_view content, const std::string& source) {
   fail(source, 1, "trace", "trace contains no records");
 }
 
+/// Each rejection names the option by its daemon upload key.
 void validate_options(const ReplayOptions& opts) {
   if (opts.slot_us <= 0) {
-    throw std::invalid_argument("replay: slot_us must be > 0, got " +
-                                std::to_string(opts.slot_us));
+    throw ConfigError("slot_us", "replay: slot_us must be > 0, got " +
+                                     std::to_string(opts.slot_us));
   }
   if (opts.min_compute_us < 0 || opts.max_compute_us < opts.min_compute_us) {
-    throw std::invalid_argument(
-        "replay: need 0 <= min_compute_us <= max_compute_us");
+    throw ConfigError(opts.min_compute_us < 0 ? "min_compute_us"
+                                              : "max_compute_us",
+                      "replay: need 0 <= min_compute_us <= max_compute_us");
   }
   if (opts.granularity < 1) {
-    throw std::invalid_argument("replay: granularity must be >= 1, got " +
-                                std::to_string(opts.granularity));
+    throw ConfigError("granularity", "replay: granularity must be >= 1, got " +
+                                         std::to_string(opts.granularity));
   }
   if (!(opts.jitter_frac >= 0.0 && opts.jitter_frac <= 1.0)) {
-    throw std::invalid_argument("replay: jitter_frac must be in [0, 1]");
+    throw ConfigError("jitter", "replay: jitter_frac must be in [0, 1]");
   }
 }
 
@@ -577,7 +580,6 @@ const App& register_replay_trace(ReplayTrace trace, const ReplayOptions& opts) {
   app.description = "replayed trace (" + trace.source + ")";
   app.uses_profiling = true;
   app.length_unit = kib(256);
-  app.granularity = 1;  // coarsening is opts.granularity, applied in-lower
   app.fixed_processes = trace.num_processes;
   // The closure owns the trace; shared_ptr keeps the App copyable (App holds
   // a std::function) without duplicating a large record vector per copy.

@@ -118,8 +118,8 @@ struct ReplayOptions {
 };
 
 /// Parses `content` (the full trace text) as `source`; throws
-/// TraceParseError on any malformed line and std::invalid_argument on
-/// invalid options.  Performs no I/O and touches no global state.
+/// TraceParseError on any malformed line and ConfigError (util/
+/// config_error.h, named by the daemon upload key) on invalid options.  Performs no I/O and touches no global state.
 [[nodiscard]] ReplayTrace parse_replay_trace(std::string_view content,
                                              const std::string& source,
                                              const ReplayOptions& opts);

@@ -238,6 +238,39 @@ TEST(ScheduleConsistencyCheck, ThetaOverrunWithoutFallbackTrips) {
   EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "theta cap"));
 }
 
+TEST(ScheduleConsistencyCheck, ForcedFlagsDisagreeingWithStatsTrip) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<ScheduledAccess> scheduled = {
+      {rec_on_node(0, 0, 0, 5, 0), 5, /*forced=*/true},
+      {rec_on_node(1, 1, 0, 5, 1), 2, /*forced=*/false},
+  };
+  ScheduleStats stats;
+  stats.forced = 1;
+  check.check_flags(scheduled, stats);
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+  stats.forced = 2;  // a pin the schedule does not flag
+  check.check_flags(scheduled, stats);
+  EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "flagged forced"));
+}
+
+TEST(ScheduleConsistencyCheck, ThetaFallbackFlagsDisagreeingWithStatsTrip) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<ScheduledAccess> scheduled = {
+      {rec_on_node(0, 0, 0, 5, 2), 4, false, /*theta_fallback=*/true},
+      {rec_on_node(1, 1, 0, 5, 2), 4, false, /*theta_fallback=*/true},
+  };
+  ScheduleStats stats;
+  stats.theta_fallbacks = 2;
+  check.check_flags(scheduled, stats);
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+  stats.theta_fallbacks = 1;  // one flagged fallback the stats never counted
+  check.check_flags(scheduled, stats);
+  EXPECT_TRUE(
+      has_violation(auditor, "schedule-consistency", "flagged theta_fallback"));
+}
+
 TEST(ScheduleConsistencyCheck, TableDisagreeingWithScheduleTrips) {
   SimAuditor auditor;
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();

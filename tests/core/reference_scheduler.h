@@ -6,7 +6,9 @@
 // `nodes()` vectors for θ bookkeeping and stable-sorts candidates in the
 // θ path.  The production scheduler must produce bit-identical placements,
 // stats and group signatures — any divergence (a reassociated float sum, a
-// changed tie order, a different RNG draw sequence) fails the test.
+// changed tie order) fails the test.  It has since lost only the randomized
+// tie-break, which the production scheduler no longer offers, and gained the
+// per-access `theta_fallback` flag the production result now carries.
 //
 // Do not "improve" this file: its value is being the old code.
 #pragma once
@@ -20,7 +22,6 @@
 #include "core/access.h"
 #include "core/scheduler.h"
 #include "core/signature.h"
-#include "util/rng.h"
 
 namespace dasched {
 
@@ -30,7 +31,6 @@ class ReferenceScheduler {
       : num_nodes_(num_io_nodes),
         num_slots_(num_slots),
         opts_(opts),
-        rng_(opts.seed),
         group_(static_cast<std::size_t>(num_slots), Signature(num_io_nodes)) {
     assert(num_io_nodes > 0 && num_slots > 0);
     if (opts_.theta > 0) {
@@ -183,16 +183,8 @@ class ReferenceScheduler {
         }
       } else if (opts_.theta <= 0) {
         std::size_t best = 0;
-        int ties = 1;
         for (std::size_t i = 1; i < candidates.size(); ++i) {
-          if (candidates[i].reuse > candidates[best].reuse) {
-            best = i;
-            ties = 1;
-          } else if (opts_.random_tie_break &&
-                     candidates[i].reuse == candidates[best].reuse) {
-            ties += 1;
-            if (rng_.next_below(static_cast<std::uint64_t>(ties)) == 0) best = i;
-          }
+          if (candidates[i].reuse > candidates[best].reuse) best = i;
         }
         result.slot = candidates[best].slot;
         place(rec, result.slot);
@@ -220,6 +212,7 @@ class ReferenceScheduler {
             }
           }
           result.slot = best_slot;
+          result.theta_fallback = true;
           stats_.theta_fallbacks += 1;
         }
         place(rec, result.slot);
@@ -261,7 +254,6 @@ class ReferenceScheduler {
   int num_nodes_;
   Slot num_slots_;
   ScheduleOptions opts_;
-  Rng rng_;
 
   std::vector<Signature> group_;
   std::vector<std::uint16_t> node_counts_;

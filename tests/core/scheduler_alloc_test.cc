@@ -141,11 +141,10 @@ TEST(SchedulerAllocCount, ThetaPathSteadyStateAllocatesNothing) {
   EXPECT_EQ(sched.stats().scheduled, 1'000);
 }
 
-TEST(SchedulerAllocCount, TieBreakPathSteadyStateAllocatesNothing) {
+TEST(SchedulerAllocCount, FirstBestPathSteadyStateAllocatesNothing) {
   const auto accesses = random_accesses(1'000, 8, 1'024, 32, 7);
   ScheduleOptions opts;
-  opts.theta = 0;  // first-best path with RNG reservoir tie-break
-  opts.random_tie_break = true;
+  opts.theta = 0;  // plain first-best selection, no θ bookkeeping
   AccessScheduler sched(8, 1'024, opts);
   std::vector<ScheduledAccess> out;
 

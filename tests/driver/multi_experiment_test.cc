@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 
@@ -119,6 +121,36 @@ TEST(MultiExperiment, IdenticalRerunReusesWorkloadAndCompiles) {
   EXPECT_EQ(ws.compile_misses(), misses);
   EXPECT_EQ(second.exec_times, first.exec_times);
   EXPECT_EQ(second.energy_j.value(), first.energy_j.value());
+}
+
+TEST(MultiExperiment, FiveLanesRerunMatchesFreshAndCompilesOnce) {
+  // More lanes than one lane keeps compiles: each lane's compile is its own.
+  MultiExperimentConfig cfg =
+      tiny({"sar", "madbench2", "hf", "astro", "wupwise"});
+  cfg.base.use_scheme = true;
+  const MultiExperimentResult fresh = run_multi_experiment(cfg);
+  ExperimentWorkspace ws;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const MultiExperimentResult r = ws.run(cfg);
+    EXPECT_EQ(ws.compile_misses(), 5u);
+    EXPECT_EQ(r.exec_times, fresh.exec_times);
+    EXPECT_EQ(r.makespan, fresh.makespan);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.energy_j.value()),
+              std::bit_cast<std::uint64_t>(fresh.energy_j.value()));
+    EXPECT_EQ(r.storage.requests, fresh.storage.requests);
+    EXPECT_EQ(r.storage.disk_requests, fresh.storage.disk_requests);
+    ASSERT_EQ(r.runtime.size(), 5u);
+    for (std::size_t i = 0; i < r.runtime.size(); ++i) {
+      EXPECT_EQ(r.runtime[i].prefetches, fresh.runtime[i].prefetches)
+          << cfg.apps[i];
+      EXPECT_EQ(r.runtime[i].buffer_hits, fresh.runtime[i].buffer_hits)
+          << cfg.apps[i];
+      EXPECT_EQ(r.runtime[i].direct_reads, fresh.runtime[i].direct_reads)
+          << cfg.apps[i];
+    }
+  }
+  EXPECT_EQ(ws.workload_builds(), 1u);
 }
 
 TEST(MultiExperiment, TelemetryWritesSummaryAndReconcilesEnergy) {

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "driver/workspace.h"
+#include "scoped_test_dir.h"
 #include "telemetry/analytics.h"
+#include "telemetry/trace_io.h"
 
 namespace dasched {
 namespace {
@@ -149,9 +151,8 @@ TEST(WorkspaceDifferential, ReuseUnderAuditMatchesFreshRuns) {
 }
 
 TEST(WorkspaceDifferential, ReuseUnderTraceMatchesFreshRuns) {
-  // kFull trace attaches a scheduler observer, which forces a real compile
-  // every run (the LRU is bypassed); the placements streamed to the
-  // observer must come from the same compile the cluster executes.
+  // kFull trace records every placement from the compiled schedule, so a
+  // cached compile must serve the trace as well as the fresh one it was.
   auto traced = [](const char* app, PolicyKind policy, bool scheme) {
     ExperimentConfig cfg = cell(app, policy, scheme);
     cfg.telemetry.level = TraceLevel::kFull;
@@ -175,6 +176,61 @@ TEST(WorkspaceDifferential, ReuseUnderTraceMatchesFreshRuns) {
     const ExperimentResult& rb = ws.run(b);
     expect_same_result(rb, fresh_b);
   }
+}
+
+void expect_same_events(const std::vector<TraceEvent>& got,
+                        const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TraceEvent& a = got[i];
+    const TraceEvent& b = want[i];
+    ASSERT_TRUE(a.time == b.time && a.kind == b.kind &&
+                a.subject == b.subject && a.aux == b.aux &&
+                a.arg0 == b.arg0 && a.arg1 == b.arg1)
+        << "event " << i << " (kind " << a.kind << " vs " << b.kind << ")";
+  }
+}
+
+TEST(WorkspaceDifferential, FullTraceRunsHitTheCompileCache) {
+  // Placements are read from the compiled schedule, so a fully traced run
+  // reuses a cached compile like any other, and its trace still matches a
+  // fresh run's event for event, placements included.
+  const ScopedTestDir tmp;
+  ExperimentConfig cfg = cell("sar", PolicyKind::kHistory, true);
+  cfg.telemetry.level = TraceLevel::kFull;
+  cfg.telemetry.dir = tmp.file("fresh");
+  const ExperimentResult fresh = run_experiment(cfg);
+  ASSERT_NE(fresh.telemetry, nullptr);
+  EXPECT_GT(fresh.telemetry->accesses_placed, 0);
+  const auto want = load_trace(tmp.file("fresh/trace.bin"));
+  ASSERT_TRUE(want.has_value());
+
+  ExperimentWorkspace ws;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    cfg.telemetry.dir = tmp.file("ws" + std::to_string(run));
+    expect_same_result(ws.run(cfg), fresh);
+    const auto got = load_trace(cfg.telemetry.dir + "/trace.bin");
+    ASSERT_TRUE(got.has_value());
+    expect_same_events(got->events, want->events);
+  }
+  EXPECT_EQ(ws.compile_misses(), 1u);
+}
+
+TEST(WorkspaceDifferential, AppSwitchRecompilesAfterEachRebuild) {
+  // sar and wupwise share a length unit, so their compile options are
+  // identical: only the workload rebuild's clear keeps run B from reusing
+  // A's schedule, and run A again from reusing B's.
+  const ExperimentConfig a = cell("sar", PolicyKind::kHistory, true);
+  const ExperimentConfig b = cell("wupwise", PolicyKind::kHistory, true);
+  const ExperimentResult fresh_a = run_experiment(a);
+  const ExperimentResult fresh_b = run_experiment(b);
+  ExperimentWorkspace ws;
+  expect_same_result(ws.run(a), fresh_a);
+  expect_same_result(ws.run(b), fresh_b);
+  expect_same_result(ws.run(a), fresh_a);
+  EXPECT_EQ(ws.workload_builds(), 3u);
+  EXPECT_EQ(ws.compile_misses(), 3u);
 }
 
 TEST(WorkspaceDifferential, RebuildCountersShowReuse) {

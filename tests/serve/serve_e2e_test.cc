@@ -1,7 +1,9 @@
 // End-to-end daemon tests over a real loopback-TCP listener: the full
 // bit-identity gate (in-process vs single-tenant vs 4 concurrent tenants),
-// grid streaming, structured error replies, poisoned-workspace recovery on
-// a live connection, the tenant cap, and graceful shutdown.
+// grid streaming, structured error replies (bad configs and bad replay
+// options), poisoned-workspace recovery on a live connection, the tenant
+// cap, and graceful shutdown.  One case drives a TenantSession directly, for
+// an upload the client cannot express.
 //
 // Results are compared through the wire codec itself: serializing both the
 // in-process and the daemon-obtained result and comparing the byte vectors
@@ -12,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -163,6 +167,67 @@ TEST(ServeE2E, ReplayUploadThenRunMatchesInProcess) {
   ServeClient::Reply reply;
   client.run(remote, false, reply);
   EXPECT_EQ(wire_bytes(reply.result), want);
+}
+
+constexpr std::string_view kTinyTrace =
+    "ts_us,proc,file,offset,bytes,op\n"
+    "0,0,a.dat,0,262144,R\n"
+    "20000,0,a.dat,262144,262144,R\n";
+
+TEST(ServeE2E, BadReplayOptionsAnswerConfigErrorsNamingTheKey) {
+  TestServer ts;
+  ServeClient client = ServeClient::connect(ts.server->address());
+  ReplayOptions zero_slot;
+  zero_slot.slot_us = 0;
+  ReplayOptions zero_granularity;
+  zero_granularity.granularity = 0;
+  const std::pair<ReplayOptions, const char*> bad_inputs[] = {
+      {zero_slot, "slot_us"},
+      {zero_granularity, "granularity"},
+  };
+  for (const auto& [bad, field] : bad_inputs) {
+    try {
+      (void)client.upload_trace(kTinyTrace, "tiny.csv", bad);
+      FAIL() << "invalid " << field << " accepted";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.info().kind, "config");
+      EXPECT_EQ(e.info().field, field);
+      EXPECT_FALSE(e.info().message.empty());
+    }
+  }
+  // The tenant survives and still accepts a good upload.
+  EXPECT_EQ(client.upload_trace(kTinyTrace, "tiny.csv", ReplayOptions{}).procs,
+            1);
+}
+
+/// Collects a session's reply frames.
+class FrameLog : public TenantSession::Sink {
+ public:
+  bool write_frame(FrameType t,
+                   std::span<const std::uint8_t> payload) override {
+    frames.emplace_back(t, std::string(payload.begin(), payload.end()));
+    return true;
+  }
+  std::vector<std::pair<FrameType, std::string>> frames;
+};
+
+TEST(TenantSession, UploadGranularityBeyondIntIsAConfigError) {
+  // 2^32 + 1 would narrow to 1 in an int; it must be rejected, not run.
+  const std::string payload =
+      "granularity=4294967297\n\n" + std::string(kTinyTrace);
+  TenantSession session(/*tenant_id=*/1);
+  FrameLog sink;
+  EXPECT_TRUE(session.handle(
+      FrameType::kTraceUpload,
+      {reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()},
+      sink));
+  ASSERT_EQ(sink.frames.size(), 1u);
+  EXPECT_EQ(sink.frames[0].first, FrameType::kError);
+  const ErrorInfo info = parse_error(sink.frames[0].second);
+  EXPECT_EQ(info.kind, "config");
+  EXPECT_EQ(info.field, "granularity");
+  EXPECT_NE(info.message.find("4294967297"), std::string::npos)
+      << info.message;
 }
 
 TEST(ServeE2E, GridStreamsCellsInDeterministicOrder) {
