@@ -41,6 +41,12 @@ void validate_experiment_topology(const ExperimentConfig& cfg) {
             std::to_string(cfg.storage.stripe_size.count()) + " bytes), got " +
             std::to_string(cfg.storage.node.cache_capacity.count()));
   }
+  if (cfg.runtime.buffer_capacity < 0) {
+    throw ConfigError("runtime.buffer_capacity",
+                      "experiment: prefetch buffer capacity must be >= 0 "
+                      "(0 disables prefetching), got " +
+                          std::to_string(cfg.runtime.buffer_capacity.count()));
+  }
   if (cfg.compile.sched.delta < 0) {
     throw ConfigError("compile.sched.delta",
                       "experiment: delta must be >= 0, got " +

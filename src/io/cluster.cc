@@ -215,6 +215,9 @@ void SchedulerThread::kick() {
     }
     const IoOp& op = cluster_.op_for(id);
     if (!buffer.try_reserve(id, op.size)) {
+      stall_id_ = id;
+      stall_size_ = op.size;
+      stall_original_ = e.rec.original;
       cluster_.pause_for_space(pid_);
       return;
     }
@@ -225,6 +228,20 @@ void SchedulerThread::kick() {
                             [this, id] { landed(id); });
     if (fetches_in_flight_ >= cluster_.config().scheduler_fetch_depth) return;
   }
+}
+
+bool SchedulerThread::stalled_on_space() const {
+  // kick() reached the stalled entry past every check that cannot change
+  // its answer (min_lead is static, local times only grow), and its cursor
+  // cannot have moved without taking the entry out of the absent state.
+  if (stall_id_ < 0) return false;
+  if (fetches_in_flight_ >= cluster_.config().scheduler_fetch_depth) {
+    return false;
+  }
+  const GlobalBuffer& buffer = cluster_.buffer();
+  return buffer.state(stall_id_) == BufferEntryState::kAbsent &&
+         cluster_.client(pid_).local_time() <= stall_original_ &&
+         buffer.used() + stall_size_ > buffer.capacity();
 }
 
 void SchedulerThread::wait_for(ClientProcess& process, Slot needed) {
@@ -365,7 +382,16 @@ void Cluster::space_freed() {
   std::vector<int> waking = std::move(space_fifo_);
   space_fifo_ = std::move(space_spare_);
   for (const int id : waking) space_paused_[static_cast<std::size_t>(id)] = 0;
-  for (const int id : waking) resume(id);
+  // Resumed threads only reserve, so `used` never falls during the walk: a
+  // thread stalled on space when its turn comes would fail the same
+  // reservation, and re-pausing it in its turn is what that kick did.
+  for (const int id : waking) {
+    if (schedulers_[static_cast<std::size_t>(id)]->stalled_on_space()) {
+      pause_for_space(id);
+    } else {
+      resume(id);
+    }
+  }
   waking.clear();
   space_spare_ = std::move(waking);
 }

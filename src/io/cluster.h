@@ -130,7 +130,14 @@ class SchedulerThread {
     fetches_in_flight_ = 0;
     wait_pid_ = -1;
     wait_slot_ = 0;
+    stall_id_ = -1;
   }
+
+  /// True when kick() would stop at the entry whose reservation last failed
+  /// and fail it again: the thread is below fetch depth, that entry is
+  /// still unfetched and still ahead of the owner, and it does not fit in
+  /// the buffer's free space (DESIGN.md §20).
+  [[nodiscard]] bool stalled_on_space() const;
 
  private:
   /// Parks on `process` until it reaches slot `needed`, unless this very
@@ -146,6 +153,11 @@ class SchedulerThread {
   /// The last progress wait registered: (process, slot).
   int wait_pid_ = -1;
   Slot wait_slot_ = 0;
+  /// The entry the last failed reservation stopped at: its access id (-1:
+  /// none), size and original slot.
+  int stall_id_ = -1;
+  Bytes stall_size_ = 0;
+  Slot stall_original_ = 0;
 };
 
 class Cluster {
@@ -201,8 +213,9 @@ class Cluster {
   /// release.  A thread already parked keeps its place.
   void pause_for_space(int scheduler);
 
-  /// Buffer space was released: resumes every paused thread, in the order
-  /// they paused.  A thread that fails again re-pauses behind them.
+  /// Buffer space was released: walks the paused threads in the order they
+  /// paused, resuming each one that can proceed.  A thread that cannot —
+  /// or that is resumed and fails again — re-pauses behind them.
   void space_freed();
 
   /// Re-runs scheduler thread `scheduler` (a progress wait matured).

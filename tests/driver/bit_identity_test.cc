@@ -70,6 +70,31 @@ TEST(BitIdentity, SarHistoryWithSchemeFullBuffer) {
               "mean_advance");
 }
 
+TEST(BitIdentity, WideSarStarvedBuffer) {
+  // 64 scheduler threads share a 1 MiB buffer: most of them sit paused for
+  // space, so every release walks a long FIFO and must resume exactly the
+  // threads that can proceed, in pause order (DESIGN.md §20).
+  ExperimentConfig cfg;
+  cfg.app = "sar";
+  cfg.scale.num_processes = 64;
+  cfg.scale.factor = 0.05;
+  cfg.storage.num_io_nodes = 16;
+  cfg.policy = PolicyKind::kHistory;
+  cfg.use_scheme = true;
+  cfg.runtime.buffer_capacity = mib(1);
+  const ExperimentResult r = run_experiment(cfg);
+  EXPECT_GT(r.runtime.buffer.full_rejections, 0);
+  EXPECT_EQ(r.exec_time.count(), 441'281'657);
+  EXPECT_EQ(r.events, 322'892);
+  EXPECT_EQ(r.runtime.prefetches, 211);
+  EXPECT_EQ(r.runtime.buffer_hits, 146);
+  EXPECT_EQ(r.runtime.direct_reads, 20'269);
+  expect_bits(r.energy_j.value(), 0x1.e5eb540fbfd95p+15, "energy_j");
+  expect_bits(r.storage.cache_hit_rate, 0x1.32a3d70a3d70ap-1, "hit_rate");
+  expect_bits(r.sched.mean_advance_slots, 0x1.2ee819999999ap+5,
+              "mean_advance");
+}
+
 TEST(BitIdentity, Madbench2HistoryWithoutScheme) {
   const ExperimentResult r = run_cell("madbench2", false);
   EXPECT_EQ(r.exec_time.count(), 215'468'768);

@@ -154,6 +154,8 @@ TEST(ShardTopologyValidation, RejectsDegenerateTopologies) {
          c.storage.node.cache_capacity = c.storage.stripe_size - 1;
        },
        "storage.node.cache_capacity"},
+      {[](ExperimentConfig& c) { c.runtime.buffer_capacity = mib(-1); },
+       "runtime.buffer_capacity"},
       {[](ExperimentConfig& c) { c.compile.sched.delta = -1; },
        "compile.sched.delta"},
       {[](ExperimentConfig& c) { c.compile.sched.theta = -3; },

@@ -85,6 +85,8 @@ TEST(MultiExperiment, RejectsInvalidTopology) {
           {"cache<stripe",
            [](ExperimentConfig& c) { c.storage.node.cache_capacity = kib(4); }},
           {"nodes=0", [](ExperimentConfig& c) { c.storage.num_io_nodes = 0; }},
+          {"buffer<0",
+           [](ExperimentConfig& c) { c.runtime.buffer_capacity = -1; }},
           {"delta<0", [](ExperimentConfig& c) { c.compile.sched.delta = -3; }},
           {"theta<0", [](ExperimentConfig& c) { c.compile.sched.theta = -3; }},
       };

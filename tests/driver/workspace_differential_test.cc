@@ -137,6 +137,17 @@ TEST(WorkspaceDifferential, ClassicEngineCellsMatchFreshRuns) {
   });
 }
 
+TEST(WorkspaceDifferential, StarvedBufferCellMatchesFreshRuns) {
+  // Most of the 64 scheduler threads pause for space: a rerun must start
+  // with no thread still holding the entry it last paused on.
+  ExperimentConfig starved = cell("sar", PolicyKind::kHistory, true);
+  starved.scale.num_processes = 64;
+  starved.scale.factor = 0.05;
+  starved.storage.num_io_nodes = 16;
+  starved.runtime.buffer_capacity = mib(1);
+  check_cells({starved});
+}
+
 TEST(WorkspaceDifferential, ReuseUnderAuditMatchesFreshRuns) {
   auto audited = [](const char* app, PolicyKind policy, bool scheme) {
     ExperimentConfig cfg = cell(app, policy, scheme);

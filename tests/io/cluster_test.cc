@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "compiler/compile.h"
@@ -204,14 +205,205 @@ TEST(Cluster, PausedSchedulersResumeInPauseOrder) {
   EXPECT_EQ(buffer.stats().full_rejections, 2);
 
   // Thread 2's prefetch lands and is consumed: the next release resumes 1
-  // before 0, although 0 has the lower id.
+  // before 0, although 0 has the lower id.  Thread 1's fetch then fills
+  // the buffer again, so 0 re-pauses without being resumed.
   while (buffer.state(id2) != BufferEntryState::kReady && sim.step()) {
   }
   buffer.consume(id2);
   cluster.space_freed();
   EXPECT_EQ(buffer.state(id1), BufferEntryState::kInFlight);
   EXPECT_EQ(buffer.state(id0), BufferEntryState::kAbsent);
-  EXPECT_EQ(buffer.stats().full_rejections, 3);
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+}
+
+/// One read per (process, slot, size), each process computing 10 us in
+/// every slot; process p's reads sit in its own 1 MiB region.
+struct LateRead {
+  int process;
+  Slot slot;
+  Bytes size;
+};
+CompiledProgram late_reads(int nproc, Slot slots,
+                           std::initializer_list<LateRead> reads) {
+  TraceBuilder tb(nproc);
+  std::vector<Bytes> next(static_cast<std::size_t>(nproc), 0);
+  for (Slot t = 0; t < slots; ++t) {
+    for (int p = 0; p < nproc; ++p) tb.compute(p, 10);
+    for (const LateRead& r : reads) {
+      if (r.slot != t) continue;
+      Bytes& off = next[static_cast<std::size_t>(r.process)];
+      tb.read(r.process, 0, r.process * mib(1).count() + off, r.size);
+      off += r.size;
+    }
+    tb.end_iteration();
+  }
+  return tb.build();
+}
+
+/// Steps the simulation until every listed prefetch has landed.
+void land(Simulator& sim, const GlobalBuffer& buffer,
+          std::initializer_list<int> ids) {
+  const auto pending = [&] {
+    for (const int id : ids) {
+      if (buffer.state(id) != BufferEntryState::kReady) return true;
+    }
+    return false;
+  };
+  while (pending() && sim.step()) {
+  }
+  ASSERT_FALSE(pending());
+}
+
+TEST(Cluster, ReleaseTooSmallForPausedEntriesKicksNoOne) {
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = hoisted(
+      late_reads(4, 6,
+                 {{0, 5, kib(64)}, {1, 5, kib(64)}, {2, 5, kib(64)},
+                  {3, 5, kib(32)}}),
+      storage);
+  RuntimeConfig rt;
+  rt.buffer_capacity = kib(96);
+  Cluster cluster(sim, storage, compiled, rt);
+  GlobalBuffer& buffer = cluster.buffer();
+  const int id0 = read_id(compiled, 0, 5);
+  const int id1 = read_id(compiled, 1, 5);
+  const int id2 = read_id(compiled, 2, 5);
+  const int id3 = read_id(compiled, 3, 5);
+
+  // Threads 0 and 3 fill the buffer; 2 and 1 find it full and pause, in
+  // that order.
+  cluster.resume(0);
+  cluster.resume(3);
+  cluster.resume(2);
+  cluster.resume(1);
+  ASSERT_EQ(buffer.used(), kib(96));
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+
+  // Freeing 32 KiB leaves too little for either 64 KiB entry: neither
+  // thread is resumed, so no reservation fails.
+  land(sim, buffer, {id3});
+  buffer.consume(id3);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(id1), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.state(id2), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+
+  // Room for one: 2 still goes first, although 1 has the lower id, and 1
+  // stays paused without being resumed.
+  land(sim, buffer, {id0});
+  buffer.consume(id0);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(id2), BufferEntryState::kInFlight);
+  EXPECT_EQ(buffer.state(id1), BufferEntryState::kAbsent);
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+
+  land(sim, buffer, {id2});
+  buffer.consume(id2);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(id1), BufferEntryState::kInFlight);
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+}
+
+TEST(Cluster, PausedThreadWhoseEntryWasReadDirectlyMovesOn) {
+  // Thread 1 pauses on B (64 KiB) while thread 0 holds the whole buffer.
+  // Process 1 reads B itself at 20 us, then computes in B's slot until
+  // about 6 s.  At 5 s process 0's first hit frees 32 KiB: too little for
+  // B, but enough for C, which thread 1 must prefetch before process 1
+  // reads it at about 8 s.
+  constexpr SimTime kSec = 1'000'000;
+  TraceBuilder tb(2);
+  for (int t = 0; t < 8; ++t) {
+    if (t < 5) tb.compute(0, kSec);
+    if (t == 5) {
+      tb.read(0, 0, 0, kib(32).count());
+      tb.compute(0, 10 * kSec);
+    }
+    if (t == 6) tb.read(0, 0, kib(32).count(), kib(32).count());
+    if (t == 7) tb.compute(0, 10);
+    if (t == 2) {
+      tb.read(1, 0, mib(1).count(), kib(64).count());
+      tb.compute(1, 6 * kSec);
+    } else {
+      tb.compute(1, t >= 3 && t <= 6 ? kSec / 2 : SimTime{10});
+    }
+    if (t == 7) tb.read(1, 0, mib(1).count() + kib(64).count(), kib(32).count());
+    tb.end_iteration();
+  }
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = hoisted(tb.build(), storage);
+  RuntimeConfig rt;
+  rt.buffer_capacity = kib(64);
+  Cluster cluster(sim, storage, compiled, rt);
+  cluster.run_to_completion();
+  ASSERT_TRUE(cluster.all_finished());
+  const RuntimeStats st = cluster.stats();
+  EXPECT_EQ(st.buffer.full_rejections, 1);  // B, once, at start
+  EXPECT_EQ(st.direct_reads, 1);            // B
+  EXPECT_EQ(st.prefetches, 3);              // both of process 0's, and C
+  EXPECT_EQ(st.buffer_hits, 3);
+}
+
+TEST(Cluster, PausedThreadAtFetchDepthLeavesTheFifo) {
+  Simulator sim;
+  StorageSystem storage(sim, small_storage());
+  (void)storage.create_file("data", mib(64).count());
+  const Compiled compiled = hoisted(
+      late_reads(3, 7,
+                 {{0, 5, kib(32)},
+                  {1, 2, kib(32)},
+                  {1, 3, kib(96)},
+                  {1, 4, kib(32)},
+                  {1, 5, kib(32)},
+                  {1, 6, kib(96)},
+                  {2, 5, kib(96)}}),
+      storage);
+  RuntimeConfig rt;
+  rt.buffer_capacity = kib(128);
+  rt.scheduler_fetch_depth = 2;
+  Cluster cluster(sim, storage, compiled, rt);
+  GlobalBuffer& buffer = cluster.buffer();
+  const int a = read_id(compiled, 0, 5);
+  const int p = read_id(compiled, 1, 2);
+  const int e = read_id(compiled, 1, 3);
+  const int f = read_id(compiled, 1, 4);
+  const int g = read_id(compiled, 1, 5);
+  const int i = read_id(compiled, 1, 6);
+  const int h = read_id(compiled, 2, 5);
+
+  // Thread 1 fetches P and pauses on E; thread 2 pauses on H behind it.
+  cluster.resume(0);
+  cluster.resume(1);
+  cluster.resume(2);
+  ASSERT_EQ(buffer.state(p), BufferEntryState::kInFlight);
+  ASSERT_EQ(buffer.stats().full_rejections, 2);
+
+  // Process 1 reads E itself.  P's landing then lets thread 1 skip E and
+  // fetch F and G, which brings it to fetch depth while it is still paused.
+  buffer.mark_done(e);
+  land(sim, buffer, {p});
+  ASSERT_EQ(buffer.state(f), BufferEntryState::kInFlight);
+  ASSERT_EQ(buffer.state(g), BufferEntryState::kInFlight);
+
+  // The next release resumes thread 1, which stops at once and leaves the
+  // FIFO; thread 2 still cannot fit H and stays.
+  buffer.consume(p);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.stats().full_rejections, 2);
+
+  // F's landing lets thread 1 try I: it pauses again, now behind thread 2,
+  // so the release that makes room for one 96 KiB entry goes to H.
+  land(sim, buffer, {a, f, g});
+  EXPECT_GT(buffer.stats().full_rejections, 2);
+  buffer.consume(a);
+  buffer.consume(f);
+  buffer.consume(g);
+  cluster.space_freed();
+  EXPECT_EQ(buffer.state(h), BufferEntryState::kInFlight);
+  EXPECT_EQ(buffer.state(i), BufferEntryState::kAbsent);
 }
 
 TEST(Cluster, FullRejectionsAreBoundedByWakeSources) {

@@ -296,9 +296,12 @@ TEST(ServeE2E, BadConfigAnswersStructuredErrorAndTenantSurvives) {
   // takes every other tenant down with the daemon.
   ExperimentConfig no_cache = small_cfg();
   no_cache.storage.node.cache_capacity = 0;
+  ExperimentConfig negative_buffer = small_cfg();
+  negative_buffer.runtime.buffer_capacity = mib(-1);
   const std::pair<ExperimentConfig, const char*> bad_inputs[] = {
       {no_nodes, "storage.num_io_nodes"},
       {no_cache, "storage.node.cache_capacity"},
+      {negative_buffer, "runtime.buffer_capacity"},
   };
   for (const auto& [bad, field] : bad_inputs) {
     try {
