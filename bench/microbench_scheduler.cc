@@ -85,12 +85,12 @@ BENCHMARK(BM_ThetaConstrainedScheduling)->Arg(1'000)->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
 /// Full compiler pipeline (slack analysis, scheduling, table) on `app`'s
-/// trace at 32 processes, scale 0.25, over `nodes` I/O nodes.
+/// trace at `procs` processes and scale `factor`, over `nodes` I/O nodes.
 void compile_pipeline(benchmark::State& state, const char* app, int nodes,
-                      bool scheduling) {
+                      bool scheduling, int procs = 32, double factor = 0.25) {
   WorkloadScale scale;
-  scale.num_processes = 32;
-  scale.factor = 0.25;
+  scale.num_processes = procs;
+  scale.factor = factor;
   for (auto _ : state) {
     state.PauseTiming();
     StripingMap striping(nodes, kib(64));
@@ -120,6 +120,14 @@ void BM_CompilePipelineHf64Nodes(benchmark::State& state) {
   compile_pipeline(state, "hf", 64, true);
 }
 BENCHMARK(BM_CompilePipelineHf64Nodes)->Unit(benchmark::kMillisecond);
+
+/// The wide compile: sar on 64 I/O nodes x 512 processes at scale 0.05
+/// (the perfbench `wide-sar` cell), 80 classes over 1,306 slots.  About 40%
+/// of its accesses take the θ fallback, so this is the E_t-heavy case.
+void BM_CompilePipelineSar64Nodes(benchmark::State& state) {
+  compile_pipeline(state, "sar", 64, true, 512, 0.05);
+}
+BENCHMARK(BM_CompilePipelineSar64Nodes)->Unit(benchmark::kMillisecond);
 
 /// Event-core throughput: N self-rescheduling timer chains, the simulator's
 /// dominant workload shape (disk timers, client ticks).  Reports events/sec;

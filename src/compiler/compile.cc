@@ -10,7 +10,7 @@ Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,
   if (opts.enable_scheduling && !lowered.reads.empty()) {
     AccessScheduler scheduler(striping.num_io_nodes(),
                               std::max<Slot>(lowered.num_slots, 1), opts.sched);
-    out.scheduled = scheduler.schedule(lowered.reads);
+    scheduler.schedule_into(lowered.reads, out.scheduled);
     out.sched_stats = scheduler.stats();
   } else {
     out.scheduled.reserve(lowered.reads.size());

@@ -23,20 +23,28 @@
 //      slot it occupies.
 //
 // Fast path (DESIGN.md §11): R_t depends only on the access's signature,
-// its length and the group signatures in its σ window.  `schedule_into`
-// therefore interns the batch into (signature, length) classes and keeps
-// two tables per class over the class's reachable span: D = 1/d to each
-// slot's group signature, and R = the reuse factor at each start slot,
-// with a stale flag per entry.  Every write to `group_` goes through one
-// helper; when it changes a slot's signature it refreshes D there for
-// every class and marks the R entries whose window covers the slot stale.
-// A candidate reads R and recomputes a stale entry from D with the same σ
-// values in the same term order as `reuse_factor`, so schedules are
-// bit-identical to the reference implementation
-// (tests/core/scheduler_differential_test.cc).  After a warm-up run,
-// `reset()` + `schedule_into()` perform no heap allocation of their own
-// (tests/core/scheduler_alloc_test.cc); above 64 I/O nodes each result
-// row's copy of the access signature is the one allocation per access.
+// its length and the group signatures in its σ window, and the θ test and
+// E_t only on its signature, its length and the per-node counts of the
+// slots it would occupy.  `schedule_into` therefore interns the batch into
+// (signature, length) classes and keeps three rows per class over the
+// class's reachable span: D = 1/d to each slot's group signature, R = the
+// reuse factor at each start slot, and Θ = the integer pair (excess,
+// oversubscribed) behind θ and E_t at each start slot, each of R and Θ with
+// a stale byte per entry.  Every write to `group_` goes through one helper;
+// when it changes a slot's signature it refreshes D there for every class
+// and marks the R entries whose window covers the slot stale.  `place()`
+// marks a class's Θ entries stale only where it raised the count of one
+// of the class's nodes to θ or more.  Per access, one branch-free pass
+// gathers the available start slots and the stale entries among them, the
+// stale entries are refilled (R with the same σ values in the same term
+// order as `reuse_factor`, Θ with the same integers as `average_excess`),
+// and one pass over the gathered slots selects; a second pass forms E_t
+// only when no slot keeps θ.  Schedules are therefore bit-identical to the
+// reference implementation (tests/core/scheduler_differential_test.cc).
+// After a warm-up run, `reset()` + `schedule_into()` perform no heap
+// allocation of their own (tests/core/scheduler_alloc_test.cc); above 64
+// I/O nodes each result row's copy of the access signature is the one
+// allocation per access.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +134,7 @@ class AccessScheduler {
   [[nodiscard]] bool available(int process, Slot slot, int length) const;
 
   /// True when placing `rec` at `slot` keeps every I/O node at or below θ
-  /// in every occupied slot.  Always true when θ == 0.  O(l) signature-AND
-  /// probes against the per-slot saturated-node masks — no per-node scan.
+  /// in every occupied slot.  Always true when θ == 0.
   [[nodiscard]] bool theta_ok(const AccessRecord& rec, Slot slot) const;
 
   /// Average number of accesses beyond θ per over-subscribed node across the
@@ -147,6 +154,19 @@ class AccessScheduler {
   [[nodiscard]] const ScheduleOptions& options() const { return opts_; }
 
  private:
+  /// Σ(M − θ) and the number of (slot, node) pairs with M > θ, where M is
+  /// a node's count plus one, over the nodes of `sig` in the timeline slots
+  /// of [t, t + length − 1]: θ holds iff `oversubscribed` is 0, and E_t is
+  /// `excess / oversubscribed`.  A term is at most 2^16 (the counts are
+  /// 16-bit), so 32 bits hold any access of fewer than 2^15 slot-node
+  /// pairs.
+  struct ThetaCell {
+    std::int32_t excess;
+    std::int32_t oversubscribed;
+  };
+  [[nodiscard]] ThetaCell theta_cell(const Signature& sig, int length,
+                                     Slot t) const;
+
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;
   void ensure_process(int process);
 
@@ -155,13 +175,23 @@ class AccessScheduler {
   /// stale the R entries whose σ window covers `s`.
   void merge_into_group(const Signature& sig, Slot s);
 
+  /// Marks stale the Θ entries of the classes whose signature holds `node`
+  /// and whose occupied slots would include `s`.
+  void mark_theta_stale(int node, Slot s);
+
   /// Interns `accesses` into (signature, length) classes (`class_of_`) and
-  /// builds each class's D row from the current `group_`, all R stale.
+  /// builds each class's D row from the current `group_`, all R and Θ
+  /// entries stale, and the per-node class lists.
   void build_class_tables(std::span<const AccessRecord> accesses);
   [[nodiscard]] std::uint32_t intern(const AccessRecord& rec);
 
-  /// Reuse factor of class `c` starting at `t`, recomputed from D if stale.
-  [[nodiscard]] double class_reuse(std::uint32_t c, Slot t);
+  /// Stores the available candidate start slots of `rec` (class `c`) in
+  /// `slots_`, ascending, and refreshes the stale R and Θ entries among
+  /// them.  Returns how many it stored.
+  template <bool kTheta>
+  std::size_t gather_candidates(const AccessRecord& rec, std::uint32_t c);
+  /// Re-sums R[c][t] from D for the `count` start slots at `ts`.
+  void refresh_reuse(std::uint32_t c, const Slot* ts, std::size_t count);
 
   int num_nodes_;
   Slot num_slots_;
@@ -171,9 +201,6 @@ class AccessScheduler {
   std::vector<Signature> group_;
   /// Per-slot, per-node scheduled-access counts (only kept when θ > 0).
   std::vector<std::uint16_t> node_counts_;  // [slot * num_nodes_ + node]
-  /// Per-slot mask of nodes whose count has reached θ (only kept when
-  /// θ > 0): placing another access on any of them would violate the cap.
-  std::vector<Signature> saturated_;
   /// Per-process slot occupancy.
   std::vector<std::vector<char>> occupied_;
 
@@ -186,7 +213,8 @@ class AccessScheduler {
 
   /// One (signature, length) class of the batch in `schedule_into`.  Its
   /// rows cover the slots [lo, hi] any window of its accesses can reach,
-  /// at `offset` in `table_d_`, `table_r_` and `stale_`.
+  /// at `offset` in `table_d_`, `table_r_`, `stale_`, `table_theta_` and
+  /// `theta_stale_`.
   struct ReuseClass {
     /// First access of the class; points into the batch, so `classes_` is
     /// emptied when `schedule_into` returns.
@@ -205,13 +233,21 @@ class AccessScheduler {
   /// R[c][t], valid where `stale_` is 0.
   std::vector<double> table_r_;
   std::vector<std::uint8_t> stale_;
+  /// Θ[c][t] = theta_cell(sig_c, l_c, t), valid where `theta_stale_` is 0
+  /// (only kept when θ > 0).
+  std::vector<ThetaCell> table_theta_;
+  std::vector<std::uint8_t> theta_stale_;
+  /// The classes whose signature holds each node (only kept when θ > 0):
+  /// node v's are node_classes_[node_class_begin_[v] ..
+  /// node_class_begin_[v + 1]).  All lists are empty outside a batch.
+  std::vector<std::uint32_t> node_class_begin_;
+  std::vector<std::uint32_t> node_classes_;
 
-  struct Candidate {
-    Slot slot;
-    double reuse;
-  };
-  // Reused per-call scratch (see schedule_into).
-  std::vector<Candidate> candidates_;
+  // Reused per-access scratch (see gather_candidates): the available start
+  // slots, and the stale R and Θ entries among them.
+  std::vector<Slot> slots_;
+  std::vector<Slot> stale_r_slots_;
+  std::vector<Slot> stale_theta_slots_;
   std::vector<std::uint32_t> order_;
 
   ScheduleStats stats_;

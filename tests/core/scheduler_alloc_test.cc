@@ -2,14 +2,15 @@
 //
 // Global operator new/delete are replaced with counting versions gated by a
 // flag (same harness as tests/storage/alloc_count_test.cc).  A warm-up
-// `schedule_into` grows every scratch buffer — candidate list, order index,
-// class intern table and reuse tables, per-process occupancy rows, the
-// output vector — to its high-water mark; after `reset()`, re-scheduling
+// `schedule_into` grows every scratch buffer — candidate slot lists, order
+// index, class intern table, reuse and θ tables, per-node class lists,
+// per-process occupancy rows, the output vector — to its high-water mark; after `reset()`, re-scheduling
 // the same accesses must perform ZERO heap allocations at 8 nodes, and
 // exactly one per access at 96 nodes (each result row's signature copy).
-// Covers both the θ-constrained path and the θ=0 randomized-tie-break
-// path, so a new allocation site in `AccessScheduler::schedule_into` or
-// anything it calls fails here instead of quietly costing throughput.
+// Covers the θ-constrained path, the θ = 0 path and a θ = 1 batch that
+// mostly takes the E_t fallback, so a new allocation site in
+// `AccessScheduler::schedule_into` or anything it calls fails here instead
+// of quietly costing throughput.
 
 #include <gtest/gtest.h>
 
@@ -177,6 +178,29 @@ TEST(SchedulerAllocCount, WideClusterAllocatesOnlyResultRowSignatures) {
 
   EXPECT_EQ(counted_round(sched, accesses, out), 1'000u);
   EXPECT_EQ(sched.stats().scheduled, 1'000);
+}
+
+// θ = 1 over 96 nodes, 1,000 accesses on 128 slots, every signature one of
+// nodes 62–65 (both signature words): most accesses take the E_t fallback,
+// and every placement re-marks θ rows.  The θ rows, the slot gather and the
+// stale lists add no allocation.
+TEST(SchedulerAllocCount,
+     ThetaFallbackHeavyWideClusterAllocatesOnlyResultRows) {
+  auto accesses = random_accesses(1'000, 96, 128, 32, 11);
+  Rng rng(12);
+  for (AccessRecord& rec : accesses) {
+    rec.sig.clear();
+    rec.sig.set(62 + static_cast<int>(rng.next_below(4)));
+  }
+  ScheduleOptions opts;
+  opts.theta = 1;
+  AccessScheduler sched(96, 128, opts);
+  std::vector<ScheduledAccess> out;
+  sched.schedule_into(accesses, out);
+
+  EXPECT_EQ(counted_round(sched, accesses, out), 1'000u);
+  EXPECT_EQ(sched.stats().scheduled, 1'000);
+  EXPECT_GT(sched.stats().theta_fallbacks, 500);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 // ties across different reuse values, and random placement sequences
 // against the per-class reuse tables (placements before a batch, forced
 // pins, a second batch without reset(), δ = 0, a δ wider than the
-// timeline, >= 200 classes over 96 nodes).
+// timeline, >= 200 classes over 96 nodes), and the per-class θ rows under
+// heavy node saturation (θ = 1, 2, 4).
 #include <algorithm>
 #include <cstdint>
 #include <set>
@@ -149,9 +150,9 @@ TEST(SchedulerDifferentialTest, ResetReplaysIdentically) {
 
 /// Places `pre` on both schedulers, then runs every batch through both on
 /// the same timeline (no reset() between batches), and expects identical
-/// placements, stats and group signatures after each.  Returns the forced
-/// count.
-std::int64_t expect_replay_matches_reference(
+/// placements, stats and group signatures after each.  Returns the fast
+/// scheduler's stats.
+ScheduleStats expect_replay_matches_reference(
     int nodes, Slot slots, const ScheduleOptions& opts,
     const std::vector<std::vector<AccessRecord>>& batches,
     const std::vector<std::pair<AccessRecord, Slot>>& pre = {}) {
@@ -166,7 +167,7 @@ std::int64_t expect_replay_matches_reference(
     const auto expected = ref.schedule(batches[b]);
     const auto actual = fast.schedule(batches[b]);
     EXPECT_EQ(expected.size(), actual.size());
-    if (expected.size() != actual.size()) return fast.stats().forced;
+    if (expected.size() != actual.size()) return fast.stats();
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i].slot, actual[i].slot)
           << "access #" << expected[i].rec.id;
@@ -184,7 +185,7 @@ std::int64_t expect_replay_matches_reference(
       if (ref.group_signature(s) != fast.group_signature(s)) break;
     }
   }
-  return fast.stats().forced;
+  return fast.stats();
 }
 
 /// Runs `accesses` through both schedulers after the same `pre` placements
@@ -376,13 +377,101 @@ TEST(SchedulerDifferentialTest, ClassTablesMatchReferenceOnRandomSequences) {
           EXPECT_GE(distinct_classes(batches[0]), 200u);
         }
         forced += expect_replay_matches_reference(c.nodes, c.slots, opts,
-                                                  batches, pre);
+                                                  batches, pre).forced;
         runs += 1;
       }
     }
   }
   EXPECT_EQ(runs, 20);
   EXPECT_GT(forced, 0) << "no case exercised the forced pin";
+}
+
+/// Accesses whose signatures draw 1–3 nodes from the 12 nodes straddling
+/// the first word boundary (58–69) of a 96-node cluster, so nodes saturate
+/// quickly and both signature words carry bits.  Slacks are up to
+/// `max_slack` slots wide.
+std::vector<AccessRecord> saturating_accesses(int count, Slot slots,
+                                              int processes, Slot max_slack,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<AccessRecord> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    AccessRecord rec;
+    rec.id = i;
+    rec.process = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(processes)));
+    rec.end =
+        static_cast<Slot>(rng.next_below(static_cast<std::uint64_t>(slots)));
+    rec.begin = std::max<Slot>(
+        0, rec.end - static_cast<Slot>(rng.next_below(
+                         static_cast<std::uint64_t>(max_slack))));
+    rec.length = std::min<int>(1 + static_cast<int>(rng.next_below(4)),
+                               static_cast<int>(rec.slack_length()));
+    rec.original = rec.begin + static_cast<Slot>(rng.next_below(
+                                   static_cast<std::uint64_t>(
+                                       rec.latest_start() - rec.begin + 1)));
+    rec.sig = Signature(96);
+    const int stripe = 1 + static_cast<int>(rng.next_below(3));
+    for (int s = 0; s < stripe; ++s) {
+      rec.sig.set(58 + static_cast<int>(rng.next_below(12)));
+    }
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+// The per-class θ rows against the reference where nodes saturate: θ of 1,
+// 2 and 4, lengths 1–4, 96 nodes, slacks wider than max_candidates (the
+// stride plus the appended latest start), σ windows clipped at both ends
+// of a short timeline, placements made before the batch, forced pins, and
+// a second batch without reset().
+TEST(SchedulerDifferentialTest, ThetaRowsMatchReferenceUnderSaturation) {
+  constexpr int kNodes = 96;
+  constexpr Slot kSlots = 160;
+  std::int64_t forced = 0;
+  std::int64_t fallbacks = 0;
+  int runs = 0;
+  for (int theta : {1, 2, 4}) {
+    for (int max_candidates : {0, 8}) {
+      for (std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+        SCOPED_TRACE("theta=" + std::to_string(theta) +
+                     " max_candidates=" + std::to_string(max_candidates) +
+                     " seed=" + std::to_string(seed));
+        ScheduleOptions opts;
+        opts.theta = theta;
+        opts.delta = 20;
+        opts.max_candidates = max_candidates;
+        // Odd seeds: few processes and narrow slacks, so whole slacks fill
+        // up and accesses are pinned.
+        const bool crowded = seed % 2 == 1;
+        const int processes = crowded ? 4 : 40;
+        const Slot max_slack = crowded ? 12 : 64;
+
+        Rng rng(seed * 7);
+        std::vector<std::pair<AccessRecord, Slot>> pre;
+        for (AccessRecord& rec :
+             saturating_accesses(60, kSlots, processes, max_slack, seed * 7)) {
+          const Slot span = rec.latest_start() - rec.begin + 1;
+          const Slot slot = rec.begin + static_cast<Slot>(rng.next_below(
+                                            static_cast<std::uint64_t>(span)));
+          pre.emplace_back(std::move(rec), slot);
+        }
+        const std::vector<std::vector<AccessRecord>> batches = {
+            saturating_accesses(300, kSlots, processes, max_slack, seed),
+            saturating_accesses(150, kSlots, processes, max_slack, seed + 50),
+        };
+        const ScheduleStats stats = expect_replay_matches_reference(
+            kNodes, kSlots, opts, batches, pre);
+        forced += stats.forced;
+        fallbacks += stats.theta_fallbacks;
+        runs += 1;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 24);
+  EXPECT_GT(forced, 0) << "no case exercised the forced pin";
+  EXPECT_GT(fallbacks, 0) << "no case exercised the E_t fallback";
 }
 
 }  // namespace

@@ -95,6 +95,26 @@ TEST(BitIdentity, WideSarStarvedBuffer) {
               "mean_advance");
 }
 
+TEST(BitIdentity, ThetaFallbackHeavyCell) {
+  // θ = 1 on 16 I/O nodes for 64 processes: most accesses find no slot
+  // that keeps every node at one access, so placements come from the E_t
+  // fallback (Sec. IV-B3) and the scheduler's θ rows decide the schedule.
+  ExperimentConfig cfg;
+  cfg.app = "sar";
+  cfg.scale.num_processes = 64;
+  cfg.scale.factor = 0.05;
+  cfg.storage.num_io_nodes = 16;
+  cfg.policy = PolicyKind::kHistory;
+  cfg.use_scheme = true;
+  cfg.compile.sched.theta = 1;
+  const ExperimentResult r = run_experiment(cfg);
+  EXPECT_EQ(r.sched.theta_fallbacks, 10'250);
+  EXPECT_EQ(r.sched.forced, 0);
+  EXPECT_EQ(r.exec_time.count(), 438'685'288);
+  expect_bits(r.energy_j.value(), 0x1.47e429d256aa8p+16, "energy_j");
+  expect_bits(r.sched.mean_advance_slots, 0x1.340d8p+5, "mean_advance");
+}
+
 TEST(BitIdentity, Madbench2HistoryWithoutScheme) {
   const ExperimentResult r = run_cell("madbench2", false);
   EXPECT_EQ(r.exec_time.count(), 215'468'768);
