@@ -1,7 +1,6 @@
 #include "compiler/affine.h"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace dasched {
 
@@ -9,18 +8,6 @@ AffineExpr AffineExpr::var(std::string name) {
   AffineExpr e;
   e.terms_[std::move(name)] = 1;
   return e;
-}
-
-std::int64_t AffineExpr::eval(const AffineEnv& env) const {
-  std::int64_t v = constant_;
-  for (const auto& [name, coeff] : terms_) {
-    const auto it = env.find(name);
-    if (it == env.end()) {
-      throw std::out_of_range("AffineExpr::eval: unbound variable '" + name + "'");
-    }
-    v += coeff * it->second;
-  }
-  return v;
 }
 
 std::int64_t AffineExpr::coefficient(const std::string& name) const {

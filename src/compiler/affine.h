@@ -3,8 +3,8 @@
 // The compiler front end expresses loop bounds, I/O offsets and compute
 // costs as affine functions of enclosing loop indices, the process id `p`
 // and the process count `P` — the class of programs the paper's polyhedral
-// path handles.  `AffineExpr` supports the arithmetic needed to build them
-// and exact evaluation under an environment.
+// path handles.  `AffineExpr` supports the arithmetic needed to build them;
+// lowering (lower.h) resolves the names to environment slots and evaluates.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +13,6 @@
 #include <vector>
 
 namespace dasched {
-
-/// Variable bindings for evaluation.
-using AffineEnv = std::map<std::string, std::int64_t>;
 
 class AffineExpr {
  public:
@@ -28,8 +25,6 @@ class AffineExpr {
   /// The variable `name` (coefficient 1).
   [[nodiscard]] static AffineExpr var(std::string name);
 
-  [[nodiscard]] std::int64_t eval(const AffineEnv& env) const;
-
   /// True when no variables appear (after dropping zero coefficients).
   [[nodiscard]] bool is_constant() const { return terms_.empty(); }
 
@@ -41,6 +36,11 @@ class AffineExpr {
 
   /// Names of variables with nonzero coefficients, sorted.
   [[nodiscard]] std::vector<std::string> variables() const;
+
+  /// The (name, nonzero coefficient) terms, in name order.
+  [[nodiscard]] const std::map<std::string, std::int64_t>& terms() const {
+    return terms_;
+  }
 
   AffineExpr& operator+=(const AffineExpr& o);
   AffineExpr& operator-=(const AffineExpr& o);

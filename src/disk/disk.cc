@@ -273,20 +273,7 @@ void Disk::start_service() {
   auto& q = queue_.empty() ? background_queue_ : queue_;
 
   // Elevator (SCAN): continue in the sweep direction, reverse at the end.
-  std::size_t i = q.first_at_or_above(head_pos_);
-  if (sweep_up_) {
-    if (i == q.size()) {
-      sweep_up_ = false;
-      i = q.size() - 1;
-    }
-  } else {
-    if (i == 0 && q.offset_at(0) >= head_pos_) {
-      sweep_up_ = true;
-    } else if (i == q.size() || q.offset_at(i) > head_pos_) {
-      --i;
-    }
-  }
-  DiskRequest req = q.take(i);
+  DiskRequest req = q.take_next(head_pos_, sweep_up_);
   observers_.notify([&](DiskObserver* o) { o->on_service_start(*this, req); });
 
   const Bytes dist = req.offset > head_pos_ ? req.offset - head_pos_

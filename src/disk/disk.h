@@ -270,9 +270,9 @@ class Disk {
   }
 
   /// Restores the constructor postcondition for a new run — spinning idle
-  /// at `params.max_rpm`, empty elevator queues (arrival counters rewound),
-  /// RNG reseeded, zeroed statistics — while keeping queue slabs and
-  /// histogram buckets warm so reuse allocates nothing.  Must run after the
+  /// at `params.max_rpm`, empty elevator queues, RNG reseeded, zeroed
+  /// statistics — while keeping queue blocks, slabs and histogram buckets
+  /// warm so reuse allocates nothing.  Must run after the
   /// owning simulator's reset (the idle/accrual clocks restart at
   /// `sim.now()`, which a reset simulator reads as 0); any `EventHandle`
   /// the disk held is already inert by then.  The attached policy and
@@ -316,8 +316,8 @@ class Disk {
   SimTime spin_down_started_ = 0;
   EventHandle spin_down_event_;
 
-  // Elevator queues (demand first, background second): flat sorted indices
-  // over pooled request slabs, keyed by disk offset, plus a sweep direction.
+  // Elevator queues (demand first, background second): blocked offset
+  // indices over pooled request slabs, plus the SCAN sweep direction.
   ElevatorQueue<DiskRequest> queue_;
   ElevatorQueue<DiskRequest> background_queue_;
   bool sweep_up_ = true;

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "compiler/loop_program.h"
+#include "storage/striping.h"
+#include "workload/app.h"
 
 namespace dasched {
 namespace {
@@ -122,6 +131,181 @@ TEST(Lower, MaxSlotsGuardThrows) {
   LowerOptions opts;
   opts.max_slots_per_process = 100;
   EXPECT_THROW((void)lower(prog, 1, opts), std::runtime_error);
+}
+
+TEST(Lower, ShadowingLoopRestoresTheOuterBinding) {
+  // The inner loop reuses the name `i`; after it ends, the outer `i` is
+  // visible again to the statements that follow it in the outer body.
+  LoopProgram prog;
+  prog.body.push_back(make_loop(
+      "i", 0, AE(1),
+      {make_loop("i", 10, AE(11), {make_read(0, AE::var("i"), 1)},
+                 /*slot_loop=*/false),
+       make_read(1, AE::var("i") * 100, 1)},
+      /*slot_loop=*/true));
+  const CompiledProgram cp = lower(prog, 1);
+  ASSERT_EQ(cp.num_slots, 2);
+  for (int outer = 0; outer < 2; ++outer) {
+    const auto& ops = cp.processes[0].slots[static_cast<std::size_t>(outer)].ops;
+    ASSERT_EQ(ops.size(), 3u);
+    EXPECT_EQ(ops[0].offset, 10);
+    EXPECT_EQ(ops[1].offset, 11);
+    EXPECT_EQ(ops[2].offset, outer * 100);
+  }
+}
+
+TEST(Lower, LoopVariableIsUnboundAfterItsLoop) {
+  // `j` is bound only inside its loop: naming it after the loop throws.
+  LoopProgram prog;
+  prog.body.push_back(make_loop("j", 0, AE(1), {make_compute(AE(1))}));
+  prog.body.push_back(make_compute(AE::var("j")));
+  EXPECT_THROW((void)lower(prog, 1), std::out_of_range);
+}
+
+TEST(Lower, ZeroTripLoopNeverEvaluatesItsBody) {
+  // The body names `q`, which nothing binds; the loop runs zero times, so
+  // the unbound name is never evaluated and lowering succeeds.
+  LoopProgram prog;
+  prog.body.push_back(make_loop(
+      "i", 1, AE(0), {make_read(0, AE::var("q") * 8, AE::var("q"))}));
+  prog.body.push_back(make_compute(AE(7)));
+  const CompiledProgram cp = lower(prog, 2);
+  ASSERT_EQ(cp.num_slots, 1);
+  EXPECT_EQ(cp.processes[1].slots[0].compute, 7);
+  EXPECT_TRUE(cp.processes[1].slots[0].ops.empty());
+}
+
+TEST(Lower, EvaluatedUnboundVariableThrowsNamingIt) {
+  LoopProgram prog;
+  prog.body.push_back(
+      make_loop("i", 0, AE(3), {make_read(0, AE::var("i") + AE::var("zeta"), 1)}));
+  try {
+    (void)lower(prog, 1);
+    FAIL() << "lowering an unbound variable did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(std::string(e.what()), "AffineExpr::eval: unbound variable 'zeta'");
+  }
+}
+
+TEST(Lower, UnboundLoopBoundThrows) {
+  LoopProgram prog;
+  prog.body.push_back(make_loop("i", 0, AE::var("n"), {make_compute(AE(1))}));
+  EXPECT_THROW((void)lower(prog, 1), std::out_of_range);
+}
+
+TEST(Lower, NonPositiveStepThrows) {
+  LoopProgram prog;
+  prog.body.push_back(make_loop("i", 0, AE(3), {make_compute(AE(1))},
+                                /*slot_loop=*/true, /*step=*/0));
+  EXPECT_THROW((void)lower(prog, 1), std::runtime_error);
+}
+
+// Expressions evaluated through lowering: each case puts the expression in
+// a compute statement of a one-iteration loop binding the variables.
+std::int64_t lowered_value(const AffineExpr& e,
+                           std::initializer_list<std::pair<const char*, std::int64_t>> vars) {
+  StmtList body = {make_compute(e)};
+  for (auto it = std::rbegin(vars); it != std::rend(vars); ++it) {
+    body = {make_loop(it->first, it->second, AE(it->second), std::move(body),
+                      /*slot_loop=*/false)};
+  }
+  LoopProgram prog;
+  prog.body = std::move(body);
+  const CompiledProgram cp = lower(prog, 1);
+  EXPECT_EQ(cp.num_slots, 1);
+  return cp.num_slots == 1 ? cp.processes[0].slots[0].compute.count() : -1;
+}
+
+TEST(LowerAffine, ConstantEvaluation) {
+  const AffineExpr e = 42;
+  EXPECT_TRUE(e.is_constant());
+  EXPECT_EQ(lowered_value(e, {}), 42);
+}
+
+TEST(LowerAffine, VariableEvaluation) {
+  const AffineExpr e = AffineExpr::var("i");
+  EXPECT_FALSE(e.is_constant());
+  EXPECT_EQ(lowered_value(e, {{"i", 7}}), 7);
+}
+
+TEST(LowerAffine, UnboundVariableThrows) {
+  const AffineExpr e = AffineExpr::var("i");
+  LoopProgram prog;
+  prog.body.push_back(make_compute(e));
+  EXPECT_THROW((void)lower(prog, 1), std::out_of_range);
+}
+
+TEST(LowerAffine, LinearCombination) {
+  const AffineExpr i = AffineExpr::var("i");
+  const AffineExpr j = AffineExpr::var("j");
+  const AffineExpr e = 3 * i + j * 2 + 5;
+  EXPECT_EQ(lowered_value(e, {{"i", 10}, {"j", 1}}), 37);
+}
+
+TEST(LowerAffine, NegativeCoefficients) {
+  const AffineExpr e = AffineExpr(10) - 3 * AffineExpr::var("k");
+  EXPECT_EQ(lowered_value(e, {{"k", 2}}), 4);
+}
+
+TEST(LowerAffine, ProcessVariablesBindFirst) {
+  // p and P are bound for every process; a loop over `p` shadows it and the
+  // process id returns after the loop.
+  LoopProgram prog;
+  prog.body.push_back(make_loop("p", 5, AE(5), {make_compute(AE::var("p"))},
+                                /*slot_loop=*/true));
+  prog.body.push_back(make_compute(AE::var("p") * 1000 + AE::var("P")));
+  const CompiledProgram cp = lower(prog, 3);
+  ASSERT_EQ(cp.num_slots, 2);
+  for (int p = 0; p < 3; ++p) {
+    const auto& slots = cp.processes[static_cast<std::size_t>(p)].slots;
+    EXPECT_EQ(slots[0].compute, 5);
+    EXPECT_EQ(slots[1].compute, p * 1000 + 3);
+  }
+}
+
+// FNV-1a over every lowered fact: per process, per slot, its compute and
+// each op's file, offset, size and direction.
+std::uint64_t program_digest(const CompiledProgram& cp) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(static_cast<std::uint64_t>(cp.num_processes()));
+  for (const ProcessPlan& proc : cp.processes) {
+    mix(proc.slots.size());
+    for (const SlotPlan& slot : proc.slots) {
+      mix(static_cast<std::uint64_t>(slot.compute.count()));
+      mix(slot.ops.size());
+      for (const IoOp& op : slot.ops) {
+        mix(static_cast<std::uint64_t>(op.file));
+        mix(static_cast<std::uint64_t>(op.offset.count()));
+        mix(static_cast<std::uint64_t>(op.size.count()));
+        mix(op.is_write ? 1U : 0U);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Lower, AppProgramsMatchPinnedDigests) {
+  // Digests of the six applications lowered at 8 processes, scale 0.05,
+  // captured from the name-keyed interpreter this lowering replaced.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"hf", 0xe1226dbb0913ebddULL},        {"sar", 0x767e3413770b151dULL},
+      {"astro", 0x6fef634e4f2e80adULL},     {"apsi", 0x10e03bbcff1081edULL},
+      {"madbench2", 0x6d5bb896d79666feULL}, {"wupwise", 0x0b81c37106f434ddULL},
+  };
+  WorkloadScale scale;
+  scale.num_processes = 8;
+  scale.factor = 0.05;
+  for (const auto& [name, digest] : pinned) {
+    StripingMap striping(8, kib(64));
+    const CompiledProgram cp = app_by_name(name).build(striping, scale);
+    EXPECT_EQ(program_digest(cp), digest) << name;
+  }
 }
 
 TEST(Coarsen, MergesGroupsOfDSlots) {

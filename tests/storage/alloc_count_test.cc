@@ -4,8 +4,10 @@
 // flag.  After a warm-up pass grows every pool and scratch buffer to its
 // high-water mark (simulator event pool, join pools, elevator queues, RAID
 // scratch vectors, the flat LRU's fixed tables), re-running the same request
-// pattern must perform ZERO heap allocations — both for steady-state cached
-// reads and for the cache-miss + prefetch path.  A new allocation site in
+// pattern must perform ZERO heap allocations — for steady-state cached
+// reads, for the cache-miss + prefetch path, and for a disk whose
+// background backlog spans several elevator-index blocks and is refilled
+// after draining.  A new allocation site in
 // `StorageSystem::route`, `IoNode::read`, `RaidLayout`, `StorageCache` or
 // `Disk` turns into a test failure here, not a silent perf regression.
 
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "disk/disk.h"
 #include "storage/storage_system.h"
 
 namespace {
@@ -148,6 +151,45 @@ TEST(AllocCount, SteadyStateCacheMissPathAllocatesNothing) {
   const StorageStats stats = storage.finalize();
   // Sanity: the counted round really exercised the disks.
   EXPECT_GT(stats.disk_requests, kBlocks);
+}
+
+/// Submits one identical round of background requests at a single disk and
+/// runs the sim until the backlog drains; returns the peak queue depth.
+std::size_t run_background_round(Simulator& sim, Disk& disk,
+                                 std::int64_t& completed) {
+  constexpr int kRequests = 1'000;
+  for (int i = 0; i < kRequests; ++i) {
+    // 512 distinct offsets in a scattered order: many requests share one.
+    const Bytes offset = kib(64) * ((i * 7'919) % 512);
+    disk.submit(DiskRequest{offset, kib(64), /*is_write=*/false,
+                            /*background=*/true,
+                            EventFn([&completed] { ++completed; })});
+  }
+  const std::size_t depth = disk.queue_depth();
+  sim.run();
+  return depth;
+}
+
+TEST(AllocCount, RefilledBackgroundBacklogAllocatesNothing) {
+  Simulator sim;
+  Disk disk(sim, DiskParams::paper_defaults());
+  std::int64_t completed = 0;
+
+  // Warm-up: the backlog spans many index blocks, which split as it fills
+  // and return to the pool as it drains.
+  const std::size_t depth = run_background_round(sim, disk, completed);
+  ASSERT_GT(depth, 4u * ElevatorQueue<DiskRequest>::kBlockEntries);
+  ASSERT_TRUE(disk.queue_empty());
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const std::size_t refill_depth = run_background_round(sim, disk, completed);
+  g_counting.store(false);
+
+  EXPECT_EQ(refill_depth, depth);
+  EXPECT_EQ(completed, 2'000);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "refilling a drained background backlog hit the heap";
 }
 
 }  // namespace
