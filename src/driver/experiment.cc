@@ -76,10 +76,4 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   return ws.run(cfg);
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                SimAuditor* auditor) {
-  ExperimentWorkspace ws;
-  return ws.run(cfg, auditor);
-}
-
 }  // namespace dasched

@@ -28,7 +28,6 @@
 
 namespace dasched {
 
-class SimAuditor;
 struct TelemetrySummary;
 
 struct ExperimentConfig {
@@ -45,9 +44,12 @@ struct ExperimentConfig {
   bool use_scheme = false;
   std::uint64_t seed = 1;
 
-  /// Runs the experiment under the invariant auditor (src/check).  A
-  /// violation makes `run_experiment` throw with the audit report, so a
-  /// DASCHED_AUDIT=ON build turns every test into an invariant test.
+  /// Runs the experiment under the invariant auditor (src/check).  This is
+  /// the only way to audit a run, with one policy everywhere: a violation
+  /// throws std::runtime_error carrying the audit report once the run has
+  /// completed, so a DASCHED_AUDIT=ON build turns every test into an
+  /// invariant test.  A clean run leaves the report in
+  /// `ExperimentResult::audit_report`.
   bool audit = DASCHED_AUDIT_DEFAULT != 0;
 
   /// Telemetry capture (src/telemetry).  Off by default; when enabled the
@@ -90,10 +92,15 @@ struct ExperimentResult {
   ScheduleStats sched;
   std::int64_t events = 0;
 
-  /// True when the run was audited; `audit_violations` is the total count
-  /// (only ever non-zero with an external auditor, which does not throw).
+  /// True when the run was audited.  `audit_violations` is 0 on every
+  /// returned result (a violation throws instead); both are kept for the
+  /// grid CSV/JSONL schema and the daemon wire.
   bool audited = false;
   std::int64_t audit_violations = 0;
+  /// The auditor's all-clear line ("audit: N invariant evaluations across
+  /// K checks, no violations") of an audited run; empty when unaudited.
+  /// Not sent on the wire.
+  std::string audit_report;
 
   /// Analytics summary of the traced run; null when telemetry was off.
   /// Shared so grid sinks can aggregate without copying the histograms.
@@ -115,12 +122,6 @@ void validate_experiment_topology(const ExperimentConfig& cfg);
 /// simulation deadlocks (a client never finishes) or if `cfg.audit` is set
 /// and an invariant check fires.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg);
-
-/// Same, auditing into a caller-provided auditor (enabled regardless of
-/// `cfg.audit`).  Violations are reported through the auditor instead of
-/// throwing, so tools can print the full report.
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                              SimAuditor* auditor);
 
 /// Energy of `r` normalized to `baseline` (the paper's Fig. 12c/d y-axis).
 [[nodiscard]] inline double normalized_energy(const ExperimentResult& r,

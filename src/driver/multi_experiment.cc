@@ -11,10 +11,4 @@ MultiExperimentResult run_multi_experiment(const MultiExperimentConfig& cfg) {
   return ws.run(cfg);
 }
 
-MultiExperimentResult run_multi_experiment(const MultiExperimentConfig& cfg,
-                                           SimAuditor* auditor) {
-  ExperimentWorkspace ws;
-  return ws.run(cfg, auditor);
-}
-
 }  // namespace dasched

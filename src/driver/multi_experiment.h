@@ -41,10 +41,12 @@ struct MultiExperimentResult {
   /// Per-application runtime statistics.
   std::vector<RuntimeStats> runtime;
 
-  /// True when the run was audited; `audit_violations` is the total count
-  /// (only ever non-zero with an external auditor, which does not throw).
+  /// True when the run was audited (`base.audit`); a violation throws, so
+  /// an audited result is always clean.  `audit_report` is the auditor's
+  /// all-clear line over the shared stack and every lane's schedule; empty
+  /// when unaudited.
   bool audited = false;
-  std::int64_t audit_violations = 0;
+  std::string audit_report;
 
   /// Analytics summary of the traced run; null when telemetry was off.
   std::shared_ptr<const TelemetrySummary> telemetry;
@@ -57,12 +59,5 @@ struct MultiExperimentResult {
 /// `cfg.base.audit` is set.
 [[nodiscard]] MultiExperimentResult run_multi_experiment(
     const MultiExperimentConfig& cfg);
-
-/// As above, but records invariant checks into an external auditor instead
-/// of throwing: the caller inspects `auditor->clean()` / the result's
-/// `audit_violations`.  The auditor observes the shared simulator and
-/// storage system plus every application's compiled schedule.
-[[nodiscard]] MultiExperimentResult run_multi_experiment(
-    const MultiExperimentConfig& cfg, SimAuditor* auditor);
 
 }  // namespace dasched

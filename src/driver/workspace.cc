@@ -59,11 +59,6 @@ std::string lane_names(std::span<const std::string> apps) {
 
 }  // namespace
 
-ExperimentWorkspace::~ExperimentWorkspace() {
-  // Layers hold raw pointers to per-run observers; they are long gone by
-  // now, but the stack is torn down here anyway.
-}
-
 void ExperimentWorkspace::clear_all() {
   lanes_.clear();
   storage_.reset();
@@ -189,43 +184,14 @@ const Compiled& ExperimentWorkspace::obtain_compiled(
 }
 
 const ExperimentResult& ExperimentWorkspace::run(const ExperimentConfig& cfg) {
-  run_lanes_checked(cfg, {&cfg.app, 1});
-  return single_result(cfg);
-}
-
-const ExperimentResult& ExperimentWorkspace::run(const ExperimentConfig& cfg,
-                                                 SimAuditor* auditor) {
-  run_lanes(cfg, {&cfg.app, 1}, auditor);
+  run_lanes(cfg, {&cfg.app, 1});
   return single_result(cfg);
 }
 
 MultiExperimentResult ExperimentWorkspace::run(
     const MultiExperimentConfig& cfg) {
-  run_lanes_checked(cfg.base, cfg.apps);
+  run_lanes(cfg.base, cfg.apps);
   return multi_result();
-}
-
-MultiExperimentResult ExperimentWorkspace::run(
-    const MultiExperimentConfig& cfg, SimAuditor* auditor) {
-  run_lanes(cfg.base, cfg.apps, auditor);
-  return multi_result();
-}
-
-void ExperimentWorkspace::run_lanes_checked(
-    const ExperimentConfig& base, std::span<const std::string> apps) {
-  if (!base.audit) {
-    run_lanes(base, apps, nullptr);
-    return;
-  }
-  // Internal auditor: a violation is a fatal correctness bug, so surface the
-  // report as an exception rather than as statistics.
-  SimAuditor auditor;
-  run_lanes(base, apps, &auditor);
-  if (!auditor.clean()) {
-    throw std::runtime_error("experiment '" + lane_names(apps) +
-                             "' failed its invariant audit:\n" +
-                             auditor.report());
-  }
 }
 
 const ExperimentResult& ExperimentWorkspace::single_result(
@@ -248,18 +214,21 @@ MultiExperimentResult ExperimentWorkspace::multi_result() const {
   out.energy_j = result_.energy_j;
   out.storage = result_.storage;
   out.audited = result_.audited;
-  out.audit_violations = result_.audit_violations;
+  out.audit_report = result_.audit_report;
   out.telemetry = result_.telemetry;
   return out;
 }
 
 void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
-                                    std::span<const std::string> apps,
-                                    SimAuditor* auditor) {
+                                    std::span<const std::string> apps) {
   prepare_lanes(base, apps);
   in_run_ = true;  // cleared on success; a throw leaves it set -> poison
   Simulator& sim = *sim_;
   StorageSystem& storage = *storage_;
+
+  // An audited run owns its auditor, which must outlive every observer
+  // pointer the layers hold into its checks (dropped by the guard below).
+  std::optional<SimAuditor> auditor;
 
   // Per-run observers (audit checks, telemetry recorders) die at the end of
   // this call, so every layer must drop its raw pointers to them even when
@@ -272,8 +241,8 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
   // Hook the auditor in before anything can schedule an event, so the
   // event-queue ledger sees the complete history.
   InstalledChecks checks;
-  if (auditor != nullptr) {
-    checks = install_audit(*auditor, sim, storage, base.policy,
+  if (base.audit) {
+    checks = install_audit(auditor.emplace(), sim, storage, base.policy,
                            base.policy_cfg);
   }
 
@@ -307,7 +276,7 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
       // whether it was compiled now or reused (kFull only).
       recorder->record_placements(compiled.scheduled);
     }
-    if (auditor != nullptr) {
+    if (auditor.has_value()) {
       audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);
     }
     std::unique_ptr<Cluster>& cluster = lanes_[i].cluster;
@@ -344,7 +313,7 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
   result_.energy_j = result_.storage.energy_j;
   result_.events = sim.events_executed();
   result_.audited = false;
-  result_.audit_violations = 0;
+  result_.audit_report.clear();
   result_.telemetry = nullptr;
 
   if (recorder != nullptr) {
@@ -381,18 +350,24 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
     result_.telemetry = std::move(summary);
   }
 
-  if (auditor != nullptr) {
-    auditor->finalize();
-    result_.audited = true;
-    result_.audit_violations = auditor->violations_total();
-  }
   in_run_ = false;
   ++runs_completed_;
-}
 
-ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                ExperimentWorkspace& ws) {
-  return ws.run(cfg);
+  if (auditor.has_value()) {
+    auditor->finalize();
+    // A violation is a fatal correctness bug.  It throws only now that the
+    // run has completed, so the workspace stays warm for the next run.
+    if (!auditor->clean()) {
+      // dasched-lint: allow(hot-alloc): fatal-error path, never on success
+      throw std::runtime_error("experiment '" + lane_names(apps) +
+                               // dasched-lint: allow(hot-alloc): fatal path
+                               "' failed its invariant audit:\n" +
+                               auditor->report());
+    }
+    result_.audited = true;
+    // dasched-lint: allow(hot-alloc): audited runs opt into the report
+    result_.audit_report = auditor->report();
+  }
 }
 
 }  // namespace dasched

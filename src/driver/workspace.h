@@ -49,12 +49,9 @@
 
 namespace dasched {
 
-class SimAuditor;
-
 class ExperimentWorkspace {
  public:
   ExperimentWorkspace() = default;
-  ~ExperimentWorkspace();
 
   ExperimentWorkspace(const ExperimentWorkspace&) = delete;
   ExperimentWorkspace& operator=(const ExperimentWorkspace&) = delete;
@@ -71,16 +68,10 @@ class ExperimentWorkspace {
   /// valid until the next `run` or the workspace's destruction.
   const ExperimentResult& run(const ExperimentConfig& cfg);
 
-  /// Same, auditing into a caller-provided auditor (enabled regardless of
-  /// `cfg.audit`); violations land in the auditor instead of throwing.
-  const ExperimentResult& run(const ExperimentConfig& cfg, SimAuditor* auditor);
-
-  /// Co-scheduled counterparts: one lane per application in `cfg.apps`,
-  /// all sharing the storage system configured by `cfg.base` (whose `app`
-  /// is ignored).  Same audit contract as the single-application runs.
+  /// Co-scheduled counterpart: one lane per application in `cfg.apps`, all
+  /// sharing the storage system configured by `cfg.base` (whose `app` is
+  /// ignored).  Same audit contract as the single-application run.
   MultiExperimentResult run(const MultiExperimentConfig& cfg);
-  MultiExperimentResult run(const MultiExperimentConfig& cfg,
-                            SimAuditor* auditor);
 
   /// True after a run threw mid-flight (the in-run marker was never
   /// cleared); the next prepare() rebuilds from scratch and clears it.
@@ -136,20 +127,17 @@ class ExperimentWorkspace {
   /// compiles, or a fresh compile that evicts the lane's least recently
   /// used one.
   const Compiled& obtain_compiled(Lane& lane, const CompileOptions& copts);
-  /// Runs with `base.audit` honoured: an internal auditor whose violations
-  /// throw.
-  void run_lanes_checked(const ExperimentConfig& base,
-                         std::span<const std::string> apps);
   /// Prepares the lanes, runs every one to completion and fills the
   /// run-wide fields of `result_` (storage, energy, events, telemetry,
-  /// audit).
+  /// audit).  With `base.audit` set the run owns an auditor; a violation
+  /// throws its report after the run completed, so it does not poison the
+  /// workspace.
   /// The grid's steady-state path: on a topology-compatible rerun it must
   /// not allocate (enforced by the lint's hot-alloc rule + the operator-new
   /// interposition test); every sanctioned warm-up/miss-path allocation in
   /// the implementation carries an inline allow(hot-alloc) justification.
   DASCHED_HOT void run_lanes(const ExperimentConfig& base,
-                             std::span<const std::string> apps,
-                             SimAuditor* auditor);
+                             std::span<const std::string> apps);
   /// Fills the per-application fields of `result_` from the single lane.
   const ExperimentResult& single_result(const ExperimentConfig& cfg);
   [[nodiscard]] MultiExperimentResult multi_result() const;
@@ -178,11 +166,5 @@ class ExperimentWorkspace {
   std::uint64_t compile_misses_ = 0;
   std::uint64_t runs_completed_ = 0;
 };
-
-/// Workspace-reusing counterpart of `run_experiment(cfg)`: identical results
-/// (bit-for-bit), amortized construction.  The classic entry points are thin
-/// wrappers over a single-use workspace.
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                              ExperimentWorkspace& ws);
 
 }  // namespace dasched

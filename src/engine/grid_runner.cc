@@ -73,7 +73,7 @@ ExperimentResult run_cell(const GridCell& cell, const GridRunOptions& opts,
       cfg.telemetry.dir += "/cell_" + std::to_string(cell.index);
     }
   }
-  return run_experiment(cfg, ws);
+  return ws.run(cfg);
 }
 
 }  // namespace

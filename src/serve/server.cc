@@ -115,9 +115,11 @@ bool TenantSession::handle(FrameType type, std::span<const std::uint8_t> payload
   } catch (const std::out_of_range& e) {
     return send_error(sink, "config", "app", e.what());
   } catch (const std::exception& e) {
-    // A run that threw mid-flight (audit violation, unwritable telemetry
-    // dir, ...) poisoned the workspace; the next prepare() rebuilds it, so
-    // the tenant survives.
+    // The tenant survives every failure here.  A run that threw mid-flight
+    // (an unwritable telemetry dir, a telemetry energy divergence, stuck
+    // clients) poisoned the workspace, and the next prepare() rebuilds it.
+    // An audit violation throws after the run completed and leaves the
+    // workspace warm.
     return send_error(sink, "runtime", "", e.what());
   }
 }

@@ -2,7 +2,7 @@
 // silent across every power policy, with and without the scheme.
 #include <gtest/gtest.h>
 
-#include "check/audit.h"
+#include "audit_report.h"
 #include "driver/experiment.h"
 
 namespace dasched {
@@ -22,12 +22,13 @@ class AuditedRun : public ::testing::TestWithParam<std::tuple<PolicyKind, bool>>
 
 TEST_P(AuditedRun, RunsCleanUnderTheFullCatalog) {
   const auto [policy, scheme] = GetParam();
-  SimAuditor auditor;
-  const ExperimentResult r = run_experiment(tiny(policy, scheme), &auditor);
+  ExperimentConfig cfg = tiny(policy, scheme);
+  cfg.audit = true;  // a violation would throw its report
+  const ExperimentResult r = run_experiment(cfg);
   EXPECT_TRUE(r.audited);
-  EXPECT_EQ(r.audit_violations, 0) << auditor.report();
-  EXPECT_TRUE(auditor.clean()) << auditor.report();
-  EXPECT_GT(auditor.evaluations(), 0);
+  EXPECT_EQ(r.audit_violations, 0) << r.audit_report;
+  // Four runtime checks plus the one lane's schedule check, all clean.
+  EXPECT_GT(clean_audit_evaluations(r.audit_report, 5), 0) << r.audit_report;
   EXPECT_GT(r.energy_j.value(), 0.0);
 }
 
@@ -57,6 +58,7 @@ TEST(AuditedRun, UnauditedRunReportsUnaudited) {
   const ExperimentResult r = run_experiment(cfg);
   EXPECT_FALSE(r.audited);
   EXPECT_EQ(r.audit_violations, 0);
+  EXPECT_TRUE(r.audit_report.empty()) << r.audit_report;
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "check/audit.h"
+#include "audit_report.h"
 #include "driver/experiment.h"
 #include "engine/grid_runner.h"
 #include "engine/result_sink.h"
@@ -94,15 +94,17 @@ TEST(TelemetryRun, RecorderIsInvisibleToResults) {
 TEST(TelemetryRun, AuditAndTraceCompose) {
   ExperimentConfig cfg = tiny("madbench2", PolicyKind::kHistory, true);
   cfg.telemetry.level = TraceLevel::kFull;
-  SimAuditor auditor;
-  const ExperimentResult r = run_experiment(cfg, &auditor);
+  cfg.audit = true;
+  const ExperimentResult r = run_experiment(cfg);
   EXPECT_TRUE(r.audited);
   EXPECT_EQ(r.audit_violations, 0);
-  EXPECT_TRUE(auditor.clean()) << auditor.report();
+  EXPECT_GT(clean_audit_evaluations(r.audit_report, 5), 0) << r.audit_report;
   ASSERT_NE(r.telemetry, nullptr);
   // Audited equals unaudited equals untraced: full composition matrix.
-  const ExperimentResult plain =
-      run_experiment(tiny("madbench2", PolicyKind::kHistory, true));
+  ExperimentConfig plain_cfg = tiny("madbench2", PolicyKind::kHistory, true);
+  plain_cfg.audit = false;
+  const ExperimentResult plain = run_experiment(plain_cfg);
+  EXPECT_TRUE(plain.audit_report.empty()) << plain.audit_report;
   expect_same_results(plain, r);
 }
 

@@ -264,11 +264,11 @@ TEST(TraceReplayLower, WorkspaceSurvivesFailedParseThenRuns) {
   cfg.app = "sar";
   cfg.scale.num_processes = 4;
   cfg.scale.factor = 0.1;
-  const ExperimentResult base = run_experiment(cfg, ws);
+  const ExperimentResult base = ws.run(cfg);
   EXPECT_THROW((void)parse_replay_trace("0,0,a.dat,0,0,R\n", "bad.csv", {}),
                TraceParseError);
   EXPECT_FALSE(ws.poisoned());
-  const ExperimentResult again = run_experiment(cfg, ws);
+  const ExperimentResult again = ws.run(cfg);
   EXPECT_EQ(base.exec_time, again.exec_time);
   EXPECT_EQ(base.energy_j.value(), again.energy_j.value());
 }

@@ -38,8 +38,7 @@ int run_probe(const ExperimentConfig& base, bool use_workspace) {
         cfg.app = app;
         cfg.policy = policy;
         cfg.use_scheme = scheme != 0;
-        print_hexfloat_line(use_workspace ? run_experiment(cfg, ws)
-                                          : run_experiment(cfg));
+        print_hexfloat_line(use_workspace ? ws.run(cfg) : run_experiment(cfg));
       }
     }
   }
