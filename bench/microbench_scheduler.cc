@@ -215,7 +215,7 @@ BENCHMARK(BM_GridRunner)
     ->UseRealTime();
 
 // --------------------------------------------------------------------------
-// Storage data path (StorageSystem::route -> IoNode -> RaidLayout -> Disk).
+// Storage data path (StorageSystem::route -> IoNode -> Disk).
 // These benches pin the per-request cost of the storage fast path; the
 // recorded A/B numbers live in BENCH_storage_path.json.
 // --------------------------------------------------------------------------
@@ -247,7 +247,7 @@ void BM_StoragePathCachedRead(benchmark::State& state) {
 BENCHMARK(BM_StoragePathCachedRead)->Unit(benchmark::kMillisecond);
 
 /// Cache-miss stream: tiny node caches + a file far larger than they hold,
-/// so nearly every read walks the full miss path (LRU eviction, RAID map,
+/// so nearly every read walks the full miss path (LRU eviction, block split,
 /// elevator queue, disk service, sequential prefetch).
 void BM_StoragePathDiskMiss(benchmark::State& state) {
   Simulator sim;

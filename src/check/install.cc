@@ -19,10 +19,8 @@ InstalledChecks install_audit(SimAuditor& auditor, Simulator& sim,
   for (int n = 0; n < storage.num_io_nodes(); ++n) {
     IoNode& node = storage.node(n);
     node.add_observer(out.storage);
-    for (int d = 0; d < node.num_disks(); ++d) {
-      node.disk(d).add_observer(out.energy);
-      node.disk(d).add_observer(out.disk_state);
-    }
+    node.disk().add_observer(out.energy);
+    node.disk().add_observer(out.disk_state);
   }
   return out;
 }

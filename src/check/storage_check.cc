@@ -89,9 +89,9 @@ void StorageAccountingCheck::on_prefetch_issued(const IoNode& node, Bytes block)
   ledger_for(node).prefetches += 1;
 }
 
-void StorageAccountingCheck::on_disk_ops_issued(const IoNode& node,
-                                                std::size_t count) {
-  ledger_for(node).disk_ops += static_cast<std::int64_t>(count);
+void StorageAccountingCheck::on_disk_requests_issued(const IoNode& node,
+                                                     std::size_t count) {
+  ledger_for(node).disk_requests += static_cast<std::int64_t>(count);
 }
 
 void StorageAccountingCheck::on_finalized(const IoNode& node,
@@ -117,10 +117,10 @@ void StorageAccountingCheck::on_finalized(const IoNode& node,
     fail(0, os.str());
   }
   evaluated();
-  if (stats.disk_requests != ledger.disk_ops) {
+  if (stats.disk_requests != ledger.disk_requests) {
     std::ostringstream os;
     os << "node " << id << " disks served " << stats.disk_requests
-       << " requests; the node issued " << ledger.disk_ops;
+       << " requests; the node issued " << ledger.disk_requests;
     fail(0, os.str());
   }
   evaluated();

@@ -46,7 +46,7 @@ class DASCHED_OBSERVER_PASSIVE StorageAccountingCheck final
   void on_write(const IoNode& node, Bytes offset, Bytes size) override;
   void on_block_lookup(const IoNode& node, Bytes block, bool hit) override;
   void on_prefetch_issued(const IoNode& node, Bytes block) override;
-  void on_disk_ops_issued(const IoNode& node, std::size_t count) override;
+  void on_disk_requests_issued(const IoNode& node, std::size_t count) override;
   void on_finalized(const IoNode& node, const IoNodeStats& stats) override;
 
   void at_end() override;
@@ -56,7 +56,7 @@ class DASCHED_OBSERVER_PASSIVE StorageAccountingCheck final
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t prefetches = 0;
-    std::int64_t disk_ops = 0;
+    std::int64_t disk_requests = 0;
     /// Demand (non-background) node-local reads delivered to the node.
     std::int64_t demand_reads = 0;
     std::int64_t background_reads = 0;

@@ -578,8 +578,8 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
     }
 
     total_advance += static_cast<double>(rec.original - result.slot);
-    // dasched-lint: allow(hot-alloc): the caller pre-reserves `out` (see
-    // Cluster::compile); growth here is first-run only.
+    // dasched-lint: allow(hot-alloc): `out` was reserved to one row per
+    // access above, so this never grows.
     out.push_back(std::move(result));
   }
 

@@ -11,15 +11,14 @@ std::size_t default_event_reserve(const StorageConfig& storage,
                                   const WorkloadScale& scale) {
   // Concurrently *outstanding* events, not total events: each client keeps
   // a bounded in-flight chain (compute timer + one piece per node of the
-  // current request + join), each disk a bounded set (service completion,
-  // policy timer, elevator kick), plus prefetch slots per node.  The slack
-  // constant absorbs transient double-booking around hand-offs.
+  // current request + join), each node's disk a bounded set (service
+  // completion, policy timer, elevator kick), plus prefetch slots per node.
+  // The slack constant absorbs transient double-booking around hand-offs.
   const std::size_t clients = static_cast<std::size_t>(scale.num_processes);
   const std::size_t nodes = static_cast<std::size_t>(storage.num_io_nodes);
-  const std::size_t disks = static_cast<std::size_t>(storage.node.num_disks);
   const std::size_t prefetch =
       static_cast<std::size_t>(storage.node.prefetch_depth);
-  return clients * (2 + nodes) + nodes * (disks * 3 + prefetch + 2) + 64;
+  return clients * (2 + nodes) + nodes * (3 + prefetch + 2) + 64;
 }
 
 void validate_experiment_topology(const ExperimentConfig& cfg) {

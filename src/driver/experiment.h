@@ -1,10 +1,11 @@
 // End-to-end experiment runner.
 //
-// One experiment = one application × one power policy × scheme on/off,
-// executed on a freshly built simulator + storage system.  Every bench
-// binary (and the integration tests) goes through `run_experiment`, so the
-// paper's pipeline — workload, compile, simulate, measure — lives in exactly
-// one place.
+// One experiment = one application × one power policy × scheme on/off.
+// Every run — bench binaries, grid cells, daemon requests and the
+// integration tests — goes through `ExperimentWorkspace::run`
+// (driver/workspace.h), so the paper's pipeline — workload, compile,
+// simulate, measure — lives in exactly one place, `run_lanes`.
+// `run_experiment` is a single-use workspace for one-off runs.
 #pragma once
 
 #include <cstdint>

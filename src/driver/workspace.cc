@@ -73,10 +73,8 @@ void ExperimentWorkspace::detach_observers() {
   for (int i = 0; i < storage_->num_io_nodes(); ++i) {
     IoNode& node = storage_->node(i);
     node.clear_observers();
-    for (int d = 0; d < node.num_disks(); ++d) {
-      node.disk(d).clear_observers();
-      if (PowerPolicy* policy = node.policy(d)) policy->clear_observers();
-    }
+    node.disk().clear_observers();
+    if (PowerPolicy* policy = node.policy()) policy->clear_observers();
   }
 }
 

@@ -1,7 +1,7 @@
 // Grid execution: serial or on a std::thread worker pool.
 //
-// Each grid cell is one `run_experiment` call.  Every worker thread owns
-// one warm ExperimentWorkspace reused across all its cells, so a W-worker
+// Each grid cell is one `ExperimentWorkspace::run` call.  Every worker
+// thread owns one warm workspace reused across all its cells, so a W-worker
 // run over N cells constructs O(W) simulation stacks instead of O(N);
 // reuse is bit-identical to fresh construction (DESIGN.md §16).  Cells
 // share no mutable state and the parallel schedule cannot change any

@@ -1,5 +1,6 @@
 #include "storage/io_node.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -13,37 +14,31 @@ IoNode::IoNode(Simulator& sim, IoNodeConfig cfg, int node_id, std::uint64_t seed
       cfg_(cfg),
       node_id_(node_id),
       cache_(cfg.cache_capacity, cfg.cache_block_size),
-      raid_(cfg.raid, cfg.num_disks, cfg.chunk_size) {
-  for (int i = 0; i < cfg.num_disks; ++i) {
-    disks_.push_back(std::make_unique<Disk>(
-        sim_, cfg_.disk, derive_seed(seed, static_cast<std::uint64_t>(i))));
-    policies_.push_back(make_policy(cfg_.policy, cfg_.policy_cfg));
-    disks_.back()->set_policy(policies_.back().get());
-  }
+      disk_(sim, cfg_.disk, derive_seed(seed, 0)),
+      policy_(make_policy(cfg_.policy, cfg_.policy_cfg)) {
+  disk_.set_policy(policy_.get());
 }
 
-void IoNode::fill_scratch_ops(Bytes offset, Bytes size, bool is_write) {
-  scratch_ops_.clear();
-  raid_.for_each_op(offset, size, is_write,
-                    // dasched-lint: allow(hot-alloc): scratch vector retains capacity
-                    // across requests.
-                    [this](const DiskOp& op) { scratch_ops_.push_back(op); });
-}
-
-void IoNode::issue_disk_ops(JoinId join, bool background) {
+void IoNode::issue_disk_requests(Bytes offset, Bytes size, bool is_write,
+                                 JoinId join, bool background) {
+  assert(offset >= 0 && size > 0);
+  const Bytes block = cache_.block_size();
+  const Bytes end = offset + size;
+  const auto count = static_cast<std::size_t>(
+      (cache_.align(end - 1) - cache_.align(offset)) / block + 1);
   observers_.notify(
-      [&](IoNodeObserver* o) { o->on_disk_ops_issued(*this, scratch_ops_.size()); });
-  // Disk::submit never runs completions synchronously, so `scratch_ops_`
-  // cannot be clobbered by re-entry while we iterate it.
-  for (const DiskOp& op : scratch_ops_) {
-    assert(op.disk >= 0 && op.disk < num_disks());
+      [&](IoNodeObserver* o) { o->on_disk_requests_issued(*this, count); });
+  // One request per block the range touches, clipped to the range.
+  for (Bytes pos = offset; pos < end;) {
+    const Bytes len = std::min(end - pos, block - pos % block);
     EventFn on_complete;
     if (join) {
       join_pool_.add(join);
       on_complete = EventFn([this, join] { join_pool_.arrive(join); });
     }
-    disks_[static_cast<std::size_t>(op.disk)]->submit(DiskRequest{
-        op.offset, op.size, op.is_write, background, std::move(on_complete)});
+    disk_.submit(
+        DiskRequest{pos, len, is_write, background, std::move(on_complete)});
+    pos += len;
   }
 }
 
@@ -58,8 +53,8 @@ void IoNode::prefetch_after_miss(Bytes block_offset) {
         [&](IoNodeObserver* o) { o->on_prefetch_issued(*this, next); });
     cache_.insert(next);
     // Fire-and-forget disk reads; nobody waits on prefetches.
-    fill_scratch_ops(next, cache_.block_size(), /*is_write=*/false);
-    issue_disk_ops(JoinId{}, /*background=*/true);
+    issue_disk_requests(next, cache_.block_size(), /*is_write=*/false,
+                        JoinId{}, /*background=*/true);
   }
 }
 
@@ -82,8 +77,8 @@ void IoNode::read(Bytes offset, Bytes size, EventFn done, bool background) {
     } else {
       // Whole-block fill, as real storage caches do.
       cache_.insert(b);
-      fill_scratch_ops(b, cache_.block_size(), /*is_write=*/false);
-      issue_disk_ops(join, background);
+      issue_disk_requests(b, cache_.block_size(), /*is_write=*/false, join,
+                          background);
       prefetch_after_miss(b);
     }
   }
@@ -98,8 +93,7 @@ void IoNode::write(Bytes offset, Bytes size, EventFn done) {
   // client continues after the cache latency; the disk writes drain in the
   // background.  (AccuSim's server caches behave the same way; this is what
   // keeps disks busy through write bursts instead of lock-stepping clients.)
-  fill_scratch_ops(offset, size, /*is_write=*/true);
-  issue_disk_ops(JoinId{});
+  issue_disk_requests(offset, size, /*is_write=*/true, JoinId{});
 
   const Bytes first = cache_.align(offset);
   const Bytes last = cache_.align(offset + size - 1);
@@ -115,23 +109,16 @@ IoNodeStats IoNode::finalize() {
 }
 
 void IoNode::finalize_into(IoNodeStats& out) {
-  out.energy_j = Joules{};
-  out.requests = 0;
-  out.disk_requests = 0;
-  out.spin_downs = 0;
-  out.spin_ups = 0;
-  out.rpm_changes = 0;
+  const DiskStats& s = disk_.finalize();
+  out.energy_j = s.energy_j;
+  out.disk_requests = s.requests;
+  out.spin_downs = s.spin_downs;
+  out.spin_ups = s.spin_ups;
+  out.rpm_changes = s.rpm_changes;
+  // clear + merge rather than copy: `out`'s buckets stay allocated.
   out.idle_periods.clear();
+  out.idle_periods.merge(s.idle_periods);
   out.cache = cache_.stats();
-  for (auto& d : disks_) {
-    const DiskStats& s = d->finalize();
-    out.energy_j += s.energy_j;
-    out.disk_requests += s.requests;
-    out.spin_downs += s.spin_downs;
-    out.spin_ups += s.spin_ups;
-    out.rpm_changes += s.rpm_changes;
-    out.idle_periods.merge(s.idle_periods);
-  }
   out.requests = out.cache.hits + out.cache.misses;
   observers_.notify([&](IoNodeObserver* o) { o->on_finalized(*this, out); });
 }
@@ -141,37 +128,20 @@ void IoNode::reset(const IoNodeConfig& cfg, std::uint64_t seed) {
                           cfg.cache_block_size == cfg_.cache_block_size;
   const bool policy_same =
       cfg.policy == cfg_.policy && cfg.policy_cfg == cfg_.policy_cfg;
-  const bool disks_same = cfg.num_disks == static_cast<int>(disks_.size());
   cfg_ = cfg;
   if (cache_same) {
     cache_.reset();
   } else {
     cache_ = StorageCache(cfg.cache_capacity, cfg.cache_block_size);
   }
-  // Reassigned even when unchanged: the mirror-read toggle must rewind to
-  // zero or RAID 10 read placement diverges from a fresh construction.
-  raid_ = RaidLayout(cfg.raid, cfg.num_disks, cfg.chunk_size);
   join_pool_.reset();
-  if (!disks_same) {
-    disks_.clear();
-    policies_.clear();
-    for (int i = 0; i < cfg.num_disks; ++i) {
-      disks_.push_back(std::make_unique<Disk>(
-          sim_, cfg_.disk, derive_seed(seed, static_cast<std::uint64_t>(i))));
-      policies_.push_back(make_policy(cfg_.policy, cfg_.policy_cfg));
-      disks_.back()->set_policy(policies_.back().get());
-    }
-    return;
+  disk_.reset(cfg_.disk, derive_seed(seed, 0));
+  if (policy_same) {
+    if (policy_ != nullptr) policy_->reset();
+  } else {
+    policy_ = make_policy(cfg_.policy, cfg_.policy_cfg);
   }
-  for (std::size_t i = 0; i < disks_.size(); ++i) {
-    disks_[i]->reset(cfg_.disk, derive_seed(seed, static_cast<std::uint64_t>(i)));
-    if (policy_same) {
-      if (policies_[i] != nullptr) policies_[i]->reset();
-    } else {
-      policies_[i] = make_policy(cfg_.policy, cfg_.policy_cfg);
-    }
-    disks_[i]->set_policy(policies_[i].get());
-  }
+  disk_.set_policy(policy_.get());
 }
 
 }  // namespace dasched

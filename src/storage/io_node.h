@@ -1,22 +1,20 @@
-// An I/O node: storage cache + RAID layout + attached disks + power policy.
+// An I/O node: storage cache + one disk + its power policy.
 //
 // The node serves node-local byte-range reads and writes.  Reads consult the
-// storage cache first (hits never reach the disks, which is what lets larger
-// caches erode the scheme's benefit, Sec. V-D); misses fan out through the
-// RAID layout to per-disk requests and trigger sequential prefetch.  Writes
-// are write-through.  A power policy instance is attached to every disk; the
-// paper spins all disks of a node up/down together, which emerges naturally
-// here because all of a node's disks see the same request stream envelope.
+// storage cache first (hits never reach the disk, which is what lets larger
+// caches erode the scheme's benefit, Sec. V-D); misses become one disk
+// request per cache block and trigger sequential prefetch.  Writes are
+// acked from the cache and drain to the disk in the background.  The paper
+// puts RAID 5/10 inside each node; every reproduced figure runs one disk
+// per node instead (DESIGN.md §2).
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "disk/disk.h"
 #include "power/policies.h"
 #include "sim/simulator.h"
 #include "storage/join_pool.h"
-#include "storage/raid.h"
 #include "storage/storage_cache.h"
 #include "util/annotations.h"
 #include "util/observer_list.h"
@@ -25,11 +23,9 @@
 namespace dasched {
 
 struct IoNodeConfig {
-  int num_disks = 1;
-  RaidLevel raid = RaidLevel::kRaid0;
-  /// Per-disk striping unit inside the node; defaults to the stripe size.
-  Bytes chunk_size = kib(64);
   Bytes cache_capacity = mib(64);
+  /// Cache block and disk request unit; the storage system sets it to the
+  /// stripe size.
   Bytes cache_block_size = kib(64);
   int prefetch_depth = 1;
   /// Service latency of a cache hit (no disk involved).
@@ -72,8 +68,9 @@ class IoNodeObserver {
     (void)node, (void)block;
   }
 
-  /// `count` per-disk operations were handed to the attached disks.
-  virtual void on_disk_ops_issued(const IoNode& node, std::size_t count) {
+  /// `count` disk requests were handed to the node's disk.
+  virtual void on_disk_requests_issued(const IoNode& node,
+                                       std::size_t count) {
     (void)node, (void)count;
   }
 
@@ -117,20 +114,15 @@ class IoNode {
   void clear_observers() { observers_.clear(); }
 
   [[nodiscard]] int node_id() const { return node_id_; }
-  [[nodiscard]] int num_disks() const { return static_cast<int>(disks_.size()); }
-  [[nodiscard]] Disk& disk(int i) { return *disks_[static_cast<std::size_t>(i)]; }
-  [[nodiscard]] const Disk& disk(int i) const {
-    return *disks_[static_cast<std::size_t>(i)];
-  }
-  /// Power policy attached to disk `i`; nullptr for PolicyKind::kNone.
-  [[nodiscard]] PowerPolicy* policy(int i) {
-    return policies_[static_cast<std::size_t>(i)].get();
-  }
+  [[nodiscard]] Disk& disk() { return disk_; }
+  [[nodiscard]] const Disk& disk() const { return disk_; }
+  /// Power policy attached to the disk; nullptr for PolicyKind::kNone.
+  [[nodiscard]] PowerPolicy* policy() { return policy_.get(); }
   [[nodiscard]] StorageCache& cache() { return cache_; }
   [[nodiscard]] const StorageCache& cache() const { return cache_; }
   [[nodiscard]] const IoNodeConfig& config() const { return cfg_; }
 
-  /// Accrues trailing energy on all disks and aggregates statistics.
+  /// Accrues the disk's trailing energy and gathers statistics.
   IoNodeStats finalize();
 
   /// `finalize()` into caller-owned storage: `out`'s histogram keeps its
@@ -140,21 +132,18 @@ class IoNode {
 
   /// Restores the node for a new run under (possibly changed) `cfg`.  The
   /// same-shape parts reset in place without allocating — cache (same
-  /// geometry), RAID mapping (mirror toggle rewound), disks (same count),
-  /// policies (same kind + tuning); a genuine shape change (disk count,
-  /// cache geometry, policy kind/tuning) rebuilds just the changed
+  /// geometry), disk, policy (same kind + tuning); a genuine shape change
+  /// (cache geometry, policy kind/tuning) rebuilds just the changed
   /// component.  Must run after the owning simulator's reset.  Observers
   /// are not touched; the driver re-installs them per run.
   void reset(const IoNodeConfig& cfg, std::uint64_t seed);
 
  private:
-  /// Expands [offset, offset+size) through the RAID layout into
-  /// `scratch_ops_` (reused across requests; never reallocated in steady
-  /// state).
-  void fill_scratch_ops(Bytes offset, Bytes size, bool is_write);
-  /// Submits `scratch_ops_` to the disks.  A valid `join` gets one arrival
-  /// registered per op; an invalid one makes the ops fire-and-forget.
-  void issue_disk_ops(JoinId join, bool background = false);
+  /// Submits one disk request per cache block that [offset, offset+size)
+  /// touches.  A valid `join` gets one arrival registered per request; an
+  /// invalid one makes the requests fire-and-forget.
+  void issue_disk_requests(Bytes offset, Bytes size, bool is_write,
+                           JoinId join, bool background = false);
   void prefetch_after_miss(Bytes block_offset);
 
   Simulator& sim_;
@@ -162,11 +151,9 @@ class IoNode {
   int node_id_;
   ObserverList<IoNodeObserver> observers_;
   StorageCache cache_;
-  RaidLayout raid_;
-  std::vector<std::unique_ptr<Disk>> disks_;
-  std::vector<std::unique_ptr<PowerPolicy>> policies_;
+  Disk disk_;
+  std::unique_ptr<PowerPolicy> policy_;
   JoinPool join_pool_;
-  std::vector<DiskOp> scratch_ops_;
 };
 
 }  // namespace dasched

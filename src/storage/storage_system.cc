@@ -14,7 +14,6 @@ StorageSystem::StorageSystem(Simulator& sim, StorageConfig cfg)
 void StorageSystem::build_nodes() {
   // Multi-speed hardware is implied by the chosen policy.
   cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
-  cfg_.node.chunk_size = cfg_.stripe_size;
   cfg_.node.cache_block_size = cfg_.stripe_size;
   for (int i = 0; i < cfg_.num_io_nodes; ++i) {
     nodes_.push_back(std::make_unique<IoNode>(
@@ -126,7 +125,6 @@ void StorageSystem::reset(const StorageConfig& cfg) {
   // build_nodes() derives these from the policy/stripe choice; the in-place
   // path must apply the same normalization before handing cfg_.node down.
   cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
-  cfg_.node.chunk_size = cfg_.stripe_size;
   cfg_.node.cache_block_size = cfg_.stripe_size;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i]->reset(cfg_.node,

@@ -142,7 +142,7 @@ void TraceAnalyzer::add(const TraceEvent& ev) {
     case TraceEventKind::kDiskFinalized:
     case TraceEventKind::kServiceStart:
     case TraceEventKind::kQueueDepth:
-    case TraceEventKind::kDiskOpsIssued:
+    case TraceEventKind::kDiskRequestsIssued:
       break;  // shape-only events; the exporters render them
   }
 }

@@ -37,7 +37,7 @@ const char* to_string(TraceEventKind kind) {
     case TraceEventKind::kNodeWrite: return "node-write";
     case TraceEventKind::kBlockLookup: return "block-lookup";
     case TraceEventKind::kPrefetchIssued: return "prefetch-issued";
-    case TraceEventKind::kDiskOpsIssued: return "disk-ops-issued";
+    case TraceEventKind::kDiskRequestsIssued: return "disk-ops-issued";
     case TraceEventKind::kRequestRouted: return "request-routed";
     case TraceEventKind::kAccessPlaced: return "access-placed";
     case TraceEventKind::kEventDispatched: return "event-dispatched";

@@ -80,8 +80,8 @@ enum class TraceEventKind : std::uint16_t {
   kBlockLookup = 32,
   /// subject=node, arg0=block offset.
   kPrefetchIssued = 33,
-  /// subject=node, arg0=op count.
-  kDiskOpsIssued = 34,
+  /// subject=node, arg0=disk request count.
+  kDiskRequestsIssued = 34,
   /// subject=file, aux=is_write | num_pieces<<1, arg0=offset, arg1=size.
   kRequestRouted = 35,
   /// subject=process, aux=forced | theta_fallback<<1,

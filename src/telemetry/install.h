@@ -18,9 +18,9 @@
 namespace dasched {
 
 /// Attaches `recorder` to the simulator (kFull only), the storage router,
-/// every I/O node, every disk and every power policy, registers the disk
-/// id mapping and fills the structural trace metadata (node/disk counts,
-/// seed).  App/policy/scheme metadata is the caller's to set.
+/// every I/O node with its disk and power policy, registers the disk id
+/// mapping (a disk's id is its node's) and fills the structural trace
+/// metadata (node count, one disk per node, seed).  App/policy/scheme metadata is the caller's to set.
 void install_telemetry(TelemetryRecorder& recorder, Simulator& sim,
                        StorageSystem& storage);
 

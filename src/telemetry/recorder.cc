@@ -28,10 +28,8 @@ void TraceBuffer::grow() {
   }
 }
 
-void TelemetryRecorder::register_disk(const Disk& disk, int node, int local) {
-  const int id = node * (meta_.disks_per_node > 0 ? meta_.disks_per_node : 1) +
-                 local;
-  disk_ids_.emplace(&disk, static_cast<std::uint16_t>(id));
+void TelemetryRecorder::register_disk(const Disk& disk, int node) {
+  disk_ids_.emplace(&disk, static_cast<std::uint16_t>(node));
 }
 
 void TelemetryRecorder::on_event_fired(std::uint64_t seq, SimTime t,
@@ -133,14 +131,14 @@ void TelemetryRecorder::on_idle_observed(const Disk& disk, SimTime predicted,
 void TelemetryRecorder::on_read(const IoNode& node, Bytes offset, Bytes size,
                                 bool background) {
   if (!wants(TraceLevel::kRequest)) return;
-  record(node.disk(0).sim().now(), TraceEventKind::kNodeRead,
+  record(node.disk().sim().now(), TraceEventKind::kNodeRead,
          static_cast<std::uint16_t>(node.node_id()), background ? 1u : 0u,
          static_cast<std::uint64_t>(offset.count()), static_cast<std::uint64_t>(size.count()));
 }
 
 void TelemetryRecorder::on_write(const IoNode& node, Bytes offset, Bytes size) {
   if (!wants(TraceLevel::kRequest)) return;
-  record(node.disk(0).sim().now(), TraceEventKind::kNodeWrite,
+  record(node.disk().sim().now(), TraceEventKind::kNodeWrite,
          static_cast<std::uint16_t>(node.node_id()), 0,
          static_cast<std::uint64_t>(offset.count()), static_cast<std::uint64_t>(size.count()));
 }
@@ -148,22 +146,22 @@ void TelemetryRecorder::on_write(const IoNode& node, Bytes offset, Bytes size) {
 void TelemetryRecorder::on_block_lookup(const IoNode& node, Bytes block,
                                         bool hit) {
   if (!wants(TraceLevel::kFull)) return;
-  record(node.disk(0).sim().now(), TraceEventKind::kBlockLookup,
+  record(node.disk().sim().now(), TraceEventKind::kBlockLookup,
          static_cast<std::uint16_t>(node.node_id()), hit ? 1u : 0u,
          static_cast<std::uint64_t>(block.count()), 0);
 }
 
 void TelemetryRecorder::on_prefetch_issued(const IoNode& node, Bytes block) {
   if (!wants(TraceLevel::kFull)) return;
-  record(node.disk(0).sim().now(), TraceEventKind::kPrefetchIssued,
+  record(node.disk().sim().now(), TraceEventKind::kPrefetchIssued,
          static_cast<std::uint16_t>(node.node_id()), 0,
          static_cast<std::uint64_t>(block.count()), 0);
 }
 
-void TelemetryRecorder::on_disk_ops_issued(const IoNode& node,
-                                           std::size_t count) {
+void TelemetryRecorder::on_disk_requests_issued(const IoNode& node,
+                                                std::size_t count) {
   if (!wants(TraceLevel::kFull)) return;
-  record(node.disk(0).sim().now(), TraceEventKind::kDiskOpsIssued,
+  record(node.disk().sim().now(), TraceEventKind::kDiskRequestsIssued,
          static_cast<std::uint16_t>(node.node_id()), 0,
          static_cast<std::uint64_t>(count), 0);
 }

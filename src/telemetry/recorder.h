@@ -97,8 +97,8 @@ class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
   [[nodiscard]] TraceMeta& meta() { return meta_; }
   [[nodiscard]] const TraceMeta& meta() const { return meta_; }
 
-  /// Maps `disk` to the global disk id `node * disks_per_node + local`.
-  void register_disk(const Disk& disk, int node, int local);
+  /// Maps `disk` to its disk id, which is the id of the node it serves.
+  void register_disk(const Disk& disk, int node);
 
   /// Clock source for hooks whose callback carries no simulator reference
   /// (storage routing).  Set by install_telemetry.
@@ -131,7 +131,7 @@ class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
   void on_write(const IoNode& node, Bytes offset, Bytes size) override;
   void on_block_lookup(const IoNode& node, Bytes block, bool hit) override;
   void on_prefetch_issued(const IoNode& node, Bytes block) override;
-  void on_disk_ops_issued(const IoNode& node, std::size_t count) override;
+  void on_disk_requests_issued(const IoNode& node, std::size_t count) override;
 
   // StorageObserver (kFull) --------------------------------------------------
   void on_request_routed(FileId f, Bytes offset, Bytes size, bool is_write,

@@ -73,7 +73,7 @@ TEST(WorkspaceShape, DiskAndPolicyChangesResetInPlace) {
   ExperimentWorkspace ws;
   expect_matches_fresh(ws, cfg);
 
-  cfg.storage.node.num_disks = 4;  // per-node disk array rebuild
+  cfg.storage.node.disk.seek_max = msec(20.0);  // disk reset to new params
   expect_matches_fresh(ws, cfg);
 
   cfg.policy = PolicyKind::kStaggered;  // policy swap on warm disks

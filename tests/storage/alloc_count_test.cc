@@ -2,13 +2,13 @@
 //
 // Global operator new/delete are replaced with counting versions gated by a
 // flag.  After a warm-up pass grows every pool and scratch buffer to its
-// high-water mark (simulator event pool, join pools, elevator queues, RAID
-// scratch vectors, the flat LRU's fixed tables), re-running the same request
+// high-water mark (simulator event pool, join pools, elevator queues, the
+// flat LRU's fixed tables), re-running the same request
 // pattern must perform ZERO heap allocations — for steady-state cached
 // reads, for the cache-miss + prefetch path, and for a disk whose
 // background backlog spans several elevator-index blocks and is refilled
 // after draining.  A new allocation site in
-// `StorageSystem::route`, `IoNode::read`, `RaidLayout`, `StorageCache` or
+// `StorageSystem::route`, `IoNode::read`, `StorageCache` or
 // `Disk` turns into a test failure here, not a silent perf regression.
 
 #include <gtest/gtest.h>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace dasched {
 namespace {
 
@@ -88,42 +91,84 @@ TEST(IoNode, WriteMakesBlockCacheResident) {
   EXPECT_EQ(s.cache.hits, 1);
 }
 
-TEST(IoNode, Raid5NodeFansWritesToTwoDisks) {
+// Records the byte range of every request the node hands its disk.
+struct SubmittedRanges : DiskObserver {
+  std::vector<std::pair<Bytes, Bytes>> ranges;
+  void on_request_submitted(const Disk& disk, const DiskRequest& req) override {
+    (void)disk;
+    ranges.emplace_back(req.offset, req.size);
+  }
+};
+
+// Counts what the node reports through `on_disk_requests_issued`.
+struct IssuedCount : IoNodeObserver {
+  std::size_t total = 0;
+  void on_disk_requests_issued(const IoNode& node, std::size_t count) override {
+    (void)node;
+    total += count;
+  }
+};
+
+TEST(IoNode, WriteSpanningKChunksIssuesKDiskRequests) {
   Simulator sim;
-  IoNodeConfig cfg = small_config();
-  cfg.num_disks = 4;
-  cfg.raid = RaidLevel::kRaid5;
-  IoNode node(sim, cfg, 0, 1);
-  node.write(0, kib(64), {});
+  IoNode node(sim, small_config(), 0, 1);
+  SubmittedRanges submitted;
+  IssuedCount issued;
+  node.disk().add_observer(&submitted);
+  node.add_observer(&issued);
+  node.write(kib(64), kib(64) * 3, {});
   sim.run();
   IoNodeStats s = node.finalize();
-  EXPECT_EQ(s.disk_requests, 2);  // data + parity
+  EXPECT_EQ(s.disk_requests, 3);
+  EXPECT_EQ(issued.total, 3u);
+  const std::vector<std::pair<Bytes, Bytes>> want = {
+      {kib(64), kib(64)}, {kib(128), kib(64)}, {kib(192), kib(64)}};
+  EXPECT_EQ(submitted.ranges, want);
 }
 
-TEST(IoNode, PolicyInstalledOnEveryDisk) {
+TEST(IoNode, WriteStraddlingOneChunkBoundaryIssuesTwoDiskRequests) {
+  Simulator sim;
+  IoNode node(sim, small_config(), 0, 1);
+  SubmittedRanges submitted;
+  IssuedCount issued;
+  node.disk().add_observer(&submitted);
+  node.add_observer(&issued);
+  node.write(kib(48), kib(32), {});
+  sim.run();
+  IoNodeStats s = node.finalize();
+  EXPECT_EQ(s.disk_requests, 2);
+  EXPECT_EQ(issued.total, 2u);
+  // Split at the boundary, each piece clipped to the written range.
+  const std::vector<std::pair<Bytes, Bytes>> want = {{kib(48), kib(16)},
+                                                     {kib(64), kib(16)}};
+  EXPECT_EQ(submitted.ranges, want);
+}
+
+TEST(IoNode, PolicyIsAttachedToTheDisk) {
   Simulator sim;
   IoNodeConfig cfg = small_config();
-  cfg.num_disks = 2;
   cfg.policy = PolicyKind::kSimple;
   IoNode node(sim, cfg, 0, 1);
+  ASSERT_NE(node.policy(), nullptr);
   node.read(0, kib(64), {});
-  node.read(kib(64), kib(64), {});
   sim.schedule_at(sec(120.0), [] {});
   sim.run();
+  EXPECT_EQ(node.disk().state(), DiskState::kStandby);
   IoNodeStats s = node.finalize();
-  // Both disks idled past the timeout and spun down.
-  EXPECT_EQ(s.spin_downs, 2);
+  // The disk idled past the policy's timeout and spun down.
+  EXPECT_EQ(s.spin_downs, 1);
 }
 
-TEST(IoNode, EnergyAggregatesAcrossDisks) {
+TEST(IoNode, EnergyEqualsItsDisksEnergy) {
   Simulator sim;
-  IoNodeConfig cfg = small_config();
-  cfg.num_disks = 3;
-  IoNode node(sim, cfg, 0, 1);
+  IoNode node(sim, small_config(), 0, 1);
+  node.read(0, kib(64), {});
   sim.schedule_at(sec(10.0), [] {});
   sim.run();
   IoNodeStats s = node.finalize();
-  EXPECT_NEAR(s.energy_j.value(), 3 * 171.0, 2.0);
+  EXPECT_NEAR(s.energy_j.value(), 171.0, 2.0);
+  EXPECT_EQ(s.energy_j.value(), node.disk().stats().energy_j.value());
+  EXPECT_EQ(s.disk_requests, node.disk().stats().requests);
 }
 
 }  // namespace

@@ -61,13 +61,13 @@ TEST(StorageSystem, MultiSpeedDisksImpliedByPolicy) {
   StorageConfig cfg = small_config();
   cfg.node.policy = PolicyKind::kHistory;
   StorageSystem storage(sim, cfg);
-  EXPECT_TRUE(storage.node(0).disk(0).params().multi_speed);
+  EXPECT_TRUE(storage.node(0).disk().params().multi_speed);
 
   Simulator sim2;
   StorageConfig cfg2 = small_config();
   cfg2.node.policy = PolicyKind::kSimple;
   StorageSystem storage2(sim2, cfg2);
-  EXPECT_FALSE(storage2.node(0).disk(0).params().multi_speed);
+  EXPECT_FALSE(storage2.node(0).disk().params().multi_speed);
 }
 
 TEST(StorageSystem, FinalizeMergesIdleHistograms) {

@@ -123,7 +123,7 @@ void print_event(const TraceEvent& ev) {
       std::printf("  node=%u  block=%llu", ev.subject,
                   static_cast<unsigned long long>(ev.arg0));
       break;
-    case TraceEventKind::kDiskOpsIssued:
+    case TraceEventKind::kDiskRequestsIssued:
       std::printf("  node=%u  ops=%llu", ev.subject,
                   static_cast<unsigned long long>(ev.arg0));
       break;
