@@ -27,6 +27,12 @@ int want_int(std::string_view key, std::string_view v) {
   return static_cast<int>(*n);
 }
 
+std::int64_t want_i64(std::string_view key, std::string_view v) {
+  const auto n = parse_i64(v);
+  if (!n) bad_value(key, "a 64-bit integer", v);
+  return *n;
+}
+
 std::uint64_t want_u64(std::string_view key, std::string_view v) {
   const auto n = parse_u64(v);
   if (!n) bad_value(key, "an unsigned 64-bit integer", v);
@@ -55,6 +61,13 @@ bool put(std::string& out, const char* fmt, Args... args) {
 
 bool put_int(std::string& out, long long v) { return put(out, "%lld", v); }
 
+bool put_u64(std::string& out, std::uint64_t v) {
+  return put(out, "%llu", static_cast<unsigned long long>(v));
+}
+
+// %.17g round-trips every double bit-exactly.
+bool put_f64(std::string& out, double v) { return put(out, "%.17g", v); }
+
 bool put_str(std::string& out, std::string_view v) {
   out += v;
   return true;
@@ -64,7 +77,7 @@ using Cfg = ExperimentConfig;
 using Out = std::string;
 using Sv = std::string_view;
 
-// Wire order: format_config emits the rows top to bottom.
+// Wire order: format_keys emits the rows top to bottom.
 constexpr std::array kKeys = {
     ConfigKey{"app", "--app", false, false,
         [](Sv, Sv v, Cfg& c) {
@@ -87,10 +100,9 @@ constexpr std::array kKeys = {
     ConfigKey{"procs", "--procs", false, false,
         [](Sv k, Sv v, Cfg& c) { c.scale.num_processes = want_int(k, v); },
         [](const Cfg& c, Out& o) { return put_int(o, c.scale.num_processes); }},
-    // %.17g round-trips every double bit-exactly.
     ConfigKey{"scale", "--scale", false, false,
         [](Sv k, Sv v, Cfg& c) { c.scale.factor = want_f64(k, v); },
-        [](const Cfg& c, Out& o) { return put(o, "%.17g", c.scale.factor); }},
+        [](const Cfg& c, Out& o) { return put_f64(o, c.scale.factor); }},
     ConfigKey{"nodes", "--nodes", false, true,
         [](Sv k, Sv v, Cfg& c) { c.storage.num_io_nodes = want_int(k, v); },
         [](const Cfg& c, Out& o) { return put_int(o, c.storage.num_io_nodes); }},
@@ -116,9 +128,7 @@ constexpr std::array kKeys = {
         }},
     ConfigKey{"seed", "--seed", false, false,
         [](Sv k, Sv v, Cfg& c) { c.seed = want_u64(k, v); },
-        [](const Cfg& c, Out& o) {
-          return put(o, "%llu", static_cast<unsigned long long>(c.seed));
-        }},
+        [](const Cfg& c, Out& o) { return put_u64(o, c.seed); }},
     ConfigKey{"slack", "", false, true,
         [](Sv k, Sv v, Cfg& c) { c.max_slack = want_int(k, v); },
         [](const Cfg& c, Out& o) { return put_int(o, c.max_slack); }},
@@ -150,36 +160,42 @@ constexpr std::array kKeys = {
         }},
 };
 
+using Rep = ReplayOptions;
+
+// Upload-header order: the client writes the rows top to bottom, then the
+// upload-only `name=` key.
+constexpr std::array kReplayKeys = {
+    ReplayKey{"format", "--replay-format", false, false,
+        [](Sv k, Sv v, Rep& r) {
+          const auto format = parse_trace_format(v);
+          if (!format) bad_value(k, "auto|csv|jsonl|blk", v);
+          r.format = *format;
+        },
+        [](const Rep& r, Out& o) { return put_str(o, to_string(r.format)); }},
+    ReplayKey{"slot_us", "--replay-slot-us", false, false,
+        [](Sv k, Sv v, Rep& r) { r.slot_us = want_i64(k, v); },
+        [](const Rep& r, Out& o) { return put_int(o, r.slot_us); }},
+    ReplayKey{"min_compute_us", "", false, false,
+        [](Sv k, Sv v, Rep& r) { r.min_compute_us = want_i64(k, v); },
+        [](const Rep& r, Out& o) { return put_int(o, r.min_compute_us); }},
+    ReplayKey{"max_compute_us", "", false, false,
+        [](Sv k, Sv v, Rep& r) { r.max_compute_us = want_i64(k, v); },
+        [](const Rep& r, Out& o) { return put_int(o, r.max_compute_us); }},
+    ReplayKey{"granularity", "", false, false,
+        [](Sv k, Sv v, Rep& r) { r.granularity = want_int(k, v); },
+        [](const Rep& r, Out& o) { return put_int(o, r.granularity); }},
+    ReplayKey{"seed", "--replay-seed", false, false,
+        [](Sv k, Sv v, Rep& r) { r.seed = want_u64(k, v); },
+        [](const Rep& r, Out& o) { return put_u64(o, r.seed); }},
+    ReplayKey{"jitter", "", false, false,
+        [](Sv k, Sv v, Rep& r) { r.jitter_frac = want_f64(k, v); },
+        [](const Rep& r, Out& o) { return put_f64(o, r.jitter_frac); }},
+};
+
 }  // namespace
 
 std::span<const ConfigKey> config_keys() { return kKeys; }
 
-const ConfigKey* find_config_key(std::string_view key) {
-  for (const ConfigKey& row : kKeys) {
-    if (row.key == key) return &row;
-  }
-  return nullptr;
-}
-
-const ConfigKey* find_config_flag(std::string_view flag) {
-  if (flag.empty()) return nullptr;
-  for (const ConfigKey& row : kKeys) {
-    if (row.flag == flag) return &row;
-  }
-  return nullptr;
-}
-
-void format_config(const ExperimentConfig& cfg, std::string& out) {
-  for (const ConfigKey& row : kKeys) {
-    const std::size_t mark = out.size();
-    out += row.key;
-    out += '=';
-    if (row.format(cfg, out)) {
-      out += '\n';
-    } else {
-      out.resize(mark);
-    }
-  }
-}
+std::span<const ReplayKey> replay_keys() { return kReplayKeys; }
 
 }  // namespace dasched

@@ -24,7 +24,7 @@ std::string sweep_text(double v) {
 
 SweepAxis sweep_axis_by_name(const std::string& name,
                              std::vector<double> values) {
-  const ConfigKey* row = find_config_key(name);
+  const ConfigKey* row = find_key(config_keys(), name);
   if (row == nullptr || !row->sweep) {
     std::string known;
     for (const ConfigKey& k : config_keys()) {

@@ -16,7 +16,9 @@
 
 namespace dasched {
 
-struct ConfigKey;
+template <typename T>
+struct KeyRow;
+using ConfigKey = KeyRow<ExperimentConfig>;
 
 /// One optional numeric axis over an integer config field; the key name
 /// doubles as the CLI/result-sink label (e.g. "nodes=16").

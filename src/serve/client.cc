@@ -23,21 +23,6 @@ void sleep_ms(int ms) {
   }
 }
 
-/// key=value line scan shared by the small text replies.
-template <typename Fn>
-void for_each_line_kv(std::string_view payload, Fn fn) {
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t nl = payload.find('\n', pos);
-    const std::string_view line = payload.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) continue;
-    fn(line.substr(0, eq), line.substr(eq + 1));
-  }
-}
-
 }  // namespace
 
 ServeError::ServeError(ErrorInfo info)
@@ -78,9 +63,7 @@ FrameType ServeClient::next_frame() {
                                  : "serve client: connection lost");
   }
   if (type == FrameType::kError) {
-    throw ServeError(parse_error(
-        std::string_view(reinterpret_cast<const char*>(payload_.data()),
-                         payload_.size())));
+    throw ServeError(parse_error(as_text(payload_)));
   }
   return type;
 }
@@ -96,16 +79,14 @@ void ServeClient::hello() {
                                          "got ") +
                              to_string(t));
   }
-  for_each_line_kv(
-      std::string_view(reinterpret_cast<const char*>(payload_.data()),
-                       payload_.size()),
-      [&](std::string_view key, std::string_view value) {
-        if (key == "tenant") {
-          if (const auto id = parse_i64(value)) {
-            tenant_id_ = static_cast<std::uint64_t>(*id);
-          }
-        }
-      });
+  for_each_key_value(as_text(payload_), LineError::kProtocol,
+                     [&](std::string_view key, std::string_view value) {
+                       if (key == "tenant") {
+                         if (const auto id = parse_i64(value)) {
+                           tenant_id_ = static_cast<std::uint64_t>(*id);
+                         }
+                       }
+                     });
 }
 
 void ServeClient::ping() {
@@ -119,29 +100,15 @@ void ServeClient::ping() {
 ServeClient::UploadReply ServeClient::upload_trace(std::string_view content,
                                                    const std::string& name,
                                                    const ReplayOptions& opts) {
-  text_.clear();
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "format=%s\nslot_us=%lld\nmin_compute_us=%lld\n"
-                "max_compute_us=%lld\ngranularity=%d\nseed=%llu\n"
-                "jitter=%.17g\n",
-                to_string(opts.format), static_cast<long long>(opts.slot_us),
-                static_cast<long long>(opts.min_compute_us),
-                static_cast<long long>(opts.max_compute_us), opts.granularity,
-                static_cast<unsigned long long>(opts.seed), opts.jitter_frac);
-  text_ += buf;
-  text_ += "name=" + name + "\n";
-  text_ += "\n";  // header/body separator
-  text_.append(content.data(), content.size());
+  format_trace_upload(opts, name, content, text_);
   send(FrameType::kTraceUpload, text_);
   const FrameType t = next_frame();
   if (t != FrameType::kTraceOk) {
     throw std::runtime_error("serve client: expected trace_ok");
   }
   UploadReply reply;
-  for_each_line_kv(
-      std::string_view(reinterpret_cast<const char*>(payload_.data()),
-                       payload_.size()),
+  for_each_key_value(
+      as_text(payload_), LineError::kProtocol,
       [&](std::string_view key, std::string_view value) {
         if (key == "app") {
           reply.app.assign(value.data(), value.size());
@@ -176,8 +143,7 @@ void ServeClient::run(const ExperimentConfig& cfg, bool audit, Reply& out) {
       deserialize_result(payload_, out.cell, out.result);
       have_result = true;
     } else if (t == FrameType::kTelemetry) {
-      out.telemetry_json.assign(
-          reinterpret_cast<const char*>(payload_.data()), payload_.size());
+      out.telemetry_json.assign(as_text(payload_));
     } else if (t == FrameType::kDone) {
       break;
     } else {
@@ -213,16 +179,14 @@ std::size_t ServeClient::run_grid(
       ++cells;
       if (on_cell) on_cell(reply);
     } else if (t == FrameType::kDone) {
-      for_each_line_kv(
-          std::string_view(reinterpret_cast<const char*>(payload_.data()),
-                           payload_.size()),
-          [&](std::string_view key, std::string_view value) {
-            if (key == "cells") {
-              if (const auto v = parse_i64(value)) {
-                announced = static_cast<std::size_t>(*v);
-              }
-            }
-          });
+      for_each_key_value(as_text(payload_), LineError::kProtocol,
+                         [&](std::string_view key, std::string_view value) {
+                           if (key == "cells") {
+                             if (const auto v = parse_i64(value)) {
+                               announced = static_cast<std::size_t>(*v);
+                             }
+                           }
+                         });
       break;
     } else {
       throw std::runtime_error(

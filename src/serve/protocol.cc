@@ -1,7 +1,7 @@
 #include "serve/protocol.h"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 
 #include "engine/config_keys.h"
 #include "util/parse.h"
@@ -10,60 +10,155 @@ namespace dasched::serve {
 
 namespace {
 
-// --- little-endian primitives over a reused byte buffer --------------------
-// The appenders are the only allocation sites on the serialize path: the
-// buffer grows to its high-water mark once and is reused afterwards.
+// --- the result frame ------------------------------------------------------
+//
+// walk_result visits every field of (CellHeader, ExperimentResult) in frame
+// order; it is the frame layout.  A Writer drives it over a const result to
+// encode, a Reader over a mutable one to decode.  Both pick a field's
+// encoding by its C++ type, so a field whose type has no encoding does not
+// compile.
 
-void put_bytes(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  // dasched-lint: allow(hot-alloc): reused buffer growth to high-water mark
-  out.insert(out.end(), b, b + n);
+template <typename Io, typename Node>
+void walk_node(Io& io, Node& n) {
+  io(n.energy_j);
+  io(n.requests);
+  io(n.disk_requests);
+  io(n.spin_downs);
+  io(n.spin_ups);
+  io(n.rpm_changes);
+  io(n.cache.hits);
+  io(n.cache.misses);
+  io(n.cache.insertions);
+  io(n.cache.evictions);
+  io(n.cache.invalidations);
+  io(n.idle_periods);
 }
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  // dasched-lint: allow(hot-alloc): reused buffer growth to high-water mark
-  out.push_back(v);
+template <typename Io, typename Cell, typename Result>
+void walk_result(Io& io, Cell& cell, Result& r) {
+  io(cell.index);
+  io(cell.has_sweep);
+  io(cell.sweep_name);
+  io(cell.sweep_value);
+
+  io(r.app);
+  io(r.policy);
+  io(r.scheme);
+  io(r.exec_time);
+  io(r.energy_j);
+  io(r.events);
+  io(r.audited);
+  io(r.audit_violations);
+
+  auto& st = r.storage;
+  io(st.energy_j);
+  io(st.requests);
+  io(st.disk_requests);
+  io(st.spin_downs);
+  io(st.spin_ups);
+  io(st.rpm_changes);
+  io(st.cache_hit_rate);
+  io(st.idle_periods);
+  io(st.per_node);
+
+  auto& rt = r.runtime;
+  io(rt.buffer_hits);
+  io(rt.in_flight_hits);
+  io(rt.direct_reads);
+  io(rt.writes);
+  io(rt.prefetches);
+  io(rt.skipped_min_lead);
+  io(rt.buffer.reservations);
+  io(rt.buffer.full_rejections);
+  io(rt.buffer.consumed);
+  io(rt.buffer.consumed_in_flight);
+  io(rt.buffer.wasted);
+  io(rt.buffer.peak_bytes);
+
+  io(r.sched.scheduled);
+  io(r.sched.forced);
+  io(r.sched.theta_fallbacks);
+  io(r.sched.mean_advance_slots);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(out, b, 4);
-}
+/// Little-endian encoder over a reused buffer.  Its appenders are the only
+/// allocation sites on the serialize path: the buffer grows to its
+/// high-water mark once and is reused afterwards.
+struct Writer {
+  std::vector<std::uint8_t>& out;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(out, b, 8);
-}
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    // dasched-lint: allow(hot-alloc): reused buffer growth to high-water mark
+    out.insert(out.end(), b, b + n);
+  }
+  void u8(std::uint8_t v) { bytes(&v, 1); }
+  void u32(std::uint32_t v) {
+    std::uint8_t b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    bytes(b, 4);
+  }
+  void u64(std::uint64_t v) {
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    bytes(b, 8);
+  }
+  void count(std::size_t n) {
+    if (n > 0xffffffffu) throw ProtocolError("sequence exceeds 2^32 items");
+    u32(static_cast<std::uint32_t>(n));
+  }
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
+  void operator()(std::uint32_t v) { u32(v); }
+  void operator()(bool v) { u8(v ? 1 : 0); }
+  void operator()(PolicyKind v) { u8(static_cast<std::uint8_t>(v)); }
+  void operator()(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void operator()(SimTime v) { (*this)(v.count()); }
+  void operator()(Bytes v) { (*this)(v.count()); }
+  void operator()(Joules v) { (*this)(v.value()); }
   // The raw bit pattern: the codec must be bit-exact, not value-exact.
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
+  void operator()(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void operator()(const std::string& s) {
+    if (s.size() > 0xffff) throw ProtocolError("string field exceeds 64 KiB");
+    u8(static_cast<std::uint8_t>(s.size() & 0xff));
+    u8(static_cast<std::uint8_t>(s.size() >> 8));
+    bytes(s.data(), s.size());
+  }
+  void operator()(const DurationHistogram& h) {
+    count(h.edges_msec().size());
+    for (const double e : h.edges_msec()) (*this)(e);
+    for (const std::int64_t c : h.counts()) (*this)(c);
+    (*this)(h.count());
+    (*this)(h.total_msec());
+  }
+  void operator()(const std::vector<IoNodeStats>& nodes) {
+    count(nodes.size());
+    for (const IoNodeStats& n : nodes) walk_node(*this, n);
+  }
+};
+
+/// The fewest bytes a per-node entry takes: its encoding with an edgeless
+/// histogram.
+std::size_t min_node_bytes() {
+  static const std::size_t bytes = [] {
+    IoNodeStats empty;
+    empty.idle_periods = DurationHistogram(std::vector<double>{});
+    std::vector<std::uint8_t> buf;
+    Writer writer{buf};
+    walk_node(writer, empty);
+    return buf.size();
+  }();
+  return bytes;
 }
 
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  if (s.size() > 0xffff) throw ProtocolError("string field exceeds 64 KiB");
-  put_u8(out, static_cast<std::uint8_t>(s.size() & 0xff));
-  put_u8(out, static_cast<std::uint8_t>(s.size() >> 8));
-  put_bytes(out, s.data(), s.size());
-}
-
-// --- bounds-checked readers ------------------------------------------------
-
+/// Bounds-checked decoder: every read checks the bytes left first, and
+/// every count is checked against them before anything is sized for it.
 struct Reader {
   std::span<const std::uint8_t> buf;
   std::size_t i = 0;
 
+  [[nodiscard]] std::size_t left() const { return buf.size() - i; }
   void need(std::size_t n) const {
-    if (buf.size() - i < n) throw ProtocolError("truncated result payload");
+    if (left() < n) throw ProtocolError("truncated result payload");
   }
   std::uint8_t u8() {
     need(1);
@@ -81,49 +176,62 @@ struct Reader {
     for (int k = 0; k < 8; ++k) v |= static_cast<std::uint64_t>(buf[i++]) << (8 * k);
     return v;
   }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+  /// A count of items that take at least `min_bytes` each.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > left() / min_bytes) {
+      throw ProtocolError("count exceeds the bytes left in the result payload");
+    }
+    return n;
   }
-  std::string str() {
+
+  void operator()(std::uint32_t& v) { v = u32(); }
+  void operator()(bool& v) {
+    const std::uint8_t b = u8();
+    if (b > 1) throw ProtocolError("flag byte is neither 0 nor 1");
+    v = b == 1;
+  }
+  void operator()(PolicyKind& v) {
+    const std::uint8_t b = u8();
+    if (b > static_cast<std::uint8_t>(PolicyKind::kStaggered)) {
+      throw ProtocolError("policy byte outside PolicyKind");
+    }
+    v = static_cast<PolicyKind>(b);
+  }
+  void operator()(std::int64_t& v) { v = static_cast<std::int64_t>(u64()); }
+  void operator()(SimTime& v) { v = SimTime{static_cast<std::int64_t>(u64())}; }
+  void operator()(Bytes& v) { v = Bytes{static_cast<std::int64_t>(u64())}; }
+  void operator()(Joules& v) { v = Joules{std::bit_cast<double>(u64())}; }
+  void operator()(double& v) { v = std::bit_cast<double>(u64()); }
+  void operator()(std::string& s) {
     const std::size_t lo = u8();
     const std::size_t hi = u8();
     const std::size_t n = lo | (hi << 8);
     need(n);
-    std::string out(reinterpret_cast<const char*>(buf.data() + i), n);
+    s.assign(reinterpret_cast<const char*>(buf.data() + i), n);
     i += n;
-    return out;
+  }
+  void operator()(DurationHistogram& h) {
+    // Each edge brings its own 8 bytes and one 8-byte bucket count.
+    const std::size_t n = count(16);
+    std::vector<double> edges(n);
+    for (double& e : edges) (*this)(e);
+    std::vector<std::int64_t> counts(n + 1);
+    for (std::int64_t& c : counts) (*this)(c);
+    std::int64_t total_count = 0;
+    double total_msec = 0.0;
+    (*this)(total_count);
+    (*this)(total_msec);
+    h = DurationHistogram::from_parts(std::move(edges), std::move(counts),
+                                      total_count, total_msec);
+  }
+  void operator()(std::vector<IoNodeStats>& nodes) {
+    const std::size_t n = count(min_node_bytes());
+    nodes.clear();
+    nodes.resize(n);
+    for (IoNodeStats& node : nodes) walk_node(*this, node);
   }
 };
-
-// --- histogram -------------------------------------------------------------
-
-void put_histogram(std::vector<std::uint8_t>& out, const DurationHistogram& h) {
-  const auto& edges = h.edges_msec();
-  const auto& counts = h.counts();
-  if (edges.size() > 0xffffffffu) throw ProtocolError("histogram too large");
-  put_u32(out, static_cast<std::uint32_t>(edges.size()));
-  for (const double e : edges) put_f64(out, e);
-  for (const std::int64_t c : counts) put_i64(out, c);
-  put_i64(out, h.count());
-  put_f64(out, h.total_msec());
-}
-
-DurationHistogram read_histogram(Reader& r) {
-  const std::uint32_t n = r.u32();
-  if (n > 1u << 20) throw ProtocolError("histogram edge count implausible");
-  std::vector<double> edges(n);
-  for (auto& e : edges) e = r.f64();
-  std::vector<std::int64_t> counts(n + 1);
-  for (auto& c : counts) c = r.i64();
-  const std::int64_t total_count = r.i64();
-  const double total_msec = r.f64();
-  return DurationHistogram::from_parts(std::move(edges), std::move(counts),
-                                       total_count, total_msec);
-}
 
 // --- request field helpers -------------------------------------------------
 
@@ -139,22 +247,6 @@ bool want_bool(std::string_view key, std::string_view v) {
   if (v == "0") return false;
   if (v == "1") return true;
   bad_field(key, "0|1", v);
-}
-
-/// Calls fn(key, value) for each non-empty `key=value` line of `payload`.
-template <typename Fn>
-void for_each_request_line(std::string_view payload, Fn fn) {
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t nl = payload.find('\n', pos);
-    const std::string_view line = payload.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) bad_field("line", "key=value", line);
-    fn(line.substr(0, eq), line.substr(eq + 1));
-  }
 }
 
 /// Calls fn(item) for each comma-separated piece of `list` (empty pieces are
@@ -200,9 +292,10 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType t,
   if (payload.size() + 1 > kMaxFrameBytes) {
     throw ProtocolError("frame exceeds kMaxFrameBytes");
   }
-  put_u32(out, static_cast<std::uint32_t>(payload.size() + 1));
-  put_u8(out, static_cast<std::uint8_t>(t));
-  put_bytes(out, payload.data(), payload.size());
+  Writer writer{out};
+  writer.u32(static_cast<std::uint32_t>(payload.size() + 1));
+  writer.u8(static_cast<std::uint8_t>(t));
+  writer.bytes(payload.data(), payload.size());
 }
 
 void append_frame(std::vector<std::uint8_t>& out, FrameType t,
@@ -213,14 +306,21 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType t,
                    payload.size()));
 }
 
+void reject_line(LineError error, std::string_view line) {
+  // dasched-lint: allow(hot-alloc): error path, the payload is rejected
+  const std::string message = "line '" + std::string(line) + "' is not key=value";
+  if (error == LineError::kConfig) throw ConfigError("line", message);
+  throw ProtocolError(message);
+}
+
 void parse_run_request(std::string_view payload, ExperimentConfig& cfg) {
   // Reset to defaults in place: assigning short/empty strings into the
   // reused config keeps their capacity, so a warm tenant parses without
   // touching the heap.
   cfg = ExperimentConfig{};
-  for_each_request_line(payload, [&](std::string_view key,
-                                     std::string_view value) {
-    const ConfigKey* row = find_config_key(key);
+  for_each_key_value(payload, LineError::kConfig, [&](std::string_view key,
+                                                      std::string_view value) {
+    const ConfigKey* row = find_key(config_keys(), key);
     if (row == nullptr) bad_field(key, "a known request key", value);
     row->set(cfg, value);
   });
@@ -228,15 +328,15 @@ void parse_run_request(std::string_view payload, ExperimentConfig& cfg) {
 
 void format_run_request(const ExperimentConfig& cfg, std::string& out) {
   out.clear();
-  format_config(cfg, out);
+  format_keys(config_keys(), cfg, out);
 }
 
 void parse_grid_request(std::string_view payload, ExperimentGrid& grid) {
   grid = ExperimentGrid{};
   ExperimentConfig base;
   bool saw_apps = false, saw_policies = false, saw_schemes = false;
-  for_each_request_line(payload, [&](std::string_view key,
-                                     std::string_view value) {
+  for_each_key_value(payload, LineError::kConfig, [&](std::string_view key,
+                                                      std::string_view value) {
     if (key == "apps") {
       grid.apps.clear();
       for_each_list_item(key, value, [&](std::string_view item) {
@@ -275,7 +375,7 @@ void parse_grid_request(std::string_view payload, ExperimentGrid& grid) {
                          });
       grid.sweep = sweep_axis_by_name(std::string(value.substr(0, colon)),
                                       std::move(values));
-    } else if (const ConfigKey* row = find_config_key(key)) {
+    } else if (const ConfigKey* row = find_key(config_keys(), key)) {
       row->set(base, value);
     } else {
       bad_field(key, "a known grid request key", value);
@@ -325,136 +425,49 @@ void format_grid_request(const ExperimentGrid& grid, std::string& out) {
   out += grid.derive_seeds ? "derive_seeds=1\n" : "derive_seeds=0\n";
 }
 
+std::string_view parse_trace_upload(std::string_view payload,
+                                    ReplayOptions& opts, std::string& name) {
+  opts = ReplayOptions{};
+  name = "upload";
+  // The header ends at the first blank line; without one, all is header.
+  const std::size_t sep = payload.find("\n\n");
+  const std::string_view header = payload.substr(0, sep);
+  for_each_key_value(header, LineError::kConfig, [&](std::string_view key,
+                                                     std::string_view value) {
+    if (key == "name") {
+      name = value;
+    } else if (const ReplayKey* row = find_key(replay_keys(), key)) {
+      row->set(opts, value);
+    } else {
+      bad_field(key, "a known trace upload key", value);
+    }
+  });
+  return sep == std::string_view::npos ? std::string_view{}
+                                       : payload.substr(sep + 2);
+}
+
+void format_trace_upload(const ReplayOptions& opts, std::string_view name,
+                         std::string_view body, std::string& out) {
+  out.clear();
+  format_keys(replay_keys(), opts, out);
+  out += "name=";
+  out += name;
+  out += "\n\n";  // header/body separator
+  out += body;
+}
+
 void serialize_result(const CellHeader& cell, const ExperimentResult& r,
                       std::vector<std::uint8_t>& out) {
-  put_u32(out, cell.index);
-  put_u8(out, cell.has_sweep ? 1 : 0);
-  put_str(out, cell.sweep_name);
-  put_f64(out, cell.sweep_value);
-
-  put_str(out, r.app);
-  put_u8(out, static_cast<std::uint8_t>(r.policy));
-  put_u8(out, r.scheme ? 1 : 0);
-  put_i64(out, r.exec_time.count());
-  put_f64(out, r.energy_j.value());
-  put_i64(out, r.events);
-  put_u8(out, r.audited ? 1 : 0);
-  put_i64(out, r.audit_violations);
-
-  const StorageStats& st = r.storage;
-  put_f64(out, st.energy_j.value());
-  put_i64(out, st.requests);
-  put_i64(out, st.disk_requests);
-  put_i64(out, st.spin_downs);
-  put_i64(out, st.spin_ups);
-  put_i64(out, st.rpm_changes);
-  put_f64(out, st.cache_hit_rate);
-  put_histogram(out, st.idle_periods);
-  if (st.per_node.size() > 0xffffffffu) throw ProtocolError("per_node too large");
-  put_u32(out, static_cast<std::uint32_t>(st.per_node.size()));
-  for (const IoNodeStats& n : st.per_node) {
-    put_f64(out, n.energy_j.value());
-    put_i64(out, n.requests);
-    put_i64(out, n.disk_requests);
-    put_i64(out, n.spin_downs);
-    put_i64(out, n.spin_ups);
-    put_i64(out, n.rpm_changes);
-    put_i64(out, n.cache.hits);
-    put_i64(out, n.cache.misses);
-    put_i64(out, n.cache.insertions);
-    put_i64(out, n.cache.evictions);
-    put_i64(out, n.cache.invalidations);
-    put_histogram(out, n.idle_periods);
-  }
-
-  const RuntimeStats& rt = r.runtime;
-  put_i64(out, rt.buffer_hits);
-  put_i64(out, rt.in_flight_hits);
-  put_i64(out, rt.direct_reads);
-  put_i64(out, rt.writes);
-  put_i64(out, rt.prefetches);
-  put_i64(out, rt.skipped_min_lead);
-  put_i64(out, rt.buffer.reservations);
-  put_i64(out, rt.buffer.full_rejections);
-  put_i64(out, rt.buffer.consumed);
-  put_i64(out, rt.buffer.consumed_in_flight);
-  put_i64(out, rt.buffer.wasted);
-  put_i64(out, rt.buffer.peak_bytes.count());
-
-  put_i64(out, r.sched.scheduled);
-  put_i64(out, r.sched.forced);
-  put_i64(out, r.sched.theta_fallbacks);
-  put_f64(out, r.sched.mean_advance_slots);
+  Writer writer{out};
+  walk_result(writer, cell, r);
 }
 
 void deserialize_result(std::span<const std::uint8_t> payload, CellHeader& cell,
                         ExperimentResult& r) {
-  Reader in{payload};
-  cell.index = in.u32();
-  cell.has_sweep = in.u8() != 0;
-  cell.sweep_name = in.str();
-  cell.sweep_value = in.f64();
-
-  r.app = in.str();
-  r.policy = static_cast<PolicyKind>(in.u8());
-  r.scheme = in.u8() != 0;
-  r.exec_time = SimTime{in.i64()};
-  r.energy_j = Joules{in.f64()};
-  r.events = in.i64();
-  r.audited = in.u8() != 0;
-  r.audit_violations = in.i64();
-
-  StorageStats& st = r.storage;
-  st.energy_j = Joules{in.f64()};
-  st.requests = in.i64();
-  st.disk_requests = in.i64();
-  st.spin_downs = in.i64();
-  st.spin_ups = in.i64();
-  st.rpm_changes = in.i64();
-  st.cache_hit_rate = in.f64();
-  st.idle_periods = read_histogram(in);
-  const std::uint32_t nodes = in.u32();
-  if (nodes > 1u << 20) throw ProtocolError("per_node count implausible");
-  st.per_node.clear();
-  st.per_node.reserve(nodes);
-  for (std::uint32_t k = 0; k < nodes; ++k) {
-    IoNodeStats n;
-    n.energy_j = Joules{in.f64()};
-    n.requests = in.i64();
-    n.disk_requests = in.i64();
-    n.spin_downs = in.i64();
-    n.spin_ups = in.i64();
-    n.rpm_changes = in.i64();
-    n.cache.hits = in.i64();
-    n.cache.misses = in.i64();
-    n.cache.insertions = in.i64();
-    n.cache.evictions = in.i64();
-    n.cache.invalidations = in.i64();
-    n.idle_periods = read_histogram(in);
-    st.per_node.push_back(std::move(n));
-  }
-
-  RuntimeStats& rt = r.runtime;
-  rt.buffer_hits = in.i64();
-  rt.in_flight_hits = in.i64();
-  rt.direct_reads = in.i64();
-  rt.writes = in.i64();
-  rt.prefetches = in.i64();
-  rt.skipped_min_lead = in.i64();
-  rt.buffer.reservations = in.i64();
-  rt.buffer.full_rejections = in.i64();
-  rt.buffer.consumed = in.i64();
-  rt.buffer.consumed_in_flight = in.i64();
-  rt.buffer.wasted = in.i64();
-  rt.buffer.peak_bytes = Bytes{in.i64()};
-
-  r.sched.scheduled = in.i64();
-  r.sched.forced = in.i64();
-  r.sched.theta_fallbacks = in.i64();
-  r.sched.mean_advance_slots = in.f64();
-
+  Reader reader{payload};
+  walk_result(reader, cell, r);
   r.telemetry = nullptr;  // summaries stream out-of-band (kTelemetry)
-  if (in.i != payload.size()) {
+  if (reader.left() != 0) {
     throw ProtocolError("trailing bytes after result payload");
   }
 }
@@ -474,24 +487,16 @@ void format_error(const ErrorInfo& info, std::string& out) {
 
 ErrorInfo parse_error(std::string_view payload) {
   ErrorInfo info;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    const std::size_t nl = payload.find('\n', pos);
-    const std::string_view line = payload.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) continue;
-    const std::string_view key = line.substr(0, eq);
-    const std::string_view value = line.substr(eq + 1);
-    if (key == "kind") {
-      info.kind = std::string(value);
-    } else if (key == "field") {
-      info.field = std::string(value);
-    } else if (key == "message") {
-      info.message = std::string(value);
-    }
-  }
+  for_each_key_value(payload, LineError::kProtocol,
+                     [&](std::string_view key, std::string_view value) {
+                       if (key == "kind") {
+                         info.kind = value;
+                       } else if (key == "field") {
+                         info.field = value;
+                       } else if (key == "message") {
+                         info.message = value;
+                       }
+                     });
   return info;
 }
 

@@ -6,9 +6,10 @@
 //   uint8   type        // FrameType
 //   bytes   payload     // length - 1 bytes
 //
-// Control payloads (hello, run/grid requests, errors) are `key=value` lines
-// — auditable with strings(1), trivially extensible, and parseable without
-// allocation (std::from_chars over string_views into a reused config).
+// Control payloads (hello, run/grid requests, trace-upload headers, replies,
+// errors) are `key=value` lines — auditable with strings(1), trivially
+// extensible, and parseable without allocation (std::from_chars over
+// string_views into a reused config), all through one line scanner.
 // Result payloads are a bit-exact binary codec of ExperimentResult: every
 // double crosses the wire as its raw 64-bit pattern, so a client-side
 // hexfloat probe over a streamed result is byte-identical to an in-process
@@ -39,6 +40,7 @@
 #include "driver/experiment.h"
 #include "engine/experiment_grid.h"
 #include "util/annotations.h"
+#include "workload/trace_replay.h"
 
 namespace dasched::serve {
 
@@ -83,6 +85,37 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType t,
 void append_frame(std::vector<std::uint8_t>& out, FrameType t,
                   std::string_view payload);
 
+// --- text payloads ---------------------------------------------------------
+
+/// A received payload's bytes as text.
+[[nodiscard]] inline std::string_view as_text(
+    std::span<const std::uint8_t> payload) {
+  return {reinterpret_cast<const char*>(payload.data()), payload.size()};
+}
+
+/// What a line without `=` throws: a request parser answers ConfigError
+/// naming field `line` (the tenant survives it); a client reading a reply
+/// throws ProtocolError.
+enum class LineError : std::uint8_t { kConfig, kProtocol };
+
+[[noreturn]] void reject_line(LineError error, std::string_view line);
+
+/// The one `key=value` scanner of every text payload: calls fn(key, value)
+/// for each non-empty line of `payload`.  Never allocates.
+template <typename Fn>
+void for_each_key_value(std::string_view payload, LineError error, Fn&& fn) {
+  while (!payload.empty()) {
+    const std::size_t nl = payload.find('\n');
+    const std::string_view line = payload.substr(0, nl);
+    payload.remove_prefix(nl == std::string_view::npos ? payload.size()
+                                                       : nl + 1);
+    if (line.empty()) continue;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) reject_line(error, line);
+    fn(line.substr(0, eq), line.substr(eq + 1));
+  }
+}
+
 // --- run requests ----------------------------------------------------------
 //
 // A request is one `key=value` line per user-settable config field, keyed
@@ -112,6 +145,23 @@ void parse_grid_request(std::string_view payload, ExperimentGrid& grid);
 /// Serializes a grid request; the client-side inverse of parse_grid_request.
 void format_grid_request(const ExperimentGrid& grid, std::string& out);
 
+// --- trace uploads ---------------------------------------------------------
+//
+// A kTraceUpload payload is a header of `key=value` lines, the replay-key
+// rows (engine/config_keys.h) and the upload-only `name=`, then a blank line
+// and the raw trace body.
+
+/// Parses the header into `opts` and `name` (default "upload") and returns
+/// the trace body, a view into `payload`.  Unknown keys and malformed values
+/// throw ConfigError naming the key.
+[[nodiscard]] std::string_view parse_trace_upload(std::string_view payload,
+                                                  ReplayOptions& opts,
+                                                  std::string& name);
+
+/// Serializes an upload; the client-side inverse of parse_trace_upload.
+void format_trace_upload(const ReplayOptions& opts, std::string_view name,
+                         std::string_view body, std::string& out);
+
 // --- result codec ----------------------------------------------------------
 
 /// Grid-cell labeling that precedes each serialized result.
@@ -128,7 +178,9 @@ DASCHED_HOT void serialize_result(const CellHeader& cell,
                                   const ExperimentResult& result,
                                   std::vector<std::uint8_t>& out);
 
-/// Decodes a kResult payload; throws ProtocolError on truncation/garbage.
+/// Decodes a kResult payload; throws ProtocolError on truncation, a count
+/// the payload cannot hold, a flag byte other than 0/1, a policy byte
+/// outside PolicyKind, or trailing bytes.
 void deserialize_result(std::span<const std::uint8_t> payload, CellHeader& cell,
                         ExperimentResult& result);
 

@@ -1,37 +1,14 @@
 #include "serve/server.h"
 
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "engine/env_knobs.h"
 #include "telemetry/export.h"
-#include "util/parse.h"
 #include "workload/trace_replay.h"
 
 namespace dasched::serve {
-
-namespace {
-
-/// Splits a text payload's first `key=value` block from the raw body that
-/// follows the first blank line (trace uploads).  Returns the header; the
-/// body lands in `body`.
-std::string_view split_header(std::string_view payload, std::string_view& body) {
-  const std::size_t sep = payload.find("\n\n");
-  if (sep == std::string_view::npos) {
-    body = std::string_view{};
-    return payload;
-  }
-  body = payload.substr(sep + 2);
-  return payload.substr(0, sep + 1);
-}
-
-std::string_view as_text(std::span<const std::uint8_t> payload) {
-  return {reinterpret_cast<const char*>(payload.data()), payload.size()};
-}
-
-}  // namespace
 
 ServeOptions serve_options_from_env(ServeOptions base) {
   base.address =
@@ -184,81 +161,9 @@ bool TenantSession::handle_grid(std::string_view payload, Sink& sink) {
 }
 
 bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
-  std::string_view body;
-  const std::string_view header = split_header(payload, body);
-
   ReplayOptions opts;
-  std::string name = "upload";
-  std::size_t pos = 0;
-  while (pos < header.size()) {
-    const std::size_t nl = header.find('\n', pos);
-    const std::string_view line = header.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? header.size() : nl + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw ConfigError("line", "trace upload header line '" +
-                                    std::string(line) +
-                                    "' is not key=value");
-    }
-    const std::string_view key = line.substr(0, eq);
-    const std::string value(line.substr(eq + 1));
-    const auto as_i64 = [&]() -> std::int64_t {
-      const auto parsed = parse_i64(value);
-      if (!parsed) {
-        throw ConfigError(std::string(key), "trace upload field '" +
-                                                std::string(key) +
-                                                "': expected an integer, "
-                                                "got '" + value + "'");
-      }
-      return *parsed;
-    };
-    if (key == "name") {
-      name = value;
-    } else if (key == "format") {
-      const auto fmt = parse_trace_format(value);
-      if (!fmt) {
-        throw ConfigError("format",
-                          "trace upload field 'format': expected "
-                          "auto|csv|jsonl|blk, got '" + value + "'");
-      }
-      opts.format = *fmt;
-    } else if (key == "slot_us") {
-      opts.slot_us = as_i64();
-    } else if (key == "min_compute_us") {
-      opts.min_compute_us = as_i64();
-    } else if (key == "max_compute_us") {
-      opts.max_compute_us = as_i64();
-    } else if (key == "granularity") {
-      const std::int64_t g = as_i64();
-      if (g < std::numeric_limits<int>::min() ||
-          g > std::numeric_limits<int>::max()) {
-        throw ConfigError("granularity",
-                          "trace upload field 'granularity': expected a "
-                          "32-bit integer, got '" + value + "'");
-      }
-      opts.granularity = static_cast<int>(g);
-    } else if (key == "seed") {
-      const auto parsed = parse_u64(value);
-      if (!parsed) {
-        throw ConfigError("seed", "trace upload field 'seed': expected an "
-                                  "unsigned 64-bit integer, got '" + value +
-                                  "'");
-      }
-      opts.seed = *parsed;
-    } else if (key == "jitter") {
-      const auto parsed = parse_f64(value);
-      if (!parsed) {
-        throw ConfigError("jitter", "trace upload field 'jitter': expected "
-                                    "a number, got '" + value + "'");
-      }
-      opts.jitter_frac = *parsed;
-    } else {
-      throw ConfigError(std::string(key), "unknown trace upload field '" +
-                                              std::string(key) + "'");
-    }
-  }
+  std::string name;
+  const std::string_view body = parse_trace_upload(payload, opts, name);
 
   // Parse (throws TraceParseError before any global mutation), then
   // register under the content fingerprint.

@@ -149,11 +149,9 @@ void TraceAnalyzer::add(const TraceEvent& ev) {
 
 TelemetrySummary TraceAnalyzer::finish(const TraceMeta& meta) {
   s_.meta = meta;
-  const int dpn = std::max(meta.disks_per_node, 1);
   for (std::size_t id = 0; id < s_.disks.size(); ++id) {
     DiskTimeline& d = s_.disks[id];
-    d.node = static_cast<int>(id) / dpn;
-    d.local = static_cast<int>(id) % dpn;
+    d.node = static_cast<int>(id);
     Joules disk_total{};
     for (int st = 0; st < kNumDiskStates; ++st) {
       const auto i = static_cast<std::size_t>(st);

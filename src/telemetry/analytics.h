@@ -52,7 +52,6 @@ struct LogHistogram {
 /// Residency / energy / idle profile of one disk.
 struct DiskTimeline {
   int node = 0;
-  int local = 0;
   std::array<SimTime, kNumDiskStates> residency{};
   std::array<Joules, kNumDiskStates> energy_by_state_j{};
   Joules energy_j{};

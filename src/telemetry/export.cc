@@ -15,14 +15,11 @@ class ChromeWriter {
  public:
   ChromeWriter(std::ostream& os, const TraceMeta& meta) : os_(os), meta_(meta) {
     os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    const int dpn = meta_.disks_per_node > 0 ? meta_.disks_per_node : 1;
-    const int total = meta_.num_nodes * dpn;
-    disks_.resize(static_cast<std::size_t>(total > 0 ? total : 0));
-    for (int id = 0; id < total; ++id) {
-      thread_name(pid_of(id), state_tid(id),
-                  "disk " + disk_label(id) + " state");
-      thread_name(pid_of(id), policy_tid(id),
-                  "disk " + disk_label(id) + " policy");
+    const int nodes = meta_.num_nodes;
+    disks_.resize(static_cast<std::size_t>(nodes > 0 ? nodes : 0));
+    for (int id = 0; id < nodes; ++id) {
+      thread_name(id, kStateTid, "disk " + disk_label(id) + " state");
+      thread_name(id, kPolicyTid, "disk " + disk_label(id) + " policy");
     }
   }
 
@@ -43,8 +40,8 @@ class ChromeWriter {
       case TraceEventKind::kPolicyAction: {
         const int id = ev.subject;
         begin_record();
-        os_ << "{\"ph\":\"i\",\"pid\":" << pid_of(id)
-            << ",\"tid\":" << policy_tid(id) << ",\"ts\":" << ev.time
+        os_ << "{\"ph\":\"i\",\"pid\":" << id
+            << ",\"tid\":" << kPolicyTid << ",\"ts\":" << ev.time
             << ",\"s\":\"t\",\"name\":\""
             << to_string(static_cast<PolicyDecision>(ev.aux))
             << "\",\"args\":{\"predicted_us\":" << ev.arg0
@@ -54,8 +51,8 @@ class ChromeWriter {
       case TraceEventKind::kQueueDepth: {
         const int id = ev.subject;
         begin_record();
-        os_ << "{\"ph\":\"C\",\"pid\":" << pid_of(id)
-            << ",\"tid\":" << state_tid(id) << ",\"ts\":" << ev.time
+        os_ << "{\"ph\":\"C\",\"pid\":" << id
+            << ",\"tid\":" << kStateTid << ",\"ts\":" << ev.time
             << ",\"name\":\"disk " << disk_label(id)
             << " queue\",\"args\":{\"depth\":" << ev.arg0 << "}}";
         break;
@@ -83,14 +80,12 @@ class ChromeWriter {
     Rpm rpm = 0;
   };
 
-  [[nodiscard]] int dpn() const {
-    return meta_.disks_per_node > 0 ? meta_.disks_per_node : 1;
-  }
-  [[nodiscard]] int pid_of(int id) const { return id / dpn(); }
-  [[nodiscard]] int state_tid(int id) const { return (id % dpn()) * 2; }
-  [[nodiscard]] int policy_tid(int id) const { return (id % dpn()) * 2 + 1; }
-  [[nodiscard]] std::string disk_label(int id) const {
-    return std::to_string(pid_of(id)) + "." + std::to_string(id % dpn());
+  // One process per I/O node, holding its one disk's state and policy
+  // tracks; a disk is labelled `<node>.0`.
+  static constexpr int kStateTid = 0;
+  static constexpr int kPolicyTid = 1;
+  [[nodiscard]] static std::string disk_label(int id) {
+    return std::to_string(id) + ".0";
   }
 
   void begin_record() {
@@ -108,8 +103,8 @@ class ChromeWriter {
   void slice(int id, SimTime from, SimTime to, DiskState state, Rpm rpm) {
     if (to <= from) return;
     begin_record();
-    os_ << "{\"ph\":\"X\",\"pid\":" << pid_of(id)
-        << ",\"tid\":" << state_tid(id) << ",\"ts\":" << from
+    os_ << "{\"ph\":\"X\",\"pid\":" << id
+        << ",\"tid\":" << kStateTid << ",\"ts\":" << from
         << ",\"dur\":" << (to - from) << ",\"name\":\"" << to_string(state)
         << "\",\"args\":{\"rpm\":" << rpm << "}}";
   }
@@ -221,7 +216,7 @@ void write_summary_json(std::ostream& os, const TelemetrySummary& s) {
   for (std::size_t i = 0; i < s.disks.size(); ++i) {
     const DiskTimeline& d = s.disks[i];
     if (i > 0) os << ",";
-    os << "{\"node\":" << d.node << ",\"disk\":" << d.local
+    os << "{\"node\":" << d.node << ",\"disk\":0"
        << ",\"energy_j\":" << d.energy_j << ",";
     json_state_array(os, "energy_by_state_j", d.energy_by_state_j);
     os << ",";

@@ -1,5 +1,6 @@
-// The config-key table (engine/config_keys.h): the one parser and formatter
-// behind the daemon's wire keys, both CLIs and the sweep axes.
+// The config-key tables (engine/config_keys.h): the one parser and formatter
+// behind the daemon's wire keys, both CLIs and the sweep axes, and behind
+// the trace-upload header and the --replay-* flags.
 
 #include "engine/config_keys.h"
 
@@ -16,12 +17,12 @@ TEST(ConfigKeys, SeedAboveTwoToThe32SurvivesParsing) {
   // --seed 4294967297 ran as --seed 1.
   const std::uint64_t seed = (std::uint64_t{1} << 32) + 1;
   ExperimentConfig cfg;
-  find_config_flag("--seed")->set(cfg, "4294967297");
+  find_flag(config_keys(), "--seed")->set(cfg, "4294967297");
   EXPECT_EQ(cfg.seed, seed);
   cfg.seed = 0;
-  find_config_key("seed")->set(cfg, "18446744073709551615");
+  find_key(config_keys(), "seed")->set(cfg, "18446744073709551615");
   EXPECT_EQ(cfg.seed, UINT64_MAX);
-  EXPECT_THROW(find_config_key("seed")->set(cfg, "-1"), ConfigError);
+  EXPECT_THROW(find_key(config_keys(), "seed")->set(cfg, "-1"), ConfigError);
 }
 
 TEST(ConfigKeys, EveryRowRoundTripsThroughItsFormatter) {
@@ -49,13 +50,50 @@ TEST(ConfigKeys, EveryRowRoundTripsThroughItsFormatter) {
     std::string again;
     ASSERT_TRUE(row.format(back, again)) << row.key;
     EXPECT_EQ(text, again) << row.key;
-    EXPECT_EQ(find_config_key(row.key), &row);
+    EXPECT_EQ(find_key(config_keys(), row.key), &row);
     if (!row.flag.empty()) {
-      EXPECT_EQ(find_config_flag(row.flag), &row);
+      EXPECT_EQ(find_flag(config_keys(), row.flag), &row);
     }
   }
-  EXPECT_EQ(find_config_key("shards"), nullptr);
-  EXPECT_EQ(find_config_flag(""), nullptr);
+  EXPECT_EQ(find_key(config_keys(), "shards"), nullptr);
+  EXPECT_EQ(find_flag(config_keys(), ""), nullptr);
+}
+
+TEST(ConfigKeys, ReplayRowsRoundTripInUploadOrder) {
+  ReplayOptions opts;
+  opts.format = TraceFormat::kNativeJsonl;
+  opts.slot_us = 2500;
+  opts.min_compute_us = 0;
+  opts.max_compute_us = 1 << 30;
+  opts.granularity = 4;
+  opts.seed = (std::uint64_t{1} << 32) + 3;
+  opts.jitter_frac = 0.1 + 0.2;
+  std::string text;
+  format_keys(replay_keys(), opts, text);
+  EXPECT_EQ(text,
+            "format=jsonl\nslot_us=2500\nmin_compute_us=0\n"
+            "max_compute_us=1073741824\ngranularity=4\nseed=4294967299\n"
+            "jitter=0.30000000000000004\n");
+  ReplayOptions back;
+  for (const ReplayKey& row : replay_keys()) {
+    std::string value;
+    ASSERT_TRUE(row.format(opts, value)) << row.key;
+    row.set(back, value);
+    EXPECT_EQ(find_key(replay_keys(), row.key), &row);
+  }
+  EXPECT_EQ(back, opts);
+  // Only format, slot_us and seed have a --replay-* flag.
+  EXPECT_EQ(find_flag(replay_keys(), "--replay-format")->key, "format");
+  EXPECT_EQ(find_flag(replay_keys(), "--replay-slot-us")->key, "slot_us");
+  EXPECT_EQ(find_flag(replay_keys(), "--replay-seed")->key, "seed");
+  int flags = 0;
+  for (const ReplayKey& row : replay_keys()) flags += !row.flag.empty();
+  EXPECT_EQ(flags, 3);
+  // Integer options are range-checked, never narrowed.
+  EXPECT_THROW(find_key(replay_keys(), "granularity")->set(back, "4294967297"),
+               ConfigError);
+  EXPECT_THROW(find_key(replay_keys(), "seed")->set(back, "-1"), ConfigError);
+  EXPECT_THROW(find_key(replay_keys(), "format")->set(back, "xml"), ConfigError);
 }
 
 }  // namespace

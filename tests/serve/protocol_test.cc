@@ -12,13 +12,18 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "driver/experiment.h"
 #include "driver/workspace.h"
 #include "engine/experiment_grid.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/socket.h"
+#include "workload/trace_replay.h"
 
 namespace dasched::serve {
 namespace {
@@ -327,6 +332,156 @@ TEST(ServeProtocol, ResultCodecRejectsTruncationAndTrailingGarbage) {
   std::vector<std::uint8_t> padded = wire;
   padded.push_back(0);
   EXPECT_THROW(deserialize_result(padded, cell, out), ProtocolError);
+}
+
+/// FNV-1a over a byte string: the golden digests below pin whole frames.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::span<const std::uint8_t> bytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+DurationHistogram histogram(std::vector<double> edges, double first_sample) {
+  DurationHistogram h(std::move(edges));
+  h.add_msec(first_sample);
+  h.add_msec(first_sample * 7.5);
+  h.add_msec(1e9);  // the overflow bucket
+  return h;
+}
+
+/// A result whose every wire field differs from its default and from every
+/// other field, so a dropped, swapped or resized field changes the bytes.
+ExperimentResult every_field_set() {
+  std::int64_t n = 1000;
+  const auto next = [&n] { return n += 17; };
+  ExperimentResult r;
+  r.app = "golden-app";
+  r.policy = PolicyKind::kStaggered;
+  r.scheme = true;
+  r.exec_time = SimTime{next()};
+  r.energy_j = Joules{1234.5 + 1.0 / 3.0};
+  r.events = next();
+  r.audited = true;
+  r.audit_violations = next();
+  StorageStats& st = r.storage;
+  st.energy_j = Joules{987.25 + 1.0 / 7.0};
+  st.requests = next();
+  st.disk_requests = next();
+  st.spin_downs = next();
+  st.spin_ups = next();
+  st.rpm_changes = next();
+  st.cache_hit_rate = 0.1 + 0.2;
+  st.idle_periods = histogram({5, 50, 500}, 3.25);
+  for (int k = 0; k < 2; ++k) {
+    IoNodeStats node;
+    node.energy_j = Joules{100.0 * (k + 1) + 1.0 / 9.0};
+    node.requests = next();
+    node.disk_requests = next();
+    node.spin_downs = next();
+    node.spin_ups = next();
+    node.rpm_changes = next();
+    node.cache.hits = next();
+    node.cache.misses = next();
+    node.cache.insertions = next();
+    node.cache.evictions = next();
+    node.cache.invalidations = next();
+    node.idle_periods = histogram({10.0 * (k + 1), 1000}, 2.5 + k);
+    st.per_node.push_back(std::move(node));
+  }
+  RuntimeStats& rt = r.runtime;
+  rt.buffer_hits = next();
+  rt.in_flight_hits = next();
+  rt.direct_reads = next();
+  rt.writes = next();
+  rt.prefetches = next();
+  rt.skipped_min_lead = next();
+  rt.buffer.reservations = next();
+  rt.buffer.full_rejections = next();
+  rt.buffer.consumed = next();
+  rt.buffer.consumed_in_flight = next();
+  rt.buffer.wasted = next();
+  rt.buffer.peak_bytes = Bytes{next()};
+  r.sched.scheduled = next();
+  r.sched.forced = next();
+  r.sched.theta_fallbacks = next();
+  r.sched.mean_advance_slots = 2.0 / 3.0;
+  return r;
+}
+
+TEST(ServeProtocol, ResultFrameBytesArePinned) {
+  // A layout change that the encoder and decoder make together still
+  // round-trips; only a golden catches it.  A change here is a protocol
+  // change and needs a kProtocolVersion bump.
+  CellHeader cell;
+  cell.index = 7;
+  cell.has_sweep = true;
+  cell.sweep_name = "theta";
+  cell.sweep_value = 0.1 + 0.2;
+  std::vector<std::uint8_t> wire;
+  serialize_result(cell, every_field_set(), wire);
+  EXPECT_EQ(wire.size(), 627u);
+  EXPECT_EQ(fnv1a(wire), 0x8f5c576913ac456ULL);
+
+  CellHeader cell2;
+  ExperimentResult back;
+  deserialize_result(wire, cell2, back);
+  std::vector<std::uint8_t> again;
+  serialize_result(cell2, back, again);
+  EXPECT_EQ(again, wire);
+}
+
+TEST(ServeProtocol, UploadHeaderBytesArePinned) {
+  // The client's trace-upload frame for non-default options, captured by a
+  // one-shot listener that answers the hello and the upload.
+  Listener listener = Listener::open("tcp:0");
+  std::string captured;
+  std::thread peer([&] {
+    Socket s = listener.accept(/*timeout_ms=*/10'000);
+    ASSERT_TRUE(s.valid());
+    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> scratch;
+    FrameType type{};
+    ASSERT_EQ(read_frame(s, 10'000, type, payload), Socket::IoStatus::kOk);
+    ASSERT_EQ(type, FrameType::kHello);
+    ASSERT_TRUE(
+        write_frame(s, FrameType::kHelloOk, bytes("version=3\ntenant=1\n"),
+                    scratch));
+    ASSERT_EQ(read_frame(s, 10'000, type, payload), Socket::IoStatus::kOk);
+    ASSERT_EQ(type, FrameType::kTraceUpload);
+    captured.assign(payload.begin(), payload.end());
+    ASSERT_TRUE(write_frame(
+        s, FrameType::kTraceOk,
+        bytes("app=replay:1\nprocs=2\nfiles=3\nrecords=4\n"), scratch));
+  });
+  ReplayOptions opts;
+  opts.format = TraceFormat::kBlk;
+  opts.slot_us = 5000;
+  opts.min_compute_us = 250;
+  opts.max_compute_us = 9'000'000;
+  opts.granularity = 3;
+  opts.seed = (std::uint64_t{1} << 40) + 7;
+  opts.jitter_frac = 0.1 + 0.2;
+  {
+    ServeClient client = ServeClient::connect(listener.address());
+    const ServeClient::UploadReply reply =
+        client.upload_trace("0,0,0,4096,R\n", "dev.blk", opts);
+    EXPECT_EQ(reply.app, "replay:1");
+    EXPECT_EQ(reply.procs, 2);
+    EXPECT_EQ(reply.files, 3);
+    EXPECT_EQ(reply.records, 4);
+  }
+  peer.join();
+  EXPECT_EQ(captured,
+            "format=blk\nslot_us=5000\nmin_compute_us=250\n"
+            "max_compute_us=9000000\ngranularity=3\nseed=1099511627783\n"
+            "jitter=0.30000000000000004\nname=dev.blk\n\n0,0,0,4096,R\n");
 }
 
 TEST(ServeProtocol, ErrorRoundTripsAndFoldsNewlines) {

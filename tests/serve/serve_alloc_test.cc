@@ -1,8 +1,8 @@
-// Zero-allocation proof for the daemon steady state (ISSUE acceptance
-// gate): the second-and-later identical kRun requests on a warm tenant
-// workspace must perform ZERO heap allocations end to end — frame parse,
-// config reset, app resolution, the full simulation, result serialization
-// and the reply frames.
+// Zero-allocation proof for the daemon steady state: the second-and-later
+// identical kRun requests on a warm tenant workspace must perform ZERO heap
+// allocations end to end — frame parse, config reset, app resolution, the
+// full simulation, result serialization and the reply frames.  The same
+// counter bounds what the result decoder allocates for a hostile payload.
 //
 // Same global operator new/delete interposer as
 // tests/driver/workspace_alloc_test.cc, pointed at TenantSession::handle —
@@ -28,22 +28,24 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
-void note_allocation() {
+void note_allocation(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   }
 }
 
 void* counted_alloc(std::size_t n) {
-  note_allocation();
+  note_allocation(n);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  note_allocation();
+  note_allocation(n);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, n == 0 ? align : n) != 0) throw std::bad_alloc();
@@ -63,11 +65,11 @@ void* operator new[](std::size_t n, std::align_val_t a) {
   return counted_alloc_aligned(n, static_cast<std::size_t>(a));
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  note_allocation();
+  note_allocation(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  note_allocation();
+  note_allocation(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -115,6 +117,85 @@ class CaptureSink : public TenantSession::Sink {
 
 std::span<const std::uint8_t> as_span(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// The frame of a small hand-made result: a default CellHeader, app "a",
+/// an edgeless storage histogram and no per-node entries, so the fields
+/// the decoder must bound sit at fixed offsets.
+std::vector<std::uint8_t> small_frame() {
+  ExperimentResult r;
+  r.app = std::string("a");
+  r.storage.idle_periods = DurationHistogram(std::vector<double>{});
+  std::vector<std::uint8_t> wire;
+  serialize_result(CellHeader{}, r, wire);
+  return wire;
+}
+
+// u32 index | u8 has_sweep | u16 0 | f64 sweep_value | u16 1 "a" | u8 policy
+// | u8 scheme | 3 x 8 bytes | u8 audited | ...
+constexpr std::size_t kHasSweepAt = 4;
+constexpr std::size_t kPolicyAt = 18;
+constexpr std::size_t kSchemeAt = 19;
+constexpr std::size_t kAuditedAt = 44;
+// ... | u32 edge count, i64 count, i64 total, f64 msec | u32 per_node count |
+// 16 x 8 bytes of runtime and schedule stats.
+constexpr std::size_t kTailBytes = 16 * 8;
+constexpr std::size_t kPerNodeFromEnd = kTailBytes + 4;
+constexpr std::size_t kEdgesFromEnd = kPerNodeFromEnd + 4 + 3 * 8;
+
+void put_u32_at(std::vector<std::uint8_t>& wire, std::size_t at,
+                std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) wire[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+TEST(ServeAlloc, ResultDecoderRejectsHostileCountsBeforeAllocating) {
+  const std::vector<std::uint8_t> good = small_frame();
+  CellHeader cell;
+  ExperimentResult out;
+  deserialize_result(good, cell, out);
+  ASSERT_EQ(out.app, "a");
+  ASSERT_TRUE(out.storage.per_node.empty());
+  ASSERT_TRUE(out.storage.idle_periods.edges_msec().empty());
+
+  // The offsets name the fields they patch: 1 in each decodes as set.
+  std::vector<std::uint8_t> set = good;
+  for (const std::size_t at : {kHasSweepAt, kSchemeAt, kAuditedAt}) set[at] = 1;
+  set[kPolicyAt] = static_cast<std::uint8_t>(PolicyKind::kStaggered);
+  deserialize_result(set, cell, out);
+  EXPECT_TRUE(cell.has_sweep);
+  EXPECT_TRUE(out.scheme);
+  EXPECT_TRUE(out.audited);
+  EXPECT_EQ(out.policy, PolicyKind::kStaggered);
+
+  // Each bad payload throws ProtocolError, having allocated no more than
+  // its own size on the way.
+  const auto rejects = [&](std::size_t at, std::uint32_t v, int width) {
+    std::vector<std::uint8_t> bad = good;
+    if (width == 4) {
+      put_u32_at(bad, at, v);
+    } else {
+      bad[at] = static_cast<std::uint8_t>(v);
+    }
+    g_allocated_bytes.store(0);
+    g_counting.store(true);
+    EXPECT_THROW(deserialize_result(bad, cell, out), ProtocolError)
+        << "offset " << at << " value " << v;
+    g_counting.store(false);
+    EXPECT_LE(g_allocated_bytes.load(), bad.size())
+        << "offset " << at << " value " << v;
+  };
+  // Counts the payload cannot hold: 2^20 nodes of at least 116 bytes each
+  // and 2^20 histogram edges of 16 bytes each, in a frame of ~270 bytes.
+  rejects(good.size() - kPerNodeFromEnd, 1u << 20, 4);
+  rejects(good.size() - kPerNodeFromEnd, 0xffffffffu, 4);
+  rejects(good.size() - kEdgesFromEnd, 1u << 20, 4);
+  // Two nodes, with bytes left for one (the 128-byte tail).
+  rejects(good.size() - kPerNodeFromEnd, 2, 4);
+  // Flag bytes other than 0/1 and a policy byte past the last PolicyKind.
+  rejects(kHasSweepAt, 2, 1);
+  rejects(kSchemeAt, 0xff, 1);
+  rejects(kAuditedAt, 7, 1);
+  rejects(kPolicyAt, static_cast<std::uint32_t>(PolicyKind::kStaggered) + 1, 1);
 }
 
 TEST(ServeAlloc, WarmTenantRunRequestAllocatesNothing) {

@@ -100,7 +100,7 @@ TEST(TraceAnalyzer, ResidencyAndEnergyFromHandTimeline) {
       idle_end(2500, 1, 50, /*counted=*/false),  // below-threshold gap
   };
   TraceMeta meta;
-  meta.disks_per_node = 2;
+  meta.disks_per_node = 1;
   const TelemetrySummary s = analyze_trace(events, meta);
 
   ASSERT_EQ(s.disks.size(), 2u);
@@ -115,11 +115,9 @@ TEST(TraceAnalyzer, ResidencyAndEnergyFromHandTimeline) {
   EXPECT_EQ(s.disks[1].residency[standby], 3000);
   EXPECT_DOUBLE_EQ(s.disks[1].energy_j.value(), 0.034);
 
-  // Node/local derived from disks_per_node = 2: both disks are node 0.
+  // One disk per I/O node: the disk id is the node id.
   EXPECT_EQ(s.disks[0].node, 0);
-  EXPECT_EQ(s.disks[0].local, 0);
-  EXPECT_EQ(s.disks[1].node, 0);
-  EXPECT_EQ(s.disks[1].local, 1);
+  EXPECT_EQ(s.disks[1].node, 1);
 
   // Aggregates.
   EXPECT_EQ(s.residency[idle], 1500 + 2000);

@@ -136,7 +136,7 @@ TEST(TelemetryRun, ResidencyTilesEveryDiskTimeline) {
     SimTime covered = 0;
     for (const SimTime t : d.residency) covered += t;
     // Accrual events tile [0, end_time] with no gaps or overlaps.
-    EXPECT_EQ(covered, end) << "disk " << d.node << "/" << d.local;
+    EXPECT_EQ(covered, end) << "disk " << d.node;
   }
 }
 

@@ -92,28 +92,15 @@ ExperimentGrid CliOptions::make_grid() const {
 
 bool parse_shared_flag(CliArgs& args, CliOptions& opts) {
   const std::string_view flag = args.flag();
-  if (const ConfigKey* row = find_config_flag(flag)) {
+  if (const ConfigKey* row = find_flag(config_keys(), flag)) {
     row->set(opts.cfg, row->is_switch ? "1" : args.value());
     if (row->key == "procs") opts.procs_set = true;
     opts.run_requested = true;
+  } else if (const ReplayKey* row = find_flag(replay_keys(), flag)) {
+    row->set(opts.replay, args.value());
   } else if (flag == "--replay") {
     opts.replay_path = args.value();
     opts.run_requested = true;
-  } else if (flag == "--replay-format") {
-    const char* v = args.value();
-    const auto fmt = parse_trace_format(v);
-    if (!fmt) die_invalid_value("--replay-format", v, "auto|csv|jsonl|blk");
-    opts.replay.format = *fmt;
-  } else if (flag == "--replay-slot-us") {
-    const char* v = args.value();
-    const auto n = parse_i64(v);
-    if (!n) die_invalid_value("--replay-slot-us", v, "an integer");
-    opts.replay.slot_us = *n;
-  } else if (flag == "--replay-seed") {
-    const char* v = args.value();
-    const auto n = parse_u64(v);
-    if (!n) die_invalid_value("--replay-seed", v, "an unsigned 64-bit integer");
-    opts.replay.seed = *n;
   } else if (flag == "--csv") {
     opts.csv = true;
     opts.run_requested = true;

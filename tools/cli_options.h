@@ -1,8 +1,9 @@
 // The command-line front end shared by dasched_run and dasched_client.
 //
 // Both tools take the same experiment on the command line: the config-key
-// flags of engine/config_keys.h (--app, --procs, --seed, ...), trace
-// replay, the output format and the grid axes.  They parse it here, so the
+// flags of engine/config_keys.h (--app, --procs, --seed, ..., and the
+// --replay-* options of a trace upload), trace replay, the output format
+// and the grid axes.  They parse it here, so the
 // two accept exactly the same flags and values, and with the daemon's wire
 // keys behind the same row parsers, the same values as a daemon request.
 // This file also owns the single-run CSV row and the hexfloat line, the two

@@ -53,7 +53,7 @@ int run_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if ((arg == "--procs" || arg == "--scale") && i + 1 < argc) {
-      find_config_flag(arg)->set(base, argv[++i]);
+      find_flag(config_keys(), arg)->set(base, argv[++i]);
     } else if (arg == "--workspace") {
       use_workspace = true;
     } else {
