@@ -7,6 +7,7 @@
 // with and without the compiler-directed scheme.
 //
 //   $ ./examples/quickstart
+#include <cstdint>
 #include <cstdio>
 
 #include "compiler/compile.h"
@@ -99,8 +100,9 @@ double run(PolicyKind policy, bool scheme, double* exec_minutes) {
   if (scheme && exec_minutes == nullptr) {
     std::printf("scheduling table (process 0, first 6 entries):\n");
     int shown = 0;
-    for (const TableEntry& e : compiled.table.entries(0)) {
+    for (const std::uint32_t row : compiled.table.entries(0)) {
       if (++shown > 6) break;
+      const ScheduledAccess& e = compiled.scheduled[row];
       std::printf("  slot %-5lld access#%-5d sig %s  slack [%lld, %lld]\n",
                   static_cast<long long>(e.slot), e.rec.id,
                   e.rec.sig.to_string().c_str(),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <sstream>
 
 namespace dasched {
@@ -12,11 +11,10 @@ void ScheduleConsistencyCheck::validate(const Compiled& compiled,
                                         const ScheduleOptions& opts,
                                         bool scheduling_enabled) {
   check_records(compiled.program.reads, compiled.program.num_slots);
-  if (scheduling_enabled) {
-    check_placements(compiled.scheduled, compiled.program.num_slots);
-    check_double_booking(compiled.scheduled);
-    check_theta(compiled.scheduled, opts, compiled.sched_stats);
-  }
+  if (!scheduling_enabled) return;  // no placements, no table
+  check_placements(compiled.scheduled, compiled.program.num_slots);
+  check_double_booking(compiled.scheduled);
+  check_theta(compiled.scheduled, opts, compiled.sched_stats);
   check_flags(compiled.scheduled, compiled.sched_stats);
   check_table(compiled.table, compiled.scheduled);
 }
@@ -169,28 +167,29 @@ void ScheduleConsistencyCheck::check_table(
     fail(0, os.str());
     return;
   }
-  // Every scheduled access appears exactly once, in its process's list, at
-  // its chosen slot, in (slot, id) order.
-  std::set<std::tuple<int, Slot, int>> expected;
-  int max_process = -1;
-  for (const ScheduledAccess& s : scheduled) {
-    expected.emplace(s.rec.process, s.slot, s.rec.id);
-    max_process = std::max(max_process, s.rec.process);
-  }
-  for (int p = 0; p <= max_process; ++p) {
-    const TableEntry* prev = nullptr;
-    for (const TableEntry& e : table.entries(p)) {
+  // Every row appears exactly once, under its own process, in (slot, id)
+  // order, and row i holds access i.
+  std::vector<char> seen(scheduled.size(), 0);
+  for (int p = 0; p < table.num_processes(); ++p) {
+    const ScheduledAccess* prev = nullptr;
+    for (const std::uint32_t row : table.entries(p)) {
       evaluated();
+      const ScheduledAccess& e = scheduled[row];
+      if (e.rec.id != static_cast<int>(row)) {
+        std::ostringstream os;
+        os << "row " << row << " holds access #" << e.rec.id
+           << ": the runtime reads row i as access i";
+        fail(0, os.str());
+      }
       if (e.rec.process != p) {
         std::ostringstream os;
         os << "access #" << e.rec.id << " of process " << e.rec.process
            << " filed under process " << p;
         fail(0, os.str());
       }
-      if (expected.erase({p, e.slot, e.rec.id}) == 0) {
+      if (seen[row]++ != 0) {
         std::ostringstream os;
-        os << "table entry (process " << p << ", slot " << e.slot
-           << ", access #" << e.rec.id << ") does not match any scheduled access";
+        os << "access #" << e.rec.id << " appears twice in the table";
         fail(0, os.str());
       }
       if (prev != nullptr && (prev->slot > e.slot ||
@@ -204,9 +203,10 @@ void ScheduleConsistencyCheck::check_table(
     }
   }
   evaluated();
-  if (!expected.empty()) {
+  const auto missing = std::ranges::count(seen, 0);
+  if (missing > 0) {
     std::ostringstream os;
-    os << expected.size() << " scheduled access(es) missing from the table";
+    os << missing << " scheduled access(es) missing from the table";
     fail(0, os.str());
   }
 }

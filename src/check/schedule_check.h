@@ -8,8 +8,8 @@
 // per-access `forced` / `theta_fallback` flags must add up to the
 // scheduler's counters, the theta cap must hold whenever the scheduler
 // reported no fallbacks, and the
-// per-process tables the runtime walks must agree exactly with the
-// scheduler's decisions.
+// per-process tables the runtime walks must index every placement exactly
+// once, in the order the runtime expects.
 #pragma once
 
 #include <vector>
@@ -32,10 +32,9 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
   }
 
   /// Runs every sub-check against one compiled program.  With
-  /// `scheduling_enabled == false` (a baseline compile: every access sits at
-  /// its original point, bypassing the scheduler) only the record, flag and
-  /// table invariants apply — the baseline legitimately double-books slots
-  /// and ignores theta.
+  /// `scheduling_enabled == false` (a baseline compile: every access stays
+  /// at its original point, and the compile holds no placements and no
+  /// table) only the record invariants apply.
   void validate(const Compiled& compiled, const ScheduleOptions& opts,
                 bool scheduling_enabled = true);
 
@@ -61,7 +60,8 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
   void check_theta(const std::vector<ScheduledAccess>& scheduled,
                    const ScheduleOptions& opts, const ScheduleStats& stats);
 
-  /// Table entries are exactly the scheduled accesses, ordered per process.
+  /// The table indexes every row of `scheduled` exactly once, under its
+  /// own process, in (slot, id) order; row i holds access i.
   void check_table(const SchedulingTable& table,
                    const std::vector<ScheduledAccess>& scheduled);
 };

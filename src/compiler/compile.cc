@@ -12,14 +12,12 @@ Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,
                               std::max<Slot>(lowered.num_slots, 1), opts.sched);
     scheduler.schedule_into(lowered.reads, out.scheduled);
     out.sched_stats = scheduler.stats();
+    out.table = SchedulingTable(out.scheduled);
   } else {
-    out.scheduled.reserve(lowered.reads.size());
-    for (const AccessRecord& rec : lowered.reads) {
-      out.scheduled.push_back(ScheduledAccess{rec, rec.original, false});
-    }
-    out.sched_stats.scheduled = static_cast<std::int64_t>(out.scheduled.size());
+    // Every read stays at its original point, and no scheduler thread walks
+    // a table: there is nothing to place.
+    out.sched_stats.scheduled = static_cast<std::int64_t>(lowered.reads.size());
   }
-  out.table = SchedulingTable(out.scheduled);
   out.program = std::move(lowered);
   return out;
 }

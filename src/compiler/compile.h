@@ -10,8 +10,8 @@
 // loop nest through `lower()`, an application through `App::build`, an
 // external trace through the replay parser — and `compile_trace` runs the
 // rest.  The result bundles everything the runtime needs: the lowered
-// program the client processes execute, and the per-process scheduling
-// tables the runtime scheduler threads follow.
+// program the client processes execute, each read's placement, and the
+// per-process tables of row indices the runtime scheduler threads follow.
 #pragma once
 
 #include "compiler/loop_program.h"
@@ -26,8 +26,8 @@ namespace dasched {
 struct CompileOptions {
   ScheduleOptions sched;
   SlackOptions slack;
-  /// When false the pipeline stops after slack analysis and every access is
-  /// "scheduled" at its original point — the paper's baseline runs.
+  /// When false the pipeline stops after slack analysis and every access
+  /// stays at its original point — the paper's baseline runs.
   bool enable_scheduling = true;
 
   /// Member-wise; lets compile caches key on "would this produce the same
@@ -38,9 +38,10 @@ struct CompileOptions {
 
 struct Compiled {
   CompiledProgram program;
-  /// Per-access decisions, indexed by AccessRecord::id.
+  /// Per-access decisions, row i for read i (ids are dense and in order).
+  /// With scheduling disabled it and `table` stay empty.
   std::vector<ScheduledAccess> scheduled;
-  SchedulingTable table;
+  SchedulingTable table;  // per-process row indices into `scheduled`
   ScheduleStats sched_stats;
 };
 

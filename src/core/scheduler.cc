@@ -484,10 +484,11 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
               return placed_before(accesses[a], accesses[b]);
             });
 
+  // Row i is the placement of accesses[i]; empty rows do not allocate.
   out.clear();
-  // dasched-lint: allow(hot-alloc): one up-front reserve per batch keeps
+  // dasched-lint: allow(hot-alloc): one up-front resize per batch keeps
   // the placement loop below allocation-free.
-  out.reserve(accesses.size());
+  out.resize(accesses.size());
   double total_advance = 0.0;
 
   // The class rows point into `accesses`, and place() follows the per-node
@@ -578,19 +579,12 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
     }
 
     total_advance += static_cast<double>(rec.original - result.slot);
-    // dasched-lint: allow(hot-alloc): `out` was reserved to one row per
-    // access above, so this never grows.
-    out.push_back(std::move(result));
+    out[idx] = std::move(result);
   }
 
   stats_.scheduled = static_cast<std::int64_t>(out.size());
   stats_.mean_advance_slots =
       out.empty() ? 0.0 : total_advance / static_cast<double>(out.size());
-
-  std::sort(out.begin(), out.end(),
-            [](const ScheduledAccess& a, const ScheduledAccess& b) {
-              return a.rec.id < b.rec.id;
-            });
 }
 
 }  // namespace dasched

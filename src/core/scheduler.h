@@ -101,11 +101,12 @@ class AccessScheduler {
   /// `num_io_nodes` sizes the signatures; `num_slots` bounds slot indices.
   AccessScheduler(int num_io_nodes, Slot num_slots, ScheduleOptions opts = {});
 
-  /// Schedules all accesses; the result vector is ordered by access id.
+  /// Schedules all accesses; row i of the result is the placement of
+  /// accesses[i] (the batch order, whatever the ids).
   std::vector<ScheduledAccess> schedule(std::vector<AccessRecord> accesses);
 
-  /// Same, into a caller-provided result vector (cleared first).  With a
-  /// warmed `out` capacity this performs zero heap allocations.
+  /// Same, into a caller-provided result vector (resized to the batch).
+  /// With a warmed `out` capacity this performs zero heap allocations.
   DASCHED_HOT void schedule_into(std::span<const AccessRecord> accesses,
                      std::vector<ScheduledAccess>& out);
 

@@ -1,50 +1,38 @@
 #include "core/scheduling_table.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace dasched {
-
-const std::vector<TableEntry> SchedulingTable::kEmpty;
 
 SchedulingTable::SchedulingTable(const std::vector<ScheduledAccess>& scheduled) {
   int max_process = -1;
   for (const auto& s : scheduled) max_process = std::max(max_process, s.rec.process);
-  per_process_.resize(static_cast<std::size_t>(max_process + 1));
-  for (const auto& s : scheduled) {
-    per_process_[static_cast<std::size_t>(s.rec.process)].push_back(
-        TableEntry{s.slot, s.rec, s.forced});
-    ++total_;
+  offsets_.assign(static_cast<std::size_t>(max_process) + 2, 0u);
+  for (const auto& s : scheduled) ++offsets_[static_cast<std::size_t>(s.rec.process) + 1];
+  for (std::size_t p = 1; p < offsets_.size(); ++p) offsets_[p] += offsets_[p - 1];
+
+  rows_.resize(scheduled.size());
+  std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  for (std::uint32_t i = 0; i < scheduled.size(); ++i) {
+    rows_[fill[static_cast<std::size_t>(scheduled[i].rec.process)]++] = i;
   }
-  for (auto& entries : per_process_) {
-    std::sort(entries.begin(), entries.end(),
-              [](const TableEntry& a, const TableEntry& b) {
-                if (a.slot != b.slot) return a.slot < b.slot;
-                return a.rec.id < b.rec.id;
-              });
+  const auto by_slot_then_id = [&scheduled](std::uint32_t a, std::uint32_t b) {
+    const ScheduledAccess& x = scheduled[a];
+    const ScheduledAccess& y = scheduled[b];
+    if (x.slot != y.slot) return x.slot < y.slot;
+    return x.rec.id < y.rec.id;
+  };
+  for (std::size_t p = 0; p + 1 < offsets_.size(); ++p) {
+    std::sort(rows_.begin() + offsets_[p], rows_.begin() + offsets_[p + 1],
+              by_slot_then_id);
   }
 }
 
-const std::vector<TableEntry>& SchedulingTable::entries(int process) const {
-  if (process < 0 || static_cast<std::size_t>(process) >= per_process_.size()) {
-    return kEmpty;
-  }
-  return per_process_[static_cast<std::size_t>(process)];
-}
-
-std::string SchedulingTable::to_string() const {
-  std::ostringstream os;
-  for (std::size_t p = 0; p < per_process_.size(); ++p) {
-    os << "process " << p << ":\n";
-    for (const auto& e : per_process_[p]) {
-      os << "  slot " << e.slot << "  access#" << e.rec.id << "  sig "
-         << e.rec.sig.to_string() << "  slack [" << e.rec.begin << ", "
-         << e.rec.end << "]"
-         << "  original " << e.rec.original << (e.forced ? "  (forced)" : "")
-         << "\n";
-    }
-  }
-  return os.str();
+std::span<const std::uint32_t> SchedulingTable::entries(int process) const {
+  if (process < 0 || process >= num_processes()) return {};
+  const auto p = static_cast<std::size_t>(process);
+  return std::span<const std::uint32_t>(rows_).subspan(
+      offsets_[p], offsets_[p + 1] - offsets_[p]);
 }
 
 }  // namespace dasched

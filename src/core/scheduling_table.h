@@ -1,53 +1,45 @@
 // Scheduling tables — the artifact the compiler hands to the runtime.
 //
 // After the scheduling algorithms pick a point for every access, the results
-// are organized per process: for each client process, an ordered list of
-// (slot, access) entries the runtime scheduler thread walks as its process
-// advances through its iterations.
+// are organized per process: for each client process, the ordered rows of
+// the placement vector its runtime scheduler thread walks as the process
+// advances through its iterations.  The table copies no access.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/access.h"
 
 namespace dasched {
 
-struct TableEntry {
-  /// Slot at which the runtime should issue this access.
-  Slot slot = 0;
-  /// The scheduled access (original point, signature, etc.).
-  AccessRecord rec;
-  /// True when the entry was force-pinned to its original point.
-  bool forced = false;
-};
-
 class SchedulingTable {
  public:
   SchedulingTable() = default;
 
-  /// Builds a table from scheduler output.
+  /// Indexes `scheduled` by process: one counting pass, then each process's
+  /// rows sorted by (slot, access id).  The table refers to `scheduled` by
+  /// position, so it is valid for that vector (or a copy of it) only.
   explicit SchedulingTable(const std::vector<ScheduledAccess>& scheduled);
 
-  /// Entries of one process, ordered by (slot, access id).  Empty for
+  /// Rows of one process, ordered by (slot, access id).  Empty for
   /// processes with no scheduled accesses.
-  [[nodiscard]] const std::vector<TableEntry>& entries(int process) const;
+  [[nodiscard]] std::span<const std::uint32_t> entries(int process) const;
 
   [[nodiscard]] int num_processes() const {
-    return static_cast<int>(per_process_.size());
+    return offsets_.empty() ? 0 : static_cast<int>(offsets_.size() - 1);
   }
 
-  [[nodiscard]] std::int64_t total_entries() const { return total_; }
-
-  /// Human-readable dump (used by the quickstart example).
-  [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] std::int64_t total_entries() const {
+    return static_cast<std::int64_t>(rows_.size());
+  }
 
  private:
-  std::vector<std::vector<TableEntry>> per_process_;
-  std::int64_t total_ = 0;
-  static const std::vector<TableEntry> kEmpty;
+  /// Every row, grouped by process: process p's are
+  /// rows_[offsets_[p] .. offsets_[p + 1]).
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::uint32_t> offsets_;
 };
 
 }  // namespace dasched

@@ -269,9 +269,10 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
     copts.slack.length_unit = app.length_unit;
     copts.slack.max_slack = base.max_slack;
     const Compiled& compiled = obtain_compiled(lanes_[i], copts);
-    if (recorder != nullptr && copts.enable_scheduling) {
+    if (recorder != nullptr) {
       // Placements are compile-time events, taken from the schedule itself
-      // whether it was compiled now or reused (kFull only).
+      // whether it was compiled now or reused (kFull only; a scheme-off
+      // compile has none).
       recorder->record_placements(compiled.scheduled);
     }
     if (auditor.has_value()) {

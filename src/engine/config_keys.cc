@@ -8,15 +8,15 @@
 
 namespace dasched {
 
-namespace {
-
-[[noreturn]] void bad_value(std::string_view key, const char* expected,
-                            std::string_view value) {
+void bad_value(std::string_view key, const char* expected,
+               std::string_view value) {
   // dasched-lint: allow(hot-alloc): error path, the value is rejected anyway
   throw ConfigError(std::string(key), "expected " + std::string(expected) +
                                           ", got '" + std::string(value) +
                                           "'");
 }
+
+namespace {
 
 int want_int(std::string_view key, std::string_view v) {
   const auto n = parse_i64(v);

@@ -48,6 +48,11 @@ struct KeyRow {
 using ConfigKey = KeyRow<ExperimentConfig>;
 using ReplayKey = KeyRow<ReplayOptions>;
 
+/// Throws ConfigError(key, "expected <expected>, got '<value>'"), the one
+/// shape of a rejected config or CLI flag value.
+[[noreturn]] void bad_value(std::string_view key, const char* expected,
+                            std::string_view value);
+
 /// Every ExperimentConfig row, in wire order.
 [[nodiscard]] std::span<const ConfigKey> config_keys();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <span>
 
 namespace dasched {
 
@@ -174,19 +175,22 @@ SchedulerThread::SchedulerThread(Cluster& cluster, int pid)
 
 void SchedulerThread::kick() {
   if (fetches_in_flight_ >= cluster_.config().scheduler_fetch_depth) return;
-  const auto& entries = cluster_.compiled().table.entries(pid_);
+  const Compiled& compiled = cluster_.compiled();
+  const std::span<const std::uint32_t> rows = compiled.table.entries(pid_);
   ClientProcess& owner = cluster_.client(pid_);
   GlobalBuffer& buffer = cluster_.buffer();
   RuntimeStats& stats = cluster_.mutable_stats();
 
-  while (cursor_ < entries.size()) {
-    const TableEntry& e = entries[cursor_];
-    const int id = e.rec.id;
-
+  while (cursor_ < rows.size()) {
+    // Row i holds access i (Compiled::scheduled is indexed by access id), so
+    // an entry already fetched or consumed is passed without loading its row.
+    const int id = static_cast<int>(rows[cursor_]);
     if (buffer.is_done(id) || buffer.state(id) != BufferEntryState::kAbsent) {
       ++cursor_;
       continue;
     }
+    const ScheduledAccess& e = compiled.scheduled[rows[cursor_]];
+    assert(e.rec.id == id);
     // Only fetch accesses hoisted far enough ahead of their original point.
     if (e.rec.original - e.slot <= cluster_.config().min_lead) {
       stats.skipped_min_lead += 1;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <stdexcept>
 
 #include "engine/config_keys.h"
 #include "util/parse.h"
@@ -222,8 +223,12 @@ struct Reader {
     double total_msec = 0.0;
     (*this)(total_count);
     (*this)(total_msec);
-    h = DurationHistogram::from_parts(std::move(edges), std::move(counts),
-                                      total_count, total_msec);
+    try {
+      h = DurationHistogram::from_parts(std::move(edges), std::move(counts),
+                                        total_count, total_msec);
+    } catch (const std::invalid_argument& e) {
+      throw ProtocolError(e.what());
+    }
   }
   void operator()(std::vector<IoNodeStats>& nodes) {
     const std::size_t n = count(min_node_bytes());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "engine/env_knobs.h"
@@ -38,13 +39,15 @@ bool TenantSession::handle(FrameType type, std::span<const std::uint8_t> payload
   try {
     switch (type) {
       case FrameType::kHello: {
-        // The version is the only thing worth checking; extra lines are
+        // The version is the only thing worth checking; other keys are
         // ignored so hellos stay forward-compatible.
-        const std::string_view text = as_text(payload);
-        char expect[32];
-        std::snprintf(expect, sizeof(expect), "version=%u",
-                      kProtocolVersion);
-        if (text.find(expect) == std::string_view::npos) {
+        bool version_ok = false;
+        for_each_key_value(as_text(payload), LineError::kProtocol,
+                           [&](std::string_view key, std::string_view value) {
+                             if (key != "version") return;
+                             version_ok = value == std::to_string(kProtocolVersion);
+                           });
+        if (!version_ok) {
           send_error(sink, "protocol", "version",
                      "unsupported protocol version in hello");
           return false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace dasched {
@@ -19,10 +20,14 @@ DurationHistogram DurationHistogram::from_parts(std::vector<double> edges_msec,
                                                 std::vector<std::int64_t> counts,
                                                 std::int64_t total_count,
                                                 double total_msec) {
-  if (counts.size() != edges_msec.size() + 1) {
+  const auto finite = [](double e) { return std::isfinite(e); };
+  if (counts.size() != edges_msec.size() + 1 ||
+      !std::ranges::all_of(edges_msec, finite) ||
+      std::ranges::adjacent_find(edges_msec, std::greater_equal<>()) !=
+          edges_msec.end()) {
     throw std::invalid_argument(
-        "DurationHistogram::from_parts: counts must have edges.size() + 1 "
-        "entries");
+        "DurationHistogram::from_parts: edges must be finite and strictly "
+        "ascending, with edges.size() + 1 counts");
   }
   DurationHistogram out(std::move(edges_msec));
   out.counts_ = std::move(counts);

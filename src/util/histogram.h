@@ -58,7 +58,8 @@ class DurationHistogram {
   /// Reconstructs a histogram from its accessor parts — the inverse of
   /// (edges_msec, counts, count, total_msec), used by the serve result
   /// codec to rebuild client-side histograms bit-identical to the server's.
-  /// Throws std::invalid_argument when counts.size() != edges.size() + 1.
+  /// Throws std::invalid_argument when counts.size() != edges.size() + 1,
+  /// or when the edges are not finite and strictly ascending.
   [[nodiscard]] static DurationHistogram from_parts(
       std::vector<double> edges_msec, std::vector<std::int64_t> counts,
       std::int64_t total_count, double total_msec);

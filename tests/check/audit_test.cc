@@ -276,11 +276,39 @@ TEST(ScheduleConsistencyCheck, TableDisagreeingWithScheduleTrips) {
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
   std::vector<ScheduledAccess> scheduled = {
       {rec_on_node(0, 0, 0, 5, 0), 2, false},
+      {rec_on_node(1, 0, 0, 5, 0), 4, false},
   };
   const SchedulingTable table(scheduled);
-  scheduled[0].slot = 3;  // the runtime would follow a stale table
   check.check_table(table, scheduled);
-  EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "does not match"));
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+
+  scheduled[0].slot = 5;  // the runtime would follow a stale table
+  check.check_table(table, scheduled);
+  EXPECT_TRUE(has_violation(auditor, "schedule-consistency",
+                            "out of (slot, id) order"));
+}
+
+TEST(ScheduleConsistencyCheck, TableOfAnotherScheduleTrips) {
+  // A table indexes the rows of the vector it was built from; against a
+  // different schedule its rows land under the wrong process, or it misses
+  // rows.
+  SimAuditor auditor;
+  auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  std::vector<ScheduledAccess> scheduled = {
+      {rec_on_node(0, 0, 0, 5, 0), 2, false},
+      {rec_on_node(1, 1, 0, 5, 0), 4, false},
+  };
+  const SchedulingTable table(scheduled);
+  std::swap(scheduled[0], scheduled[1]);
+  check.check_table(table, scheduled);
+  EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "filed under"));
+
+  SimAuditor short_auditor;
+  auto& short_check = short_auditor.add_check<ScheduleConsistencyCheck>();
+  scheduled.pop_back();
+  short_check.check_table(table, scheduled);
+  EXPECT_TRUE(has_violation(short_auditor, "schedule-consistency",
+                            "table holds 2 entries for 1"));
 }
 
 TEST(ScheduleConsistencyCheck, CleanOnRealSchedulerOutput) {

@@ -47,12 +47,27 @@ TEST_F(CompileTest, ProducesOneTableEntryPerRead) {
   EXPECT_EQ(c.sched_stats.scheduled, 40);
 }
 
-TEST_F(CompileTest, DisabledSchedulingPinsAccessesToOriginals) {
+TEST_F(CompileTest, DisabledSchedulingKeepsNoSchedule) {
+  // Scheme off: the slacks are analyzed, but no read is placed and no
+  // table is built; the stats still count every read as scheduled.
   CompileOptions opts;
   opts.enable_scheduling = false;
   const Compiled c = compile_trace(lower(simple_program(), 2), striping_, opts);
-  for (const ScheduledAccess& s : c.scheduled) {
-    EXPECT_EQ(s.slot, s.rec.original);
+  EXPECT_EQ(c.program.reads.size(), 40u);
+  EXPECT_TRUE(c.scheduled.empty());
+  EXPECT_EQ(c.table.total_entries(), 0);
+  EXPECT_EQ(c.table.num_processes(), 0);
+  EXPECT_EQ(c.sched_stats.scheduled,
+            static_cast<std::int64_t>(c.program.reads.size()));
+  EXPECT_EQ(c.sched_stats.forced, 0);
+  EXPECT_EQ(c.sched_stats.mean_advance_slots, 0.0);
+}
+
+TEST_F(CompileTest, ScheduledRowsAreIndexedByAccessId) {
+  const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
+  ASSERT_EQ(c.scheduled.size(), c.program.reads.size());
+  for (std::size_t i = 0; i < c.scheduled.size(); ++i) {
+    EXPECT_EQ(c.scheduled[i].rec.id, static_cast<int>(i));
   }
 }
 

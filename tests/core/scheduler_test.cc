@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "core/scheduling_table.h"
 #include "util/rng.h"
 
 namespace dasched {
@@ -203,18 +204,59 @@ TEST(AccessScheduler, MeanAdvanceReflectsHoisting) {
   EXPECT_GT(sched.stats().mean_advance_slots, 0.0);
 }
 
-TEST(AccessScheduler, ResultsOrderedById) {
+TEST(AccessScheduler, ResultsFollowBatchOrder) {
+  // Row i is the placement of accesses[i], whatever the ids and the order
+  // the accesses were placed in (here id 0, slack length 1, goes first).
   AccessScheduler sched(8, 50, {});
   const Signature sig = Signature::from_nodes(8, {0});
-  auto result = sched.schedule({
+  const std::vector<AccessRecord> batch = {
       make_access(2, 0, 0, 40, sig),
       make_access(0, 1, 5, 5, sig),
       make_access(1, 2, 0, 20, sig),
-  });
+  };
+  auto result = sched.schedule(batch);
   ASSERT_EQ(result.size(), 3u);
-  EXPECT_EQ(result[0].rec.id, 0);
-  EXPECT_EQ(result[1].rec.id, 1);
-  EXPECT_EQ(result[2].rec.id, 2);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(result[i].rec.id, batch[i].id) << "row " << i;
+    EXPECT_EQ(result[i].rec.process, batch[i].process) << "row " << i;
+  }
+  EXPECT_EQ(result[1].slot, 5);
+
+  // schedule_into resizes a reused vector to the batch.
+  std::vector<ScheduledAccess> out(7);
+  sched.reset();
+  sched.schedule_into(batch, out);
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(out[i].rec.id, batch[i].id) << "row " << i;
+    EXPECT_EQ(out[i].slot, result[i].slot) << "row " << i;
+  }
+}
+
+TEST(AccessScheduler, ForcedCollisionSharesASlotOrderedById) {
+  // Two accesses of one process pinned to the same one-slot slack: the
+  // first placed (lower id) takes slot 5, the other is forced there too.
+  // The batch lists the higher id first, so the table must order the two
+  // rows of slot 5 by id, not by row.
+  AccessScheduler sched(8, 20, {});
+  const Signature sig = Signature::from_nodes(8, {1});
+  auto result = sched.schedule({
+      make_access(1, 0, 5, 5, sig),
+      make_access(0, 0, 5, 5, sig),
+  });
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[0].rec.id, 1);
+  EXPECT_TRUE(result[0].forced);
+  EXPECT_EQ(result[1].rec.id, 0);
+  EXPECT_FALSE(result[1].forced);
+  EXPECT_EQ(result[0].slot, 5);
+  EXPECT_EQ(result[1].slot, 5);
+
+  const SchedulingTable table(result);
+  const auto rows = table.entries(0);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], 1u);  // access #0
+  EXPECT_EQ(rows[1], 0u);  // access #1
 }
 
 TEST(AccessScheduler, DeterministicAcrossRuns) {

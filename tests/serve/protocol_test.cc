@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <thread>
@@ -332,6 +334,34 @@ TEST(ServeProtocol, ResultCodecRejectsTruncationAndTrailingGarbage) {
   std::vector<std::uint8_t> padded = wire;
   padded.push_back(0);
   EXPECT_THROW(deserialize_result(padded, cell, out), ProtocolError);
+}
+
+TEST(ServeProtocol, ResultCodecRejectsBadHistogramEdges) {
+  // The decoder rebuilds histograms whose lookups assume sorted, finite
+  // edges; a frame breaking that is a protocol error, not a histogram.
+  const std::vector<std::vector<double>> bad = {
+      {5.0, 1.0},
+      {5.0, 5.0},
+      {1.0, std::nan(""), 9.0},
+      {-std::numeric_limits<double>::infinity()},
+  };
+  for (const std::vector<double>& edges : bad) {
+    ExperimentResult r;
+    r.storage.idle_periods = DurationHistogram(edges);
+    std::vector<std::uint8_t> wire;
+    serialize_result(CellHeader{}, r, wire);
+    CellHeader cell;
+    ExperimentResult out;
+    EXPECT_THROW(deserialize_result(wire, cell, out), ProtocolError)
+        << "accepted edges starting " << edges.front();
+  }
+  ExperimentResult ok;
+  ok.storage.idle_periods = DurationHistogram({1.0, 5.0});
+  std::vector<std::uint8_t> wire;
+  serialize_result(CellHeader{}, ok, wire);
+  CellHeader cell;
+  ExperimentResult out;
+  EXPECT_NO_THROW(deserialize_result(wire, cell, out));
 }
 
 /// FNV-1a over a byte string: the golden digests below pin whole frames.

@@ -2,8 +2,8 @@
 // bit-identity gate (in-process vs single-tenant vs 4 concurrent tenants),
 // grid streaming, structured error replies (bad configs and bad replay
 // options), poisoned-workspace recovery on a live connection, the tenant
-// cap, and graceful shutdown.  One case drives a TenantSession directly, for
-// an upload the client cannot express.
+// cap, and graceful shutdown.  Two cases drive a TenantSession directly, for
+// an upload and hellos the client cannot express.
 //
 // Results are compared through the wire codec itself: serializing both the
 // in-process and the daemon-obtained result and comparing the byte vectors
@@ -228,6 +228,41 @@ TEST(TenantSession, UploadGranularityBeyondIntIsAConfigError) {
   EXPECT_EQ(info.field, "granularity");
   EXPECT_NE(info.message.find("4294967297"), std::string::npos)
       << info.message;
+}
+
+/// One hello through a fresh session: whether the session stays open, and
+/// the one reply frame.
+std::pair<bool, std::pair<FrameType, std::string>> hello(std::string_view text) {
+  TenantSession session(/*tenant_id=*/1);
+  FrameLog sink;
+  const bool open = session.handle(
+      FrameType::kHello,
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}, sink);
+  EXPECT_EQ(sink.frames.size(), 1u) << text;
+  return {open, sink.frames.at(0)};
+}
+
+TEST(TenantSession, HelloVersionMustMatchExactly) {
+  static_assert(kProtocolVersion == 3);
+  for (const std::string_view text :
+       {"version=31\n", "xversion=3\n", "version=\n", "version= 3\n",
+        "client=test\n", ""}) {
+    const auto [open, reply] = hello(text);
+    EXPECT_FALSE(open) << text;
+    ASSERT_EQ(reply.first, FrameType::kError) << text;
+    const ErrorInfo info = parse_error(reply.second);
+    EXPECT_EQ(info.kind, "protocol") << text;
+    EXPECT_EQ(info.field, "version") << text;
+  }
+  // Other keys, before or after the version, are ignored.
+  for (const std::string_view text :
+       {"version=3\n", "version=3", "version=3\nclient=test\nfeatures=\n",
+        "client=test\nversion=3\n"}) {
+    const auto [open, reply] = hello(text);
+    EXPECT_TRUE(open) << text;
+    EXPECT_EQ(reply.first, FrameType::kHelloOk) << text;
+    EXPECT_EQ(reply.second, "version=3\ntenant=1\n") << text;
+  }
 }
 
 TEST(ServeE2E, GridStreamsCellsInDeterministicOrder) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace dasched {
@@ -82,6 +86,23 @@ TEST(DurationHistogram, ClearResets) {
   h.clear();
   EXPECT_EQ(h.count(), 0);
   EXPECT_DOUBLE_EQ(h.total_msec(), 0.0);
+}
+
+TEST(DurationHistogram, FromPartsRejectsBadEdges) {
+  const auto parts = [](std::vector<double> edges) {
+    std::vector<std::int64_t> counts(edges.size() + 1, 0);
+    return DurationHistogram::from_parts(std::move(edges), std::move(counts),
+                                         0, 0.0);
+  };
+  EXPECT_NO_THROW(parts({}));
+  EXPECT_NO_THROW(parts({-1.0, 0.0, 5.0}));
+  EXPECT_THROW(parts({5.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(parts({5.0, 5.0}), std::invalid_argument);
+  EXPECT_THROW(parts({std::nan("")}), std::invalid_argument);
+  EXPECT_THROW(parts({1.0, std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(DurationHistogram::from_parts({1.0}, {0}, 0, 0.0),
+               std::invalid_argument);
 }
 
 TEST(SummaryStats, TracksMoments) {

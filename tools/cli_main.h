@@ -9,8 +9,9 @@
 //   std::out_of_range      2   `app: unknown application: <name>`
 //   other std::exception   1   `<tool>: <message>`
 //
-// Usage errors (unknown flags, malformed flag values) already exit 2 from
-// the argument parser before the body runs anything.
+// Usage errors (unknown flags, missing flag values) already exit 2 from
+// the argument parser before the body runs anything; a malformed flag value
+// throws ConfigError like any other bad input.
 #pragma once
 
 #include <cstdio>

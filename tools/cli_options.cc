@@ -34,12 +34,12 @@ const char* CliArgs::value() {
 }
 
 int CliArgs::int_value() {
-  const char* name = argv_[i_];
+  const std::string_view name = argv_[i_];
   const char* v = value();
   const auto n = parse_i64(v);
   if (!n || *n < std::numeric_limits<int>::min() ||
       *n > std::numeric_limits<int>::max()) {
-    die_invalid_value(name, v, "a 32-bit integer");
+    bad_value(name.substr(2), "a 32-bit integer", v);
   }
   return static_cast<int>(*n);
 }
@@ -122,8 +122,8 @@ bool parse_shared_flag(CliArgs& args, CliOptions& opts) {
     for (const std::string_view name : split_list(args.value())) {
       const auto policy = parse_policy(name);
       if (!policy) {
-        die_invalid_value("--policies", std::string(name).c_str(),
-                          "default|simple|prediction|history|staggered");
+        bad_value(flag.substr(2),
+                  "default|simple|prediction|history|staggered", name);
       }
       opts.policies.push_back(*policy);
     }
@@ -136,18 +136,18 @@ bool parse_shared_flag(CliArgs& args, CliOptions& opts) {
     } else if (v == "both") {
       opts.schemes = {false, true};
     } else {
-      die_invalid_value("--schemes", v.data(), "off|on|both");
+      bad_value(flag.substr(2), "off|on|both", v);
     }
   } else if (flag == "--sweep") {
     const std::string_view v = args.value();
     const std::size_t eq = v.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 >= v.size()) {
-      die_invalid_value("--sweep", v.data(), "AXIS=V1,V2,...");
+      bad_value(flag.substr(2), "AXIS=V1,V2,...", v);
     }
     std::vector<double> values;
     for (const std::string_view item : split_list(v.substr(eq + 1))) {
       const auto x = parse_f64(item);
-      if (!x) die_invalid_value("--sweep", std::string(item).c_str(), "a number");
+      if (!x) bad_value(flag.substr(2), "a number", item);
       values.push_back(*x);
     }
     opts.sweep = sweep_axis_by_name(std::string(v.substr(0, eq)),

@@ -21,8 +21,9 @@
 namespace dasched {
 
 /// Walks argv flag by flag.  A missing flag value or an unknown flag calls
-/// `usage(argv0, 2)`; a malformed tool-flag value exits 2 with a one-line
-/// `flag: invalid value` diagnostic.
+/// `usage(argv0, 2)`; a malformed flag value throws ConfigError naming the
+/// flag without its dashes (`threads: expected a 32-bit integer, got 'x'`),
+/// which `cli_main` turns into exit 2.
 class CliArgs {
  public:
   using UsageFn = void (*)(const char* argv0, int code);
