@@ -315,7 +315,7 @@ void Disk::start_service() {
   // buffer and heap-allocate.  Safe because service is strictly one-at-a-
   // time — the member is vacant until this event fires.
   in_service_complete_ = std::move(req.on_complete);
-  sim_.schedule_after(total, [this, total] {
+  auto complete = [this, total] {
     stats_.busy_time += total;
     observers_.notify(
         [&](DiskObserver* o) { o->on_service_complete(*this, total); });
@@ -337,7 +337,9 @@ void Disk::start_service() {
       if (cb) cb();
       try_progress();
     }
-  });
+  };
+  static_assert(EventFn::fits_inline<decltype(complete)>);
+  sim_.schedule_after(total, complete);
 }
 
 SimTime Disk::expected_service_time(Bytes size, Rpm rpm) const {

@@ -44,7 +44,7 @@ void ClientProcess::serve_from_buffer(std::size_t op_index, int access_id,
   cluster_.buffer().consume(access_id, waited);
   cluster_.space_freed();
   cluster_.sim().schedule_after(cluster_.config().buffer_hit_latency,
-                                [this, op_index] { op_done(op_index); });
+                                completion(op_index));
 }
 
 void ClientProcess::resume_waiters(Slot reached) {
@@ -78,6 +78,7 @@ void ClientProcess::begin_slot() {
   if (current_ >= static_cast<Slot>(slots.size())) {
     finished_ = true;
     finish_time_ = cluster_.sim().now();
+    cluster_.client_finished();
     // Release everyone still waiting on this process's progress.
     resume_waiters(std::numeric_limits<Slot>::max());
     return;
@@ -101,8 +102,7 @@ void ClientProcess::run_op(std::size_t op_index) {
 
   if (op.is_write) {
     stats.writes += 1;
-    cluster_.storage().write(op.file, op.offset, op.size,
-                             [this, op_index] { op_done(op_index); });
+    cluster_.storage().write(op.file, op.offset, op.size, completion(op_index));
     return;
   }
 
@@ -129,8 +129,7 @@ void ClientProcess::run_op(std::size_t op_index) {
   }
 
   stats.direct_reads += 1;
-  cluster_.storage().read(op.file, op.offset, op.size,
-                          [this, op_index] { op_done(op_index); });
+  cluster_.storage().read(op.file, op.offset, op.size, completion(op_index));
 }
 
 void ClientProcess::op_done(std::size_t op_index) {
@@ -151,10 +150,12 @@ void ClientProcess::after_ops() {
           .program.processes[static_cast<std::size_t>(pid_)]
           .slots[static_cast<std::size_t>(current_)];
   if (plan.compute > 0) {
-    cluster_.sim().schedule_after(plan.compute, [this] {
+    auto next_slot = [this] {
       finish_slot();
       begin_slot();
-    });
+    };
+    static_assert(EventFn::fits_inline<decltype(next_slot)>);
+    cluster_.sim().schedule_after(plan.compute, next_slot);
   } else {
     finish_slot();
     begin_slot();
@@ -290,6 +291,7 @@ Cluster::Cluster(Simulator& sim, StorageSystem& storage, const Compiled& compile
       schedulers_.push_back(std::make_unique<SchedulerThread>(*this, p));
     }
   }
+  unfinished_ = nproc;
   reset_space_fifo();
 }
 
@@ -327,6 +329,7 @@ void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
   } else {
     for (auto& s : schedulers_) s->reset();
   }
+  unfinished_ = nproc;
   reset_space_fifo();
   stats_ = RuntimeStats{};
   started_ = false;
@@ -343,11 +346,6 @@ SimTime Cluster::run_to_completion() {
   while (!all_finished() && sim_.step()) {
   }
   return exec_time();
-}
-
-bool Cluster::all_finished() const {
-  return std::all_of(clients_.begin(), clients_.end(),
-                     [](const auto& c) { return c->finished(); });
 }
 
 SimTime Cluster::exec_time() const {

@@ -15,6 +15,7 @@
 // process until the prefetch lands.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,6 +96,12 @@ class ClientProcess {
   /// Resumes, in registration order, every thread waiting for a slot
   /// <= `reached`.
   void resume_waiters(Slot reached);
+  /// The callback that completes op `op_index`; always stored inline.
+  [[nodiscard]] auto completion(std::size_t op_index) {
+    auto done = [this, op_index] { op_done(op_index); };
+    static_assert(EventFn::fits_inline<decltype(done)>);
+    return done;
+  }
 
   Cluster& cluster_;
   int pid_;
@@ -185,7 +192,9 @@ class Cluster {
   /// queue alive indefinitely after the application completes.
   SimTime run_to_completion();
 
-  [[nodiscard]] bool all_finished() const;
+  /// True once every client process has finished (O(1): a count kept as
+  /// processes finish, so the run loop may test it before every step).
+  [[nodiscard]] bool all_finished() const { return unfinished_ == 0; }
   /// Completion time of the slowest process.
   [[nodiscard]] SimTime exec_time() const;
 
@@ -221,6 +230,12 @@ class Cluster {
   /// Re-runs scheduler thread `scheduler` (a progress wait matured).
   void resume(int scheduler);
 
+  /// A client process finished its last slot.
+  void client_finished() {
+    assert(unfinished_ > 0);
+    --unfinished_;
+  }
+
  private:
   /// Sizes the space FIFO for the current scheduler count.
   void reset_space_fifo();
@@ -239,6 +254,8 @@ class Cluster {
   std::vector<int> space_spare_;
   std::vector<char> space_paused_;
   RuntimeStats stats_;
+  /// Client processes that have not finished yet.
+  int unfinished_ = 0;
   bool started_ = false;
 };
 

@@ -4,10 +4,14 @@
 // network hop, policy timer and client step allocates one callback.  A
 // `std::function` puts most of those captures on the heap; `EventFn` keeps
 // any nothrow-movable callable up to `kInlineSize` bytes inline and only
-// falls back to one heap allocation for oversized captures.
+// falls back to one heap allocation for oversized captures.  The whole
+// wrapper is one 64-byte cache line, and a capture of plain values (the
+// common case: pointers, ids, offsets) moves as a buffer copy and is dropped
+// without any call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -18,9 +22,18 @@ namespace dasched {
 /// test with `operator bool` first (the simulator never stores empty ones).
 class EventFn {
  public:
-  /// Sized for the largest in-tree capture (storage fan-out: this + node +
-  /// stripe piece + completion join) so the event hot path never allocates.
-  static constexpr std::size_t kInlineSize = 80;
+  /// Sized for the largest in-tree capture, `StorageSystem::route`'s network
+  /// hop `[this, node, piece, is_write, background, join]` at exactly 56
+  /// bytes, so the buffer plus the ops pointer fill one cache line.
+  static constexpr std::size_t kInlineSize = 56;
+
+  /// True when a callable of type `F` is stored inline (no heap allocation).
+  /// Hot call sites `static_assert` it, so a capture that outgrows the
+  /// buffer fails the build instead of allocating on every event.
+  template <typename F, typename D = std::decay_t<F>>
+  static constexpr bool fits_inline =
+      sizeof(D) <= kInlineSize && alignof(D) <= alignof(void*) &&
+      std::is_nothrow_move_constructible_v<D>;
 
   EventFn() noexcept = default;
 
@@ -29,9 +42,7 @@ class EventFn {
                                         std::is_invocable_r_v<void, D&>>>
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function.
   EventFn(F&& f) {
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (fits_inline<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
     } else {
@@ -52,27 +63,34 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { reset(); }
 
-  void operator()() { ops_->invoke(target()); }
+  void operator()() { ops_->invoke(storage_); }
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
  private:
+  /// Per-type operations; every function takes the buffer's address (a
+  /// heap-stored callable reads its pointer from there).
   struct Ops {
     void (*invoke)(void*);
-    /// Move-constructs `dst` from the inline object at `src` and destroys
-    /// `src`; null for heap-stored callables (the pointer is stolen instead).
+    /// Move-constructs the inline object at `dst` from `src` and destroys
+    /// `src`.  Null when the buffer moves by copy: a trivially copyable
+    /// inline capture, or the pointer of a heap-stored one.
     void (*relocate)(void* src, void* dst);
+    /// Null for a trivially destructible inline capture.
     void (*destroy)(void*);
   };
 
   template <typename D>
   static const Ops* inline_ops() {
+    constexpr bool plain = std::is_trivially_copyable_v<D> &&
+                           std::is_trivially_destructible_v<D>;
     static constexpr Ops ops{
         [](void* p) { (*static_cast<D*>(p))(); },
-        [](void* src, void* dst) {
-          ::new (dst) D(std::move(*static_cast<D*>(src)));
-          static_cast<D*>(src)->~D();
-        },
-        [](void* p) { static_cast<D*>(p)->~D(); },
+        plain ? nullptr
+              : +[](void* src, void* dst) {
+                  ::new (dst) D(std::move(*static_cast<D*>(src)));
+                  static_cast<D*>(src)->~D();
+                },
+        plain ? nullptr : +[](void* p) { static_cast<D*>(p)->~D(); },
     };
     return &ops;
   }
@@ -80,18 +98,11 @@ class EventFn {
   template <typename D>
   static const Ops* heap_ops() {
     static constexpr Ops ops{
-        [](void* p) { (*static_cast<D*>(p))(); },
+        [](void* p) { (*static_cast<D*>(*static_cast<void**>(p)))(); },
         nullptr,
-        [](void* p) { delete static_cast<D*>(p); },
+        [](void* p) { delete static_cast<D*>(*static_cast<void**>(p)); },
     };
     return &ops;
-  }
-
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ != nullptr && ops_->relocate != nullptr;
-  }
-  void* target() noexcept {
-    return is_inline() ? static_cast<void*>(storage_) : heap_;
   }
 
   void move_from(EventFn& other) noexcept {
@@ -100,22 +111,24 @@ class EventFn {
     if (ops_->relocate != nullptr) {
       ops_->relocate(other.storage_, storage_);
     } else {
-      heap_ = other.heap_;
-      other.heap_ = nullptr;
+      std::memcpy(storage_, other.storage_, kInlineSize);
     }
     other.ops_ = nullptr;
   }
 
   void reset() noexcept {
     if (ops_ == nullptr) return;
-    ops_->destroy(target());
+    if (ops_->destroy != nullptr) ops_->destroy(storage_);
     ops_ = nullptr;
-    heap_ = nullptr;
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
+  union {
+    alignas(void*) unsigned char storage_[kInlineSize];
+    void* heap_;
+  };
   const Ops* ops_ = nullptr;
-  void* heap_ = nullptr;
 };
+
+static_assert(sizeof(EventFn) == 64, "EventFn is one cache line");
 
 }  // namespace dasched

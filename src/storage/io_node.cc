@@ -34,7 +34,7 @@ void IoNode::issue_disk_requests(Bytes offset, Bytes size, bool is_write,
     EventFn on_complete;
     if (join) {
       join_pool_.add(join);
-      on_complete = EventFn([this, join] { join_pool_.arrive(join); });
+      on_complete = join_pool_.arrival(join);
     }
     disk_.submit(
         DiskRequest{pos, len, is_write, background, std::move(on_complete)});
@@ -72,8 +72,7 @@ void IoNode::read(Bytes offset, Bytes size, EventFn done, bool background) {
         [&](IoNodeObserver* o) { o->on_block_lookup(*this, b, hit); });
     if (hit) {
       join_pool_.add(join);
-      sim_.schedule_after(cfg_.cache_hit_latency,
-                          [this, join] { join_pool_.arrive(join); });
+      sim_.schedule_after(cfg_.cache_hit_latency, join_pool_.arrival(join));
     } else {
       // Whole-block fill, as real storage caches do.
       cache_.insert(b);

@@ -65,6 +65,14 @@ class JoinPool {
     if (done) done();
   }
 
+  /// A callback that arrives at `id` when it runs.  It captures only the
+  /// pool and the id, so it always rides inline in an `EventFn`.
+  [[nodiscard]] auto arrival(JoinId id) {
+    auto arrive_fn = [this, id] { arrive(id); };
+    static_assert(EventFn::fits_inline<decltype(arrive_fn)>);
+    return arrive_fn;
+  }
+
   /// Joins currently open (test/debug aid).
   [[nodiscard]] std::size_t live_count() const {
     return records_.size() - free_slots_.size();

@@ -44,19 +44,22 @@ void StorageSystem::route(FileId f, Bytes offset, Bytes size, bool is_write,
                              (cfg_.network_mb_per_sec * 1e6) *
                              static_cast<double>(kUsecPerSec));
     IoNode* node = nodes_[static_cast<std::size_t>(piece.io_node)].get();
-    // One network hop out to the node, one back to the client; every
-    // capture stays within EventFn's inline buffer.
-    sim_.schedule_after(wire, [this, node, piece, is_write, background, join] {
+    // One network hop out to the node, one back to the client.  The hop is
+    // the largest capture in the tree (56 bytes, EventFn's whole buffer);
+    // a field added here must fail the build, not allocate per piece.
+    auto hop = [this, node, piece, is_write, background, join] {
       auto respond = [this, join] {
-        sim_.schedule_after(cfg_.network_latency,
-                            [this, join] { join_pool_.arrive(join); });
+        sim_.schedule_after(cfg_.network_latency, join_pool_.arrival(join));
       };
+      static_assert(EventFn::fits_inline<decltype(respond)>);
       if (is_write) {
         node->write(piece.node_offset, piece.length, respond);
       } else {
         node->read(piece.node_offset, piece.length, respond, background);
       }
-    });
+    };
+    static_assert(EventFn::fits_inline<decltype(hop)>);
+    sim_.schedule_after(wire, hop);
   }
   join_pool_.arrive(join);
 }

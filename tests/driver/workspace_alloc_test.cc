@@ -21,6 +21,7 @@
 #include <new>
 
 #include "driver/workspace.h"
+#include "workload/app.h"
 
 namespace {
 
@@ -156,6 +157,43 @@ TEST(WorkspaceAlloc, ScaleGrowthReallocatesOnceThenNothing) {
   // the scale change, one compile per workload epoch.
   EXPECT_EQ(ws.engine_rebuilds(), 1u);
   EXPECT_EQ(ws.workload_builds(), 2u);
+}
+
+TEST(WorkspaceAlloc, EveryAppPolicyAndSchemeReusesWithoutAllocating) {
+  // The whole catalog through one workspace at the daemon's request shape
+  // (the paper's 8 I/O nodes, 8 processes, scale 0.01): every app and power
+  // policy path, with the scheme off and on.  Each cell is warmed twice and
+  // its third run must not allocate, so an event callback that outgrows
+  // EventFn's inline buffer on any path fails here.
+  constexpr PolicyKind kPolicies[] = {
+      PolicyKind::kNone, PolicyKind::kSimple, PolicyKind::kPrediction,
+      PolicyKind::kHistory, PolicyKind::kStaggered};
+  ExperimentWorkspace ws;
+  for (const App& app : all_apps()) {
+    for (const PolicyKind policy : kPolicies) {
+      for (const bool scheme : {false, true}) {
+        ExperimentConfig cfg;
+        cfg.app = app.name;
+        cfg.storage.num_io_nodes = 8;
+        cfg.scale.num_processes = 8;
+        cfg.scale.factor = 0.01;
+        cfg.policy = policy;
+        cfg.use_scheme = scheme;
+        cfg.audit = false;
+        (void)ws.run(cfg);
+        (void)ws.run(cfg);
+
+        g_allocations.store(0);
+        g_counting.store(true);
+        const ExperimentResult& r = ws.run(cfg);
+        g_counting.store(false);
+        EXPECT_EQ(g_allocations.load(), 0u)
+            << app.name << " / " << to_string(policy) << " / scheme "
+            << (scheme ? "on" : "off");
+        EXPECT_GT(r.events, 0) << app.name;
+      }
+    }
+  }
 }
 
 }  // namespace
