@@ -102,12 +102,12 @@ double run(PolicyKind policy, bool scheme, double* exec_minutes) {
     int shown = 0;
     for (const std::uint32_t row : compiled.table.entries(0)) {
       if (++shown > 6) break;
-      const ScheduledAccess& e = compiled.scheduled[row];
+      const AccessRecord& rec = compiled.program.reads[row];
       std::printf("  slot %-5lld access#%-5d sig %s  slack [%lld, %lld]\n",
-                  static_cast<long long>(e.slot), e.rec.id,
-                  e.rec.sig.to_string().c_str(),
-                  static_cast<long long>(e.rec.begin),
-                  static_cast<long long>(e.rec.end));
+                  static_cast<long long>(compiled.scheduled[row].slot), rec.id,
+                  rec.sig.to_string().c_str(),
+                  static_cast<long long>(rec.begin),
+                  static_cast<long long>(rec.end));
     }
   }
 

@@ -10,11 +10,19 @@ namespace dasched {
 void ScheduleConsistencyCheck::validate(const Compiled& compiled,
                                         const ScheduleOptions& opts,
                                         bool scheduling_enabled) {
-  check_records(compiled.program.reads, compiled.program.num_slots);
+  const std::vector<AccessRecord>& reads = compiled.program.reads;
+  check_records(reads, compiled.program.num_slots);
   if (!scheduling_enabled) return;  // no placements, no table
-  check_placements(compiled.scheduled, compiled.program.num_slots);
-  check_double_booking(compiled.scheduled);
-  check_theta(compiled.scheduled, opts, compiled.sched_stats);
+  if (compiled.scheduled.size() != reads.size()) {
+    std::ostringstream os;
+    os << compiled.scheduled.size() << " placements for " << reads.size()
+       << " reads: row i must place read i";
+    fail(0, os.str());
+    return;
+  }
+  check_placements(reads, compiled.scheduled, compiled.program.num_slots);
+  check_double_booking(reads, compiled.scheduled);
+  check_theta(reads, compiled.scheduled, opts, compiled.sched_stats);
   check_flags(compiled.scheduled, compiled.sched_stats);
   check_table(compiled.table, compiled.scheduled);
 }
@@ -43,27 +51,36 @@ void ScheduleConsistencyCheck::check_records(
 }
 
 void ScheduleConsistencyCheck::check_placements(
+    const std::vector<AccessRecord>& records,
     const std::vector<ScheduledAccess>& scheduled, Slot num_slots) {
-  for (const ScheduledAccess& s : scheduled) {
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    const ScheduledAccess& s = scheduled[i];
+    const AccessRecord& rec = records[i];
     evaluated();
     std::ostringstream os;
+    if (s.id != rec.id) {
+      os << "row " << i << " places access #" << s.id
+         << " but holds the record of access #" << rec.id;
+      fail(0, os.str());
+      continue;
+    }
     if (s.forced) {
-      if (s.slot != s.rec.original) {
-        os << "forced access #" << s.rec.id << " sits at slot " << s.slot
-           << " instead of its original point " << s.rec.original;
+      if (s.slot != rec.original) {
+        os << "forced access #" << s.id << " sits at slot " << s.slot
+           << " instead of its original point " << rec.original;
         fail(0, os.str());
       }
       continue;
     }
-    if (s.slot < s.rec.begin || s.slot > s.rec.latest_start()) {
-      os << "access #" << s.rec.id << " scheduled at slot " << s.slot
-         << " outside its slack [" << s.rec.begin << ", "
-         << s.rec.latest_start() << "]";
+    if (s.slot < rec.begin || s.slot > rec.latest_start()) {
+      os << "access #" << s.id << " scheduled at slot " << s.slot
+         << " outside its slack [" << rec.begin << ", " << rec.latest_start()
+         << "]";
       fail(0, os.str());
     } else if (num_slots > 0 &&
-               (s.slot < 0 || s.slot + s.rec.length > num_slots)) {
-      os << "access #" << s.rec.id << " occupies [" << s.slot << ", "
-         << s.slot + s.rec.length - 1 << "], beyond the " << num_slots
+               (s.slot < 0 || s.slot + rec.length > num_slots)) {
+      os << "access #" << s.id << " occupies [" << s.slot << ", "
+         << s.slot + rec.length - 1 << "], beyond the " << num_slots
          << "-slot table";
       fail(0, os.str());
     }
@@ -71,22 +88,24 @@ void ScheduleConsistencyCheck::check_placements(
 }
 
 void ScheduleConsistencyCheck::check_double_booking(
+    const std::vector<AccessRecord>& records,
     const std::vector<ScheduledAccess>& scheduled) {
   // Per process: which access occupies each slot.  Forced pins are exempt —
   // a forced access genuinely shares its original slot (the whole slack was
   // occupied), and the scheduler marks it as such.
   std::map<int, std::map<Slot, int>> occupancy;
-  for (const ScheduledAccess& s : scheduled) {
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    const ScheduledAccess& s = scheduled[i];
     if (s.forced) continue;
-    auto& slots = occupancy[s.rec.process];
-    for (int k = 0; k < s.rec.length; ++k) {
+    auto& slots = occupancy[s.process];
+    for (int k = 0; k < records[i].length; ++k) {
       evaluated();
-      const auto [it, inserted] = slots.emplace(s.slot + k, s.rec.id);
+      const auto [it, inserted] = slots.emplace(s.slot + k, s.id);
       if (!inserted) {
         std::ostringstream os;
-        os << "process " << s.rec.process << " slot " << s.slot + k
+        os << "process " << s.process << " slot " << s.slot + k
            << " double-booked by accesses #" << it->second << " and #"
-           << s.rec.id;
+           << s.id;
         fail(0, os.str());
       }
     }
@@ -116,6 +135,7 @@ void ScheduleConsistencyCheck::check_flags(
 }
 
 void ScheduleConsistencyCheck::check_theta(
+    const std::vector<AccessRecord>& records,
     const std::vector<ScheduledAccess>& scheduled, const ScheduleOptions& opts,
     const ScheduleStats& stats) {
   if (opts.theta <= 0 || scheduled.empty()) return;
@@ -125,13 +145,15 @@ void ScheduleConsistencyCheck::check_theta(
   // over-cap unit must be attributable to a fallback/forced access.
   std::map<std::pair<Slot, int>, std::int64_t> counts;
   std::int64_t worst_per_access = 0;
-  for (const ScheduledAccess& s : scheduled) {
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    const Slot slot = scheduled[i].slot;
+    const AccessRecord& rec = records[i];
     worst_per_access = std::max(
-        worst_per_access, static_cast<std::int64_t>(s.rec.length) *
-                              static_cast<std::int64_t>(s.rec.sig.popcount()));
-    for (int k = 0; k < s.rec.length; ++k) {
-      s.rec.sig.for_each_node(
-          [&counts, &s, k](int node) { counts[{s.slot + k, node}] += 1; });
+        worst_per_access, static_cast<std::int64_t>(rec.length) *
+                              static_cast<std::int64_t>(rec.sig.popcount()));
+    for (int k = 0; k < rec.length; ++k) {
+      rec.sig.for_each_node(
+          [&counts, slot, k](int node) { counts[{slot + k, node}] += 1; });
     }
   }
   const std::int64_t excused = stats.theta_fallbacks + stats.forced;
@@ -175,28 +197,28 @@ void ScheduleConsistencyCheck::check_table(
     for (const std::uint32_t row : table.entries(p)) {
       evaluated();
       const ScheduledAccess& e = scheduled[row];
-      if (e.rec.id != static_cast<int>(row)) {
+      if (e.id != static_cast<int>(row)) {
         std::ostringstream os;
-        os << "row " << row << " holds access #" << e.rec.id
+        os << "row " << row << " holds access #" << e.id
            << ": the runtime reads row i as access i";
         fail(0, os.str());
       }
-      if (e.rec.process != p) {
+      if (e.process != p) {
         std::ostringstream os;
-        os << "access #" << e.rec.id << " of process " << e.rec.process
+        os << "access #" << e.id << " of process " << e.process
            << " filed under process " << p;
         fail(0, os.str());
       }
       if (seen[row]++ != 0) {
         std::ostringstream os;
-        os << "access #" << e.rec.id << " appears twice in the table";
+        os << "access #" << e.id << " appears twice in the table";
         fail(0, os.str());
       }
       if (prev != nullptr && (prev->slot > e.slot ||
-                              (prev->slot == e.slot && prev->rec.id >= e.rec.id))) {
+                              (prev->slot == e.slot && prev->id >= e.id))) {
         std::ostringstream os;
         os << "process " << p << " table out of (slot, id) order at access #"
-           << e.rec.id;
+           << e.id;
         fail(0, os.str());
       }
       prev = &e;

@@ -34,7 +34,8 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
   /// Runs every sub-check against one compiled program.  With
   /// `scheduling_enabled == false` (a baseline compile: every access stays
   /// at its original point, and the compile holds no placements and no
-  /// table) only the record invariants apply.
+  /// table) only the record invariants apply.  A compile with a placement
+  /// count other than its read count fails before the placement checks.
   void validate(const Compiled& compiled, const ScheduleOptions& opts,
                 bool scheduling_enabled = true);
 
@@ -43,12 +44,18 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
   /// Slack windows well-formed and inside [0, num_slots).
   void check_records(const std::vector<AccessRecord>& records, Slot num_slots);
 
-  /// Chosen slots inside slacks; forced pins at their original points.
-  void check_placements(const std::vector<ScheduledAccess>& scheduled,
+  // The placement checks pair row i of `scheduled` with `records[i]`, the
+  // access it places; `records` holds at least as many rows.
+
+  /// Each row places its own record; chosen slots inside slacks; forced
+  /// pins at their original points.
+  void check_placements(const std::vector<AccessRecord>& records,
+                        const std::vector<ScheduledAccess>& scheduled,
                         Slot num_slots);
 
   /// Per process, at most one non-forced access per slot.
-  void check_double_booking(const std::vector<ScheduledAccess>& scheduled);
+  void check_double_booking(const std::vector<AccessRecord>& records,
+                            const std::vector<ScheduledAccess>& scheduled);
 
   /// The per-access flags agree with the counters: as many `forced` flags
   /// as `stats.forced`, as many `theta_fallback` flags as
@@ -57,7 +64,8 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
                    const ScheduleStats& stats);
 
   /// Theta cap on per-node per-slot access counts.
-  void check_theta(const std::vector<ScheduledAccess>& scheduled,
+  void check_theta(const std::vector<AccessRecord>& records,
+                   const std::vector<ScheduledAccess>& scheduled,
                    const ScheduleOptions& opts, const ScheduleStats& stats);
 
   /// The table indexes every row of `scheduled` exactly once, under its

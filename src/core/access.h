@@ -45,9 +45,17 @@ struct AccessRecord {
   [[nodiscard]] Slot latest_start() const { return end - (length - 1); }
 };
 
-/// The outcome of scheduling one access.
+/// The outcome of scheduling one access: where it goes, and nothing else.
+/// Row i of a placement vector is access i, so a reader that needs the
+/// slack, length, signature, original point or writer reads `reads[i]`.
 struct ScheduledAccess {
-  AccessRecord rec;
+  ScheduledAccess() = default;
+  /// The placement of `rec` at `slot`.
+  ScheduledAccess(const AccessRecord& rec, Slot slot, bool forced = false)
+      : id(rec.id), process(rec.process), slot(slot), forced(forced) {}
+
+  int id = 0;
+  int process = 0;
   /// Chosen scheduling point (start slot).
   Slot slot = 0;
   /// True when the slack was so congested that no same-process-free slot
@@ -57,5 +65,6 @@ struct ScheduledAccess {
   /// chosen by the average-excess rule E_t (Sec. IV-B3).
   bool theta_fallback = false;
 };
+static_assert(sizeof(ScheduledAccess) <= 24);
 
 }  // namespace dasched

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <utility>
 
 namespace dasched {
 namespace {
@@ -467,7 +466,7 @@ std::size_t AccessScheduler::gather_candidates(const AccessRecord& rec,
 }
 
 std::vector<ScheduledAccess> AccessScheduler::schedule(
-    std::vector<AccessRecord> accesses) {
+    const std::vector<AccessRecord>& accesses) {
   std::vector<ScheduledAccess> out;
   schedule_into(accesses, out);
   return out;
@@ -484,7 +483,7 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
               return placed_before(accesses[a], accesses[b]);
             });
 
-  // Row i is the placement of accesses[i]; empty rows do not allocate.
+  // Row i is the placement of accesses[i].
   out.clear();
   // dasched-lint: allow(hot-alloc): one up-front resize per batch keeps
   // the placement loop below allocation-free.
@@ -579,7 +578,7 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
     }
 
     total_advance += static_cast<double>(rec.original - result.slot);
-    out[idx] = std::move(result);
+    out[idx] = result;
   }
 
   stats_.scheduled = static_cast<std::int64_t>(out.size());

@@ -41,10 +41,9 @@
 // and one pass over the gathered slots selects; a second pass forms E_t
 // only when no slot keeps θ.  Schedules are therefore bit-identical to the
 // reference implementation (tests/core/scheduler_differential_test.cc).
-// After a warm-up run, `reset()` + `schedule_into()` perform no heap
-// allocation of their own (tests/core/scheduler_alloc_test.cc); above 64
-// I/O nodes each result row's copy of the access signature is the one
-// allocation per access.
+// A result row is a placement only (no copy of the record), so after a
+// warm-up run, `reset()` + `schedule_into()` perform no heap allocation at
+// any I/O-node count (tests/core/scheduler_alloc_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -103,7 +102,8 @@ class AccessScheduler {
 
   /// Schedules all accesses; row i of the result is the placement of
   /// accesses[i] (the batch order, whatever the ids).
-  std::vector<ScheduledAccess> schedule(std::vector<AccessRecord> accesses);
+  std::vector<ScheduledAccess> schedule(
+      const std::vector<AccessRecord>& accesses);
 
   /// Same, into a caller-provided result vector (resized to the batch).
   /// With a warmed `out` capacity this performs zero heap allocations.

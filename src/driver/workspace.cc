@@ -273,7 +273,8 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
       // Placements are compile-time events, taken from the schedule itself
       // whether it was compiled now or reused (kFull only; a scheme-off
       // compile has none).
-      recorder->record_placements(compiled.scheduled);
+      recorder->record_placements(compiled.program.reads,
+                                  compiled.scheduled);
     }
     if (auditor.has_value()) {
       audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);

@@ -183,17 +183,20 @@ void SchedulerThread::kick() {
   RuntimeStats& stats = cluster_.mutable_stats();
 
   while (cursor_ < rows.size()) {
-    // Row i holds access i (Compiled::scheduled is indexed by access id), so
-    // an entry already fetched or consumed is passed without loading its row.
+    // Row i is access i in both `compiled.scheduled` (the placement: its
+    // slot) and `compiled.program.reads` (the record: original point and
+    // writer), so an entry already fetched or consumed is passed without
+    // loading either row.
     const int id = static_cast<int>(rows[cursor_]);
     if (buffer.is_done(id) || buffer.state(id) != BufferEntryState::kAbsent) {
       ++cursor_;
       continue;
     }
     const ScheduledAccess& e = compiled.scheduled[rows[cursor_]];
-    assert(e.rec.id == id);
+    const AccessRecord& rec = compiled.program.reads[rows[cursor_]];
+    assert(e.id == id && rec.id == id);
     // Only fetch accesses hoisted far enough ahead of their original point.
-    if (e.rec.original - e.slot <= cluster_.config().min_lead) {
+    if (rec.original - e.slot <= cluster_.config().min_lead) {
       stats.skipped_min_lead += 1;
       ++cursor_;
       continue;
@@ -205,16 +208,16 @@ void SchedulerThread::kick() {
     }
     // If the application has already passed the original point there is no
     // one left to serve; skip.
-    if (owner.local_time() > e.rec.original) {
+    if (owner.local_time() > rec.original) {
       buffer.mark_done(id);
       ++cursor_;
       continue;
     }
     // Local-time protocol: never run ahead of the producing process.
-    if (e.rec.writer_process >= 0 && e.rec.writer_process != pid_) {
-      ClientProcess& writer = cluster_.client(e.rec.writer_process);
-      if (writer.local_time() <= e.rec.writer_slot && !writer.finished()) {
-        wait_for(writer, e.rec.writer_slot + 1);
+    if (rec.writer_process >= 0 && rec.writer_process != pid_) {
+      ClientProcess& writer = cluster_.client(rec.writer_process);
+      if (writer.local_time() <= rec.writer_slot && !writer.finished()) {
+        wait_for(writer, rec.writer_slot + 1);
         return;
       }
     }
@@ -222,7 +225,7 @@ void SchedulerThread::kick() {
     if (!buffer.try_reserve(id, op.size)) {
       stall_id_ = id;
       stall_size_ = op.size;
-      stall_original_ = e.rec.original;
+      stall_original_ = rec.original;
       cluster_.pause_for_space(pid_);
       return;
     }

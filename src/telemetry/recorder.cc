@@ -179,27 +179,28 @@ void TelemetryRecorder::on_request_routed(FileId f, Bytes offset, Bytes size,
 }
 
 void TelemetryRecorder::record_placements(
+    std::span<const AccessRecord> records,
     std::span<const ScheduledAccess> placed) {
   if (!wants(TraceLevel::kFull)) return;
   std::vector<std::uint32_t> order(placed.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
-            [placed](std::uint32_t a, std::uint32_t b) {
-              return placed_before(placed[a].rec, placed[b].rec);
+            [records](std::uint32_t a, std::uint32_t b) {
+              return placed_before(records[a], records[b]);
             });
   for (const std::uint32_t i : order) {
     const ScheduledAccess& p = placed[i];
-    const AccessRecord& rec = p.rec;
     const std::uint32_t aux =
         (p.forced ? 1u : 0u) | (p.theta_fallback ? 2u : 0u);
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.slot))) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.original))
+        (static_cast<std::uint64_t>(
+             static_cast<std::uint32_t>(records[i].original))
          << 32);
     // Placement happens at compile time, before the simulation clock starts.
     record(0, TraceEventKind::kAccessPlaced,
-           static_cast<std::uint16_t>(rec.process), aux, packed,
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(rec.id)));
+           static_cast<std::uint16_t>(p.process), aux, packed,
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.id)));
   }
 }
 

@@ -139,8 +139,10 @@ class DASCHED_OBSERVER_PASSIVE TelemetryRecorder final
 
   // Compiled placements (kFull; compile time, stamped at t=0) ---------------
   /// One kAccessPlaced event per access of `placed` (a compiled schedule),
-  /// in the order the scheduler placed them (`placed_before`).
-  void record_placements(std::span<const ScheduledAccess> placed);
+  /// in the order the scheduler placed them (`placed_before`).  Row i of
+  /// `placed` is the placement of `records[i]`.
+  void record_placements(std::span<const AccessRecord> records,
+                         std::span<const ScheduledAccess> placed);
 
  private:
   [[nodiscard]] bool wants(TraceLevel required) const {

@@ -1,8 +1,10 @@
 // Reading the all-clear audit report an audited run leaves in its result.
 #pragma once
 
-#include <regex>
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace dasched {
 
@@ -11,11 +13,23 @@ namespace dasched {
 /// violation report, another check count, an unaudited run's empty report).
 inline long long clean_audit_evaluations(const std::string& report,
                                          int checks) {
-  const std::regex all_clear("audit: ([0-9]+) invariant evaluations across " +
+  constexpr std::string_view prefix = "audit: ";
+  const std::string suffix = " invariant evaluations across " +
                              std::to_string(checks) +
-                             " checks, no violations\n");
-  std::smatch m;
-  return std::regex_match(report, m, all_clear) ? std::stoll(m[1].str()) : -1;
+                             " checks, no violations\n";
+  std::string_view text = report;
+  if (text.size() <= prefix.size() + suffix.size() ||
+      !text.starts_with(prefix) || !text.ends_with(suffix)) {
+    return -1;
+  }
+  text.remove_prefix(prefix.size());
+  text.remove_suffix(suffix.size());
+  // Digits only: from_chars alone would also take a leading '-'.
+  if (text.front() < '0' || text.front() > '9') return -1;
+  long long count = -1;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), count);
+  return ec == std::errc{} && end == text.data() + text.size() ? count : -1;
 }
 
 }  // namespace dasched

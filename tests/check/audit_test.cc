@@ -185,23 +185,27 @@ AccessRecord rec_on_node(int id, int process, Slot begin, Slot end, int node) {
 TEST(ScheduleConsistencyCheck, DoubleBookedSlotTrips) {
   SimAuditor auditor;
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<AccessRecord> records = {rec_on_node(0, 0, 0, 5, 0),
+                                             rec_on_node(1, 0, 0, 5, 1)};
   const std::vector<ScheduledAccess> scheduled = {
-      {rec_on_node(0, 0, 0, 5, 0), /*slot=*/3, /*forced=*/false},
-      {rec_on_node(1, 0, 0, 5, 1), /*slot=*/3, /*forced=*/false},
+      {records[0], /*slot=*/3, /*forced=*/false},
+      {records[1], /*slot=*/3, /*forced=*/false},
   };
-  check.check_double_booking(scheduled);
+  check.check_double_booking(records, scheduled);
   EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "double-booked"));
 }
 
 TEST(ScheduleConsistencyCheck, ForcedPinsMayShareSlots) {
   SimAuditor auditor;
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<AccessRecord> records = {rec_on_node(0, 0, 0, 5, 0),
+                                             rec_on_node(1, 0, 0, 5, 1)};
   const std::vector<ScheduledAccess> scheduled = {
-      {rec_on_node(0, 0, 0, 5, 0), 5, /*forced=*/true},
-      {rec_on_node(1, 0, 0, 5, 1), 5, /*forced=*/true},
+      {records[0], 5, /*forced=*/true},
+      {records[1], 5, /*forced=*/true},
   };
-  check.check_double_booking(scheduled);
-  check.check_placements(scheduled, /*num_slots=*/10);
+  check.check_double_booking(records, scheduled);
+  check.check_placements(records, scheduled, /*num_slots=*/10);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
@@ -216,11 +220,40 @@ TEST(ScheduleConsistencyCheck, SkippedSlackClampTrips) {
 TEST(ScheduleConsistencyCheck, PlacementOutsideSlackTrips) {
   SimAuditor auditor;
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<AccessRecord> records = {rec_on_node(0, 0, 2, 5, 0)};
   const std::vector<ScheduledAccess> scheduled = {
-      {rec_on_node(0, 0, 2, 5, 0), /*slot=*/7, /*forced=*/false},
+      {records[0], /*slot=*/7, /*forced=*/false},
   };
-  check.check_placements(scheduled, /*num_slots=*/10);
+  check.check_placements(records, scheduled, /*num_slots=*/10);
   EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "outside its slack"));
+}
+
+TEST(ScheduleConsistencyCheck, PlacementOfAnotherReadTrips) {
+  // Row i must place read i: the runtime reads a placement's slack,
+  // original point and writer from the read at the same row.
+  SimAuditor auditor;
+  auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  const std::vector<AccessRecord> records = {rec_on_node(0, 0, 0, 5, 0),
+                                             rec_on_node(1, 1, 0, 5, 1)};
+  const std::vector<ScheduledAccess> swapped = {{records[1], 2},
+                                                {records[0], 2}};
+  check.check_placements(records, swapped, /*num_slots=*/10);
+  EXPECT_TRUE(has_violation(auditor, "schedule-consistency",
+                            "row 0 places access #1"));
+}
+
+TEST(ScheduleConsistencyCheck, PlacementCountOtherThanReadCountTrips) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<ScheduleConsistencyCheck>();
+  Compiled compiled;
+  compiled.program.reads = {rec_on_node(0, 0, 0, 5, 0),
+                            rec_on_node(1, 1, 0, 5, 1)};
+  compiled.program.num_slots = 10;
+  compiled.scheduled = {{compiled.program.reads[0], 2}};
+  compiled.table = SchedulingTable(compiled.scheduled);
+  check.validate(compiled, ScheduleOptions{});
+  EXPECT_TRUE(has_violation(auditor, "schedule-consistency",
+                            "1 placements for 2 reads"));
 }
 
 TEST(ScheduleConsistencyCheck, ThetaOverrunWithoutFallbackTrips) {
@@ -228,13 +261,15 @@ TEST(ScheduleConsistencyCheck, ThetaOverrunWithoutFallbackTrips) {
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
   // Two same-slot accesses on the same node with theta = 1 and a stats
   // block claiming no fallback happened.
+  const std::vector<AccessRecord> records = {rec_on_node(0, 0, 0, 5, 2),
+                                             rec_on_node(1, 1, 0, 5, 2)};
   const std::vector<ScheduledAccess> scheduled = {
-      {rec_on_node(0, 0, 0, 5, 2), 4, false},
-      {rec_on_node(1, 1, 0, 5, 2), 4, false},
+      {records[0], 4, false},
+      {records[1], 4, false},
   };
   ScheduleOptions opts;
   opts.theta = 1;
-  check.check_theta(scheduled, opts, ScheduleStats{});
+  check.check_theta(records, scheduled, opts, ScheduleStats{});
   EXPECT_TRUE(has_violation(auditor, "schedule-consistency", "theta cap"));
 }
 
@@ -257,10 +292,11 @@ TEST(ScheduleConsistencyCheck, ForcedFlagsDisagreeingWithStatsTrip) {
 TEST(ScheduleConsistencyCheck, ThetaFallbackFlagsDisagreeingWithStatsTrip) {
   SimAuditor auditor;
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
-  const std::vector<ScheduledAccess> scheduled = {
-      {rec_on_node(0, 0, 0, 5, 2), 4, false, /*theta_fallback=*/true},
-      {rec_on_node(1, 1, 0, 5, 2), 4, false, /*theta_fallback=*/true},
+  std::vector<ScheduledAccess> scheduled = {
+      {rec_on_node(0, 0, 0, 5, 2), 4},
+      {rec_on_node(1, 1, 0, 5, 2), 4},
   };
+  for (ScheduledAccess& s : scheduled) s.theta_fallback = true;
   ScheduleStats stats;
   stats.theta_fallbacks = 2;
   check.check_flags(scheduled, stats);

@@ -2,6 +2,8 @@
 // silent across every power policy, with and without the scheme.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "audit_report.h"
 #include "driver/experiment.h"
 
@@ -59,6 +61,31 @@ TEST(AuditedRun, UnauditedRunReportsUnaudited) {
   EXPECT_FALSE(r.audited);
   EXPECT_EQ(r.audit_violations, 0);
   EXPECT_TRUE(r.audit_report.empty()) << r.audit_report;
+}
+
+TEST(AuditReport, ReadsOnlyTheAllClearLine) {
+  const std::string clean =
+      "audit: 1234 invariant evaluations across 5 checks, no violations\n";
+  EXPECT_EQ(clean_audit_evaluations(clean, 5), 1234);
+  EXPECT_EQ(clean_audit_evaluations(clean, 6), -1);
+  EXPECT_EQ(clean_audit_evaluations("", 5), -1);
+  EXPECT_EQ(clean_audit_evaluations(
+                "audit: -3 invariant evaluations across 5 checks, no "
+                "violations\n",
+                5),
+            -1);
+  EXPECT_EQ(clean_audit_evaluations(
+                "audit: invariant evaluations across 5 checks, no "
+                "violations\n",
+                5),
+            -1);
+  EXPECT_EQ(clean_audit_evaluations(
+                "audit: 12x invariant evaluations across 5 checks, no "
+                "violations\n",
+                5),
+            -1);
+  EXPECT_EQ(clean_audit_evaluations(clean.substr(0, clean.size() - 1), 5),
+            -1);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST_F(CompileTest, ScheduledRowsAreIndexedByAccessId) {
   const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
   ASSERT_EQ(c.scheduled.size(), c.program.reads.size());
   for (std::size_t i = 0; i < c.scheduled.size(); ++i) {
-    EXPECT_EQ(c.scheduled[i].rec.id, static_cast<int>(i));
+    EXPECT_EQ(c.scheduled[i].id, static_cast<int>(i));
   }
 }
 
@@ -78,10 +78,12 @@ TEST_F(CompileTest, EnabledSchedulingHoistsSomething) {
 
 TEST_F(CompileTest, ScheduledSlotsStayInsideSlacks) {
   const Compiled c = compile_trace(lower(simple_program(), 2), striping_);
-  for (const ScheduledAccess& s : c.scheduled) {
+  for (std::size_t i = 0; i < c.scheduled.size(); ++i) {
+    const ScheduledAccess& s = c.scheduled[i];
+    const AccessRecord& rec = c.program.reads[i];
     if (s.forced) continue;
-    EXPECT_GE(s.slot, s.rec.begin);
-    EXPECT_LE(s.slot + s.rec.length - 1, s.rec.end);
+    EXPECT_GE(s.slot, rec.begin);
+    EXPECT_LE(s.slot + rec.length - 1, rec.end);
   }
 }
 

@@ -37,5 +37,20 @@ TEST(ScheduledAccess, DefaultsAreUnforced) {
   EXPECT_EQ(s.slot, 0);
 }
 
+TEST(ScheduledAccess, TakesOnlyTheRecordsIdentity) {
+  AccessRecord rec;
+  rec.id = 7;
+  rec.process = 3;
+  rec.begin = 2;
+  rec.end = 9;
+  rec.original = 9;
+  const ScheduledAccess s(rec, /*slot=*/4, /*forced=*/true);
+  EXPECT_EQ(s.id, 7);
+  EXPECT_EQ(s.process, 3);
+  EXPECT_EQ(s.slot, 4);
+  EXPECT_TRUE(s.forced);
+  EXPECT_FALSE(s.theta_fallback);
+}
+
 }  // namespace
 }  // namespace dasched

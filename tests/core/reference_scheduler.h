@@ -7,8 +7,9 @@
 // θ path.  The production scheduler must produce bit-identical placements,
 // stats and group signatures — any divergence (a reassociated float sum, a
 // changed tie order) fails the test.  It has since lost only the randomized
-// tie-break, which the production scheduler no longer offers, and gained the
-// per-access `theta_fallback` flag the production result now carries.
+// tie-break, which the production scheduler no longer offers, gained the
+// per-access `theta_fallback` flag the production result now carries, and
+// sorts by the placement's own id now that a placement holds no record.
 //
 // Do not "improve" this file: its value is being the old code.
 #pragma once
@@ -228,7 +229,7 @@ class ReferenceScheduler {
 
     std::sort(out.begin(), out.end(),
               [](const ScheduledAccess& a, const ScheduledAccess& b) {
-                return a.rec.id < b.rec.id;
+                return a.id < b.id;
               });
     return out;
   }

@@ -93,13 +93,13 @@ TEST(SchedulerDifferentialTest, MatchesReferenceBitForBit) {
 
       ASSERT_EQ(expected.size(), actual.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].rec.id, actual[i].rec.id) << "index " << i;
+        EXPECT_EQ(expected[i].id, actual[i].id) << "index " << i;
         EXPECT_EQ(expected[i].slot, actual[i].slot)
-            << "access #" << expected[i].rec.id;
+            << "access #" << expected[i].id;
         EXPECT_EQ(expected[i].forced, actual[i].forced)
-            << "access #" << expected[i].rec.id;
+            << "access #" << expected[i].id;
         EXPECT_EQ(expected[i].theta_fallback, actual[i].theta_fallback)
-            << "access #" << expected[i].rec.id;
+            << "access #" << expected[i].id;
       }
 
       EXPECT_EQ(ref.stats().scheduled, fast.stats().scheduled);
@@ -137,7 +137,7 @@ TEST(SchedulerDifferentialTest, ResetReplaysIdentically) {
 
   ASSERT_EQ(expected.size(), out.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].slot, out[i].slot) << "access #" << expected[i].rec.id;
+    EXPECT_EQ(expected[i].slot, out[i].slot) << "access #" << expected[i].id;
     EXPECT_EQ(expected[i].forced, out[i].forced);
   }
   EXPECT_EQ(fresh.stats().forced, reused.stats().forced);
@@ -170,11 +170,11 @@ ScheduleStats expect_replay_matches_reference(
     if (expected.size() != actual.size()) return fast.stats();
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i].slot, actual[i].slot)
-          << "access #" << expected[i].rec.id;
+          << "access #" << expected[i].id;
       EXPECT_EQ(expected[i].forced, actual[i].forced)
-          << "access #" << expected[i].rec.id;
+          << "access #" << expected[i].id;
       EXPECT_EQ(expected[i].theta_fallback, actual[i].theta_fallback)
-          << "access #" << expected[i].rec.id;
+          << "access #" << expected[i].id;
     }
     EXPECT_EQ(ref.stats().forced, fast.stats().forced);
     EXPECT_EQ(ref.stats().theta_fallbacks, fast.stats().theta_fallbacks);

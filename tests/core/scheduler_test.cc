@@ -217,8 +217,8 @@ TEST(AccessScheduler, ResultsFollowBatchOrder) {
   auto result = sched.schedule(batch);
   ASSERT_EQ(result.size(), 3u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(result[i].rec.id, batch[i].id) << "row " << i;
-    EXPECT_EQ(result[i].rec.process, batch[i].process) << "row " << i;
+    EXPECT_EQ(result[i].id, batch[i].id) << "row " << i;
+    EXPECT_EQ(result[i].process, batch[i].process) << "row " << i;
   }
   EXPECT_EQ(result[1].slot, 5);
 
@@ -228,7 +228,7 @@ TEST(AccessScheduler, ResultsFollowBatchOrder) {
   sched.schedule_into(batch, out);
   ASSERT_EQ(out.size(), 3u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(out[i].rec.id, batch[i].id) << "row " << i;
+    EXPECT_EQ(out[i].id, batch[i].id) << "row " << i;
     EXPECT_EQ(out[i].slot, result[i].slot) << "row " << i;
   }
 }
@@ -245,9 +245,9 @@ TEST(AccessScheduler, ForcedCollisionSharesASlotOrderedById) {
       make_access(0, 0, 5, 5, sig),
   });
   ASSERT_EQ(result.size(), 2u);
-  EXPECT_EQ(result[0].rec.id, 1);
+  EXPECT_EQ(result[0].id, 1);
   EXPECT_TRUE(result[0].forced);
-  EXPECT_EQ(result[1].rec.id, 0);
+  EXPECT_EQ(result[1].id, 0);
   EXPECT_FALSE(result[1].forced);
   EXPECT_EQ(result[0].slot, 5);
   EXPECT_EQ(result[1].slot, 5);
@@ -312,14 +312,16 @@ TEST_P(SchedulerProperty, InvariantsHoldOnRandomWorkloads) {
 
   ASSERT_EQ(result.size(), accesses.size());
   std::map<std::pair<int, Slot>, int> occupancy;
-  for (const auto& r : result) {
-    EXPECT_EQ(r.rec.id, (&r - result.data()));
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    const ScheduledAccess& r = result[i];
+    const AccessRecord& rec = accesses[i];
+    EXPECT_EQ(r.id, rec.id);
     if (r.forced) continue;
-    EXPECT_GE(r.slot, r.rec.begin);
-    EXPECT_LE(r.slot + r.rec.length - 1, r.rec.end);
-    for (int k = 0; k < r.rec.length; ++k) {
-      const int count = ++occupancy[std::make_pair(r.rec.process, r.slot + k)];
-      EXPECT_EQ(count, 1) << "process " << r.rec.process << " slot "
+    EXPECT_GE(r.slot, rec.begin);
+    EXPECT_LE(r.slot + rec.length - 1, rec.end);
+    for (int k = 0; k < rec.length; ++k) {
+      const int count = ++occupancy[std::make_pair(r.process, r.slot + k)];
+      EXPECT_EQ(count, 1) << "process " << r.process << " slot "
                           << r.slot + k;
     }
   }

@@ -8,14 +8,10 @@
 namespace dasched {
 namespace {
 
-ScheduledAccess scheduled(int id, int process, Slot slot, Slot original) {
+ScheduledAccess scheduled(int id, int process, Slot slot) {
   ScheduledAccess s;
-  s.rec.id = id;
-  s.rec.process = process;
-  s.rec.begin = 0;
-  s.rec.end = original;
-  s.rec.original = original;
-  s.rec.sig = Signature(4);
+  s.id = id;
+  s.process = process;
   s.slot = slot;
   return s;
 }
@@ -27,9 +23,9 @@ std::vector<std::uint32_t> rows_of(const SchedulingTable& table, int process) {
 
 TEST(SchedulingTable, GroupsEntriesByProcess) {
   const std::vector<ScheduledAccess> placed = {
-      scheduled(0, 0, 5, 10),
-      scheduled(1, 1, 3, 7),
-      scheduled(2, 0, 1, 2),
+      scheduled(0, 0, 5),
+      scheduled(1, 1, 3),
+      scheduled(2, 0, 1),
   };
   const SchedulingTable table(placed);
   EXPECT_EQ(table.num_processes(), 2);
@@ -42,9 +38,9 @@ TEST(SchedulingTable, EntriesSortedBySlotThenId) {
   // Rows are listed out of id order: the tie at slot 2 breaks on the id,
   // not on the row.
   const std::vector<ScheduledAccess> placed = {
-      scheduled(0, 0, 9, 9),
-      scheduled(2, 0, 2, 6),
-      scheduled(1, 0, 2, 5),
+      scheduled(0, 0, 9),
+      scheduled(2, 0, 2),
+      scheduled(1, 0, 2),
   };
   const SchedulingTable table(placed);
   EXPECT_EQ(rows_of(table, 0), (std::vector<std::uint32_t>{2, 1, 0}));
@@ -54,8 +50,8 @@ TEST(SchedulingTable, ProcessWithoutAccessesHasNoRows) {
   // Processes are numbered densely up to the largest one seen; a process
   // in between with no reads has an empty list.
   const std::vector<ScheduledAccess> placed = {
-      scheduled(0, 2, 4, 4),
-      scheduled(1, 0, 1, 1),
+      scheduled(0, 2, 4),
+      scheduled(1, 0, 1),
   };
   const SchedulingTable table(placed);
   EXPECT_EQ(table.num_processes(), 3);
@@ -65,7 +61,7 @@ TEST(SchedulingTable, ProcessWithoutAccessesHasNoRows) {
 }
 
 TEST(SchedulingTable, UnknownProcessReturnsEmpty) {
-  const SchedulingTable table({scheduled(0, 0, 1, 1)});
+  const SchedulingTable table({scheduled(0, 0, 1)});
   EXPECT_TRUE(table.entries(5).empty());
   EXPECT_TRUE(table.entries(-1).empty());
 }

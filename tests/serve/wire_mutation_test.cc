@@ -1,6 +1,7 @@
 // Seeded mutation test of the daemon's untrusted-input parsers: the run and
 // grid request parsers, the trace-upload header parser with the trace parser
-// behind it, the result decoder and the error-reply parser.
+// behind it, the result decoder, the error-reply parser and the hello a
+// session answers.
 //
 // Each case starts from a valid input, applies a few random byte-level
 // edits (overwrite, insert, delete, truncate, duplicate, plant a boundary
@@ -8,8 +9,10 @@
 // decode or throw the parser's structured error (ConfigError,
 // TraceParseError or ProtocolError); anything else (another exception
 // type, a crash, or under ASan/UBSan an out-of-bounds read or an overflow)
-// fails the test and prints the mutant.  The seed and the mutant count are
-// fixed, so the run is the same on every build.
+// fails the test and prints the mutant.  A hello mutant goes through
+// `TenantSession::handle` instead and must get exactly the one reply frame
+// the test expects from its own reading of the text.  The seed and the
+// mutant count are fixed, so the run is the same on every build.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <exception>
 #include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "driver/experiment.h"
 #include "engine/experiment_grid.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 #include "util/rng.h"
 #include "workload/trace_replay.h"
 
@@ -238,6 +243,67 @@ TEST(WireMutation, ErrorReply) {
                valid);
   survives_mutants<ProtocolError>(
       valid, [](std::string_view payload) { (void)parse_error(payload); });
+}
+
+/// Whether a session must accept `text` as a hello, read without the
+/// protocol's key=value scanner: every non-empty line holds '=', and the
+/// value of the last `version` line is exactly the protocol version.
+bool hello_accepted(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line;
+  std::string version;
+  bool has_version = false;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) return false;
+    if (line.compare(0, eq, "version") == 0) {
+      version = line.substr(eq + 1);
+      has_version = true;
+    }
+  }
+  return has_version && version == std::to_string(kProtocolVersion);
+}
+
+/// Counts the reply frames of one request.
+class CountingSink : public TenantSession::Sink {
+ public:
+  bool write_frame(FrameType t, std::span<const std::uint8_t>) override {
+    ++frames;
+    last = t;
+    return true;
+  }
+  int frames = 0;
+  FrameType last = FrameType::kDone;
+};
+
+TEST(WireMutation, Hello) {
+  const std::string valid = "version=" + std::to_string(kProtocolVersion) +
+                            "\nclient=test\nfeatures=\n";
+  ASSERT_TRUE(hello_accepted(valid));
+  Mutator mutator;
+  int accepted = 0;
+  int refused = 0;
+  for (int k = 0; k < kMutantsPerInput; ++k) {
+    const std::string input = mutator.mutate(valid);
+    const bool expect_ok = hello_accepted(input);
+    TenantSession session(/*tenant_id=*/1);
+    CountingSink sink;
+    try {
+      (void)session.handle(FrameType::kHello, bytes(input), sink);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << k << " escaped handle (" << e.what()
+                    << "): \"" << escaped(input) << '"';
+      continue;
+    }
+    ASSERT_EQ(sink.frames, 1) << "mutant " << k << ": \"" << escaped(input)
+                              << '"';
+    EXPECT_EQ(sink.last, expect_ok ? FrameType::kHelloOk : FrameType::kError)
+        << "mutant " << k << ": \"" << escaped(input) << '"';
+    ++(expect_ok ? accepted : refused);
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace
