@@ -10,8 +10,8 @@
 //                          calibration every number in EXPERIMENTS.md was
 //                          measured at; 1.0 is the full paper-sized run)
 //   DASCHED_BENCH_PROCS    client processes      (default 32, Table II)
-//   DASCHED_BENCH_THREADS  grid worker threads   (default: DASCHED_GRID_THREADS,
-//                          then hardware concurrency)
+//   DASCHED_GRID_THREADS   grid worker threads   (default: hardware
+//                          concurrency; the knob every grid run reads)
 //   DASCHED_BENCH_CSV      write all cells as CSV to this path ("-" stdout)
 //   DASCHED_BENCH_JSONL    write all cells as JSON lines to this path
 #pragma once
@@ -43,9 +43,7 @@ inline WorkloadScale bench_scale() {
   return s;
 }
 
-inline int bench_threads() {
-  return resolve_grid_threads(env_int("DASCHED_BENCH_THREADS", 0));
-}
+inline int bench_threads() { return resolve_grid_threads(0); }
 
 /// The six applications in Table III order.
 inline const std::vector<std::string>& all_app_names() {

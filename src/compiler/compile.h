@@ -9,9 +9,12 @@
 // Every front end produces a lowered `CompiledProgram` first — an affine
 // loop nest through `lower()`, an application through `App::build`, an
 // external trace through the replay parser — and `compile_trace` runs the
-// rest.  The result bundles everything the runtime needs: the lowered
-// program the client processes execute, each read's placement, and the
-// per-process tables of row indices the runtime scheduler threads follow.
+// rest.  The lowered slot plans are frozen and numbered once, at the front
+// end's exit; every compile of them shares the one plan.  The result
+// bundles everything the runtime needs: a handle to the plan the client
+// processes execute, the slack-analyzed read records, each read's
+// placement, and the per-process tables of row indices the runtime
+// scheduler threads follow.
 #pragma once
 
 #include "compiler/loop_program.h"
@@ -37,6 +40,7 @@ struct CompileOptions {
 };
 
 struct Compiled {
+  /// The shared frozen plan plus this compile's read records.
   CompiledProgram program;
   /// Per-access decisions, row i for read i (ids are dense and in order).
   /// With scheduling disabled it and `table` stay empty.
@@ -46,8 +50,10 @@ struct Compiled {
 };
 
 /// An already-lowered program -> slacks -> schedule -> table.  Coarsening
-/// happens in the front end (`lower()`, the app builder, or the recorder);
-/// an affine nest compiles as `compile_trace(lower(prog, n), striping)`.
+/// and read numbering happen in the front end (`lower()`, the app builder,
+/// or the recorder); an affine nest compiles as
+/// `compile_trace(lower(prog, n), striping)`.  Passing a program by copy
+/// shares its plan: only the read records are this compile's own.
 [[nodiscard]] Compiled compile_trace(CompiledProgram lowered,
                                      const StripingMap& striping,
                                      const CompileOptions& opts = {});

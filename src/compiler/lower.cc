@@ -207,37 +207,61 @@ class Interpreter {
   SlotPlan open_;
 };
 
+/// Merges groups of `granularity` consecutive slots of one process.
+void coarsen(ProcessPlan& p, std::size_t granularity) {
+  std::vector<SlotPlan> merged;
+  merged.reserve(p.slots.size() / granularity + 1);
+  for (std::size_t i = 0; i < p.slots.size(); ++i) {
+    if (i % granularity == 0) merged.emplace_back();
+    SlotPlan& dst = merged.back();
+    SlotPlan& src = p.slots[i];
+    dst.compute += src.compute;
+    dst.ops.insert(dst.ops.end(), src.ops.begin(), src.ops.end());
+  }
+  p.slots = std::move(merged);
+}
+
 }  // namespace
 
-void coarsen(CompiledProgram& program, int granularity) {
-  if (granularity <= 1) return;
-  for (ProcessPlan& p : program.processes) {
-    std::vector<SlotPlan> merged;
-    merged.reserve(p.slots.size() / static_cast<std::size_t>(granularity) + 1);
-    for (std::size_t i = 0; i < p.slots.size(); ++i) {
-      if (i % static_cast<std::size_t>(granularity) == 0) merged.emplace_back();
-      SlotPlan& dst = merged.back();
-      SlotPlan& src = p.slots[i];
-      dst.compute += src.compute;
-      dst.ops.insert(dst.ops.end(), src.ops.begin(), src.ops.end());
+CompiledProgram freeze_program(std::vector<ProcessPlan> processes,
+                               int granularity) {
+  // Coarsening before padding merges no padding, and the padded tails come
+  // out the same: a group that is all padding is an empty slot either way.
+  if (granularity > 1) {
+    for (ProcessPlan& p : processes) {
+      coarsen(p, static_cast<std::size_t>(granularity));
     }
-    p.slots = std::move(merged);
   }
-  program.align_slots();
+  std::size_t num_slots = 0;
+  for (const ProcessPlan& p : processes) {
+    num_slots = std::max(num_slots, p.slots.size());
+  }
+  for (ProcessPlan& p : processes) p.slots.resize(num_slots);
+  int next_id = 0;
+  for (std::size_t t = 0; t < num_slots; ++t) {
+    for (ProcessPlan& p : processes) {
+      for (IoOp& op : p.slots[t].ops) {
+        if (!op.is_write) op.access_id = next_id++;
+      }
+    }
+  }
+  CompiledProgram out;
+  out.num_slots = static_cast<Slot>(num_slots);
+  out.num_reads = next_id;
+  out.plan = std::make_shared<const std::vector<ProcessPlan>>(std::move(processes));
+  return out;
 }
 
 CompiledProgram lower(const LoopProgram& program, int num_processes,
                       const LowerOptions& opts) {
   const Program compiled = Compiler().compile(program);
   Interpreter interp(compiled, opts);
-  CompiledProgram out;
-  out.processes.reserve(static_cast<std::size_t>(num_processes));
+  std::vector<ProcessPlan> processes;
+  processes.reserve(static_cast<std::size_t>(num_processes));
   for (int p = 0; p < num_processes; ++p) {
-    out.processes.push_back(interp.run(p, num_processes));
+    processes.push_back(interp.run(p, num_processes));
   }
-  out.align_slots();
-  coarsen(out, opts.granularity);
-  return out;
+  return freeze_program(std::move(processes), opts.granularity);
 }
 
 }  // namespace dasched

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "compiler/loop_program.h"
 #include "compiler/program.h"
@@ -25,13 +26,17 @@ struct LowerOptions {
 };
 
 /// Unrolls `program` for each of `num_processes` processes (binding p and P)
-/// and returns the aligned slot plans.  Throws std::runtime_error when a
+/// and returns the frozen slot plans.  Throws std::runtime_error when a
 /// process exceeds max_slots_per_process.
 [[nodiscard]] CompiledProgram lower(const LoopProgram& program, int num_processes,
                                     const LowerOptions& opts = {});
 
-/// Merges groups of `granularity` consecutive slots (per process); exposed
-/// separately so the profiling front end can coarsen recorded traces too.
-void coarsen(CompiledProgram& program, int granularity);
+/// The exit of every front end (`lower` and the profiling recorder): merges
+/// groups of `granularity` consecutive slots per process (the paper's d),
+/// pads every process to the longest, stamps each read op's `access_id` in
+/// the order the slack analysis walks them (slot, then process, then op),
+/// and freezes the plans behind the program's shared const handle.
+[[nodiscard]] CompiledProgram freeze_program(std::vector<ProcessPlan> processes,
+                                             int granularity);
 
 }  // namespace dasched

@@ -5,10 +5,13 @@
 // an ordered list of scheduling slots ("iterations"), each with a compute
 // duration and the I/O operations the original program issues there.  The
 // slack analysis, the scheduling algorithms and the runtime all consume this
-// form.
+// form.  Each front end ends in `freeze_program` (lower.h), which numbers
+// the reads and freezes the slot plans behind a shared const handle: no
+// later stage writes them, so every compile of one workload shares them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/access.h"
@@ -23,8 +26,8 @@ struct IoOp {
   Bytes offset = 0;
   Bytes size = 0;
   bool is_write = false;
-  /// Index of this read in `CompiledProgram::reads` (set by the slack
-  /// analysis); -1 for writes and for programs not yet analyzed.
+  /// Index of this read in `CompiledProgram::reads`, numbered when the
+  /// program is frozen; -1 for writes.
   int access_id = -1;
 };
 // The runtime walks ops slot by slot; the id rides in former padding.
@@ -42,50 +45,24 @@ struct ProcessPlan {
   std::vector<SlotPlan> slots;
 };
 
-/// Location of a read site in the lowered program: (process, slot, op index).
-struct ReadSite {
-  int process = 0;
-  Slot slot = 0;
-  int op_index = 0;
-};
-
 struct CompiledProgram {
-  std::vector<ProcessPlan> processes;
+  /// The frozen slot plans, one per process, each padded to `num_slots`.
+  /// Copying a program copies this handle, not the plans.
+  std::shared_ptr<const std::vector<ProcessPlan>> plan;
   /// Aligned slot count: every process is padded to this length.
   Slot num_slots = 0;
+  /// Read ops in the plan; their access ids are [0, num_reads).
+  int num_reads = 0;
 
   /// Schedulable read accesses (output of the slack analysis), indexed by
-  /// AccessRecord::id.
+  /// AccessRecord::id, which is the read op's access_id.
   std::vector<AccessRecord> reads;
-  /// reads[i] corresponds to read_sites[i] in the lowered program.
-  std::vector<ReadSite> read_sites;
 
   [[nodiscard]] int num_processes() const {
-    return static_cast<int>(processes.size());
+    return plan == nullptr ? 0 : static_cast<int>(plan->size());
   }
-
-  /// Pads every process to the length of the longest one and records it.
-  void align_slots() {
-    std::size_t max_len = 0;
-    for (const auto& p : processes) max_len = std::max(max_len, p.slots.size());
-    for (auto& p : processes) p.slots.resize(max_len);
-    num_slots = static_cast<Slot>(max_len);
-  }
-
-  /// Totals, mostly for reports and tests.
-  [[nodiscard]] std::int64_t total_ops() const {
-    std::int64_t n = 0;
-    for (const auto& p : processes)
-      for (const auto& s : p.slots) n += static_cast<std::int64_t>(s.ops.size());
-    return n;
-  }
-  [[nodiscard]] Bytes total_bytes(bool writes) const {
-    Bytes n = 0;
-    for (const auto& p : processes)
-      for (const auto& s : p.slots)
-        for (const auto& op : s.ops)
-          if (op.is_write == writes) n += op.size;
-    return n;
+  [[nodiscard]] const std::vector<SlotPlan>& slots(int process) const {
+    return (*plan)[static_cast<std::size_t>(process)].slots;
   }
 };
 

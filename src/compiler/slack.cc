@@ -109,28 +109,26 @@ struct PendingWrite {
 void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
                     const SlackOptions& opts) {
   program.reads.clear();
-  program.read_sites.clear();
+  program.reads.reserve(static_cast<std::size_t>(program.num_reads));
 
   LastWriteMap writes;
   std::vector<PendingWrite> pending_writes;  // writes of the slot in progress
 
   for (Slot t = 0; t < program.num_slots; ++t) {
+    const auto slot = static_cast<std::size_t>(t);
     // Gather this slot's writes first: a read racing a same-slot write (from
     // any process; processes are not lock-stepped) must not be hoisted.
     pending_writes.clear();
     for (int p = 0; p < program.num_processes(); ++p) {
-      const auto& slot =
-          program.processes[static_cast<std::size_t>(p)].slots[static_cast<std::size_t>(t)];
-      for (const IoOp& op : slot.ops) {
+      for (const IoOp& op : program.slots(p)[slot].ops) {
         if (op.is_write) pending_writes.push_back(PendingWrite{op, p});
       }
     }
 
     for (int p = 0; p < program.num_processes(); ++p) {
-      auto& ops =
-          program.processes[static_cast<std::size_t>(p)].slots[static_cast<std::size_t>(t)].ops;
+      const std::vector<IoOp>& ops = program.slots(p)[slot].ops;
       for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
-        IoOp& op = ops[static_cast<std::size_t>(oi)];
+        const IoOp& op = ops[static_cast<std::size_t>(oi)];
         if (op.is_write) continue;
 
         AccessRecord rec;
@@ -154,18 +152,18 @@ void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
           begin = t - opts.max_slack + 1;
         }
 
-        rec.id = static_cast<int>(program.reads.size());
+        rec.id = op.access_id;
+        assert(rec.id == static_cast<int>(program.reads.size()));
         rec.process = p;
         rec.begin = begin;
         rec.end = t;
         rec.original = t;
+        rec.op_index = oi;
         rec.sig = striping.signature(op.file, op.offset, op.size);
         rec.length =
             std::min<int>(access_length(op, opts),
                           static_cast<int>(rec.end - rec.begin + 1));
-        op.access_id = rec.id;
         program.reads.push_back(std::move(rec));
-        program.read_sites.push_back(ReadSite{p, t, oi});
       }
     }
 

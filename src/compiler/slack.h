@@ -67,9 +67,10 @@ class LastWriteMap {
   std::vector<std::vector<Interval>> files_;
 };
 
-/// Populates `program.reads` / `program.read_sites` with one AccessRecord
-/// per read op, slack windows computed as above, signatures taken from
-/// `striping`, and stamps each read op with its `access_id`.
+/// Fills `program.reads` with one AccessRecord per read op, in access-id
+/// order: slack windows computed as above, signatures taken from
+/// `striping`, and the op's (process, slot, op index) site.  It only reads
+/// the frozen slot plans, whose ops already carry their ids.
 void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
                     const SlackOptions& opts = {});
 

@@ -47,21 +47,17 @@ class TraceBuilder {
     for (int p = 0; p < static_cast<int>(processes_.size()); ++p) end_slot(p);
   }
 
-  /// Finishes recording: flushes non-empty open slots, aligns processes and
-  /// optionally applies slot coarsening (the paper's d).
+  /// Finishes recording: flushes non-empty open slots, then freezes the
+  /// plans, optionally coarsened (the paper's d; see `freeze_program`).
   [[nodiscard]] CompiledProgram build(int granularity = 1) {
-    CompiledProgram out;
     for (std::size_t p = 0; p < processes_.size(); ++p) {
       auto& open = open_[p];
       if (open.compute != 0 || !open.ops.empty()) {
         processes_[p].slots.push_back(std::move(open));
         open = SlotPlan{};
       }
-      out.processes.push_back(std::move(processes_[p]));
     }
-    out.align_slots();
-    coarsen(out, granularity);
-    return out;
+    return freeze_program(std::move(processes_), granularity);
   }
 
  private:

@@ -9,7 +9,7 @@ void save_trace(const CompiledProgram& program, std::ostream& out) {
   out << "processes " << program.num_processes() << '\n';
   for (int p = 0; p < program.num_processes(); ++p) {
     out << "process " << p << '\n';
-    for (const SlotPlan& slot : program.processes[static_cast<std::size_t>(p)].slots) {
+    for (const SlotPlan& slot : program.slots(p)) {
       out << "slot " << slot.compute << '\n';
       for (const IoOp& op : slot.ops) {
         out << (op.is_write ? 'w' : 'r') << ' ' << op.file << ' ' << op.offset

@@ -28,6 +28,9 @@ struct AccessRecord {
   Slot end = 0;
   /// Number of slots the access occupies (>= 1).
   int length = 1;
+  /// Index of the read among the ops of its slot (`original`) in its
+  /// process's plan, so the runtime finds the op from the record.
+  int op_index = 0;
   /// I/O nodes the access touches.
   Signature sig;
   /// The slot where the unmodified program issues this access (its read
@@ -44,6 +47,8 @@ struct AccessRecord {
   /// Latest slot the access may start at and still finish inside its slack.
   [[nodiscard]] Slot latest_start() const { return end - (length - 1); }
 };
+// `op_index` rides in the padding after `length`.
+static_assert(sizeof(AccessRecord) == 96);
 
 /// The outcome of scheduling one access: where it goes, and nothing else.
 /// Row i of a placement vector is access i, so a reader that needs the

@@ -163,11 +163,11 @@ const Compiled& ExperimentWorkspace::obtain_compiled(
     }
   }
   ++compile_misses_;
-  CompiledProgram copy = lane.trace;  // compile_trace consumes its input
+  // The compile shares the lane's frozen plan; only its reads are new.
   // dasched-lint: allow(hot-alloc): compile-cache miss path, bounded by LRU
   auto fresh = std::make_unique<Compiled>(compile_trace(
       // dasched-lint: allow(hot-alloc): compile-cache miss path
-      std::move(copy), storage_->striping(), copts));
+      lane.trace, storage_->striping(), copts));
   CompileSlot* victim = nullptr;
   if (lane.compiles.size() < kCompilesPerLane) {
     // dasched-lint: allow(hot-alloc): cache warm-up, bounded per lane

@@ -106,9 +106,10 @@ class ExperimentWorkspace {
     std::unique_ptr<Compiled> compiled;
   };
 
-  /// One application of the run: its built (lowered) trace, its most
-  /// recent compiles of that trace (LRU, at most kCompilesPerLane), and the
-  /// runtime cluster that executes it.
+  /// One application of the run: its built (lowered and frozen) trace, its
+  /// most recent compiles of that trace (LRU, at most kCompilesPerLane),
+  /// which all share the trace's slot plans, and the runtime cluster that
+  /// executes it.
   struct Lane {
     CompiledProgram trace;
     std::vector<CompileSlot> compiles;

@@ -66,8 +66,7 @@ void ClientProcess::resume_waiters(Slot reached) {
 }
 
 void ClientProcess::begin_slot() {
-  const auto& slots =
-      cluster_.compiled().program.processes[static_cast<std::size_t>(pid_)].slots;
+  const auto& slots = cluster_.compiled().program.slots(pid_);
 
   // Fast-forward through empty padding slots iteratively (no recursion).
   while (current_ < static_cast<Slot>(slots.size())) {
@@ -94,9 +93,7 @@ void ClientProcess::begin_slot() {
 
 void ClientProcess::run_op(std::size_t op_index) {
   const SlotPlan& plan =
-      cluster_.compiled()
-          .program.processes[static_cast<std::size_t>(pid_)]
-          .slots[static_cast<std::size_t>(current_)];
+      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
   const IoOp& op = plan.ops[op_index];
   RuntimeStats& stats = cluster_.mutable_stats();
 
@@ -134,9 +131,7 @@ void ClientProcess::run_op(std::size_t op_index) {
 
 void ClientProcess::op_done(std::size_t op_index) {
   const SlotPlan& plan =
-      cluster_.compiled()
-          .program.processes[static_cast<std::size_t>(pid_)]
-          .slots[static_cast<std::size_t>(current_)];
+      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
   if (op_index + 1 < plan.ops.size()) {
     run_op(op_index + 1);
   } else {
@@ -146,9 +141,7 @@ void ClientProcess::op_done(std::size_t op_index) {
 
 void ClientProcess::after_ops() {
   const SlotPlan& plan =
-      cluster_.compiled()
-          .program.processes[static_cast<std::size_t>(pid_)]
-          .slots[static_cast<std::size_t>(current_)];
+      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
   if (plan.compute > 0) {
     auto next_slot = [this] {
       finish_slot();
@@ -221,7 +214,7 @@ void SchedulerThread::kick() {
         return;
       }
     }
-    const IoOp& op = cluster_.op_for(id);
+    const IoOp& op = cluster_.op_for(rec);
     if (!buffer.try_reserve(id, op.size)) {
       stall_id_ = id;
       stall_size_ = op.size;
@@ -279,23 +272,8 @@ void SchedulerThread::landed(int access_id) {
 
 Cluster::Cluster(Simulator& sim, StorageSystem& storage, const Compiled& compiled,
                  RuntimeConfig cfg)
-    : sim_(sim),
-      storage_(storage),
-      compiled_(&compiled),
-      cfg_(cfg),
-      buffer_(cfg.buffer_capacity) {
-  buffer_.reset(cfg_.buffer_capacity, compiled_->program.read_sites.size());
-  const int nproc = compiled_->program.num_processes();
-  for (int p = 0; p < nproc; ++p) {
-    clients_.push_back(std::make_unique<ClientProcess>(*this, p));
-  }
-  if (cfg_.use_runtime_scheduler) {
-    for (int p = 0; p < nproc; ++p) {
-      schedulers_.push_back(std::make_unique<SchedulerThread>(*this, p));
-    }
-  }
-  unfinished_ = nproc;
-  reset_space_fifo();
+    : sim_(sim), storage_(storage), compiled_(&compiled) {
+  reset(compiled, cfg);
 }
 
 void Cluster::reset_space_fifo() {
@@ -311,7 +289,7 @@ void Cluster::reset_space_fifo() {
 void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
   compiled_ = &compiled;
   cfg_ = cfg;
-  buffer_.reset(cfg_.buffer_capacity, compiled_->program.read_sites.size());
+  buffer_.reset(cfg_.buffer_capacity, compiled_->program.reads.size());
   const int nproc = compiled_->program.num_processes();
   if (static_cast<int>(clients_.size()) != nproc) {
     clients_.clear();
@@ -363,12 +341,9 @@ RuntimeStats Cluster::stats() const {
   return out;
 }
 
-const IoOp& Cluster::op_for(int access_id) const {
-  const ReadSite& site =
-      compiled_->program.read_sites[static_cast<std::size_t>(access_id)];
-  return compiled_->program.processes[static_cast<std::size_t>(site.process)]
-      .slots[static_cast<std::size_t>(site.slot)]
-      .ops[static_cast<std::size_t>(site.op_index)];
+const IoOp& Cluster::op_for(const AccessRecord& rec) const {
+  return compiled_->program.slots(rec.process)[static_cast<std::size_t>(rec.original)]
+      .ops[static_cast<std::size_t>(rec.op_index)];
 }
 
 void Cluster::pause_for_space(int scheduler) {

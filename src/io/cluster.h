@@ -215,8 +215,8 @@ class Cluster {
   [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
   [[nodiscard]] RuntimeStats& mutable_stats() { return stats_; }
 
-  /// The I/O operation behind an access id.
-  [[nodiscard]] const IoOp& op_for(int access_id) const;
+  /// The I/O operation behind a read record.
+  [[nodiscard]] const IoOp& op_for(const AccessRecord& rec) const;
 
   /// Parks scheduler thread `scheduler` until the next buffer-space
   /// release.  A thread already parked keeps its place.

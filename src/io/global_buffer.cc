@@ -13,17 +13,6 @@ void GlobalBuffer::reset(Bytes capacity, std::size_t num_ids) {
   std::fill(slots_.begin(), slots_.end(), Slot{});
 }
 
-GlobalBuffer::Slot& GlobalBuffer::slot_for(int access_id) {
-  assert(access_id >= 0);
-  const auto i = static_cast<std::size_t>(access_id);
-  if (i >= slots_.size()) {
-    // dasched-lint: allow(hot-alloc): one-time growth; the cluster pre-sizes
-    // the table via reset() so steady-state runs never land here.
-    slots_.resize(i + 1);
-  }
-  return slots_[i];
-}
-
 bool GlobalBuffer::try_reserve(int access_id, Bytes size) {
   Slot& s = slot_for(access_id);
   assert(s.state == BufferEntryState::kAbsent);
@@ -70,7 +59,7 @@ void GlobalBuffer::mark_done(int access_id) { slot_for(access_id).done = true; }
 
 BufferEntryState GlobalBuffer::state(int access_id) const {
   const auto i = static_cast<std::size_t>(access_id);
-  if (i >= slots_.size()) return BufferEntryState::kAbsent;
+  assert(i < slots_.size());
   const Slot& s = slots_[i];
   if (s.state != BufferEntryState::kAbsent) return s.state;
   return s.done ? BufferEntryState::kDone : BufferEntryState::kAbsent;

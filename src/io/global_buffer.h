@@ -7,13 +7,15 @@
 // prefetches; when the buffer is full, scheduler threads stop fetching and
 // resume when space frees up.
 //
-// Access ids are the dense indices of the compiled program's read sites, so
-// the buffer is a flat id-indexed table rather than a hash map.  It holds
-// state only: who waits for space or for an in-flight entry is the
-// cluster's business (io/cluster.h), so a release here wakes no one.  After
-// a warm-up run through a workspace the buffer performs zero allocations.
+// Access ids are the dense indices of the compiled program's reads, so the
+// buffer is a flat id-indexed table rather than a hash map, sized by
+// reset() to the program's read count.  It holds state only: who waits for
+// space or for an in-flight entry is the cluster's business (io/cluster.h),
+// so a release here wakes no one.  After a warm-up run through a workspace
+// the buffer performs zero allocations.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -37,14 +39,16 @@ struct BufferStats {
 
 class GlobalBuffer {
  public:
-  explicit GlobalBuffer(Bytes capacity) : capacity_(capacity) {}
+  /// An empty buffer of no capacity; reset() sizes it.
+  GlobalBuffer() = default;
 
   GlobalBuffer(const GlobalBuffer&) = delete;
   GlobalBuffer& operator=(const GlobalBuffer&) = delete;
 
   /// Restores the buffer to its fresh state for ids in [0, num_ids).  The
   /// slot table keeps its high-water-mark capacity (it only grows), so a
-  /// workspace rerun over the same program allocates nothing here.
+  /// workspace rerun over the same program allocates nothing here.  Every
+  /// id passed to the buffer must lie below a `num_ids` it was reset to.
   void reset(Bytes capacity, std::size_t num_ids);
 
   /// Reserves space for a prefetch; false when the buffer is full.  In-flight
@@ -69,7 +73,8 @@ class GlobalBuffer {
   [[nodiscard]] BufferEntryState state(int access_id) const;
   [[nodiscard]] bool is_done(int access_id) const {
     const auto i = static_cast<std::size_t>(access_id);
-    return i < slots_.size() && slots_[i].done;
+    assert(i < slots_.size());
+    return slots_[i].done;
   }
 
   [[nodiscard]] Bytes used() const { return used_; }
@@ -83,11 +88,13 @@ class GlobalBuffer {
     Bytes size = 0;
   };
 
-  /// Grows the slot table to cover `access_id` (tests drive the buffer
-  /// directly with ad-hoc ids; the cluster pre-sizes via reset()).
-  Slot& slot_for(int access_id);
+  Slot& slot_for(int access_id) {
+    const auto i = static_cast<std::size_t>(access_id);
+    assert(i < slots_.size());
+    return slots_[i];
+  }
 
-  Bytes capacity_;
+  Bytes capacity_ = 0;
   Bytes used_ = 0;
   std::vector<Slot> slots_;
   BufferStats stats_;

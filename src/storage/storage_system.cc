@@ -8,18 +8,7 @@ StorageSystem::StorageSystem(Simulator& sim, StorageConfig cfg)
     : sim_(sim),
       cfg_(cfg),
       striping_(cfg.num_io_nodes, cfg.stripe_size) {
-  build_nodes();
-}
-
-void StorageSystem::build_nodes() {
-  // Multi-speed hardware is implied by the chosen policy.
-  cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
-  cfg_.node.cache_block_size = cfg_.stripe_size;
-  for (int i = 0; i < cfg_.num_io_nodes; ++i) {
-    nodes_.push_back(std::make_unique<IoNode>(
-        sim_, cfg_.node, i,
-        derive_seed(cfg_.seed, static_cast<std::uint64_t>(i))));
-  }
+  reset(cfg);
 }
 
 void StorageSystem::route(FileId f, Bytes offset, Bytes size, bool is_write,
@@ -116,22 +105,22 @@ void StorageSystem::reset(const StorageConfig& cfg) {
                              cfg.stripe_size == cfg_.stripe_size;
   const bool nodes_same = cfg.num_io_nodes == static_cast<int>(nodes_.size());
   cfg_ = cfg;
+  // Multi-speed hardware is implied by the chosen policy, and the node
+  // caches work in stripes.
+  cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
+  cfg_.node.cache_block_size = cfg_.stripe_size;
   if (!striping_same) {
     striping_ = StripingMap(cfg_.num_io_nodes, cfg_.stripe_size);
   }
   join_pool_.reset();
-  if (!nodes_same) {
-    nodes_.clear();
-    build_nodes();
-    return;
-  }
-  // build_nodes() derives these from the policy/stripe choice; the in-place
-  // path must apply the same normalization before handing cfg_.node down.
-  cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
-  cfg_.node.cache_block_size = cfg_.stripe_size;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i]->reset(cfg_.node,
-                     derive_seed(cfg_.seed, static_cast<std::uint64_t>(i)));
+  if (!nodes_same) nodes_.clear();
+  for (int i = 0; i < cfg_.num_io_nodes; ++i) {
+    const std::uint64_t seed = derive_seed(cfg_.seed, static_cast<std::uint64_t>(i));
+    if (nodes_same) {
+      nodes_[static_cast<std::size_t>(i)]->reset(cfg_.node, seed);
+    } else {
+      nodes_.push_back(std::make_unique<IoNode>(sim_, cfg_.node, i, seed));
+    }
   }
 }
 

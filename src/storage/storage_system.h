@@ -120,7 +120,6 @@ class StorageSystem {
   void reset(const StorageConfig& cfg);
 
  private:
-  void build_nodes();
   void route(FileId f, Bytes offset, Bytes size, bool is_write,
              bool background, EventFn done);
 

@@ -45,14 +45,6 @@ int StripingMap::node_of_stripe(FileId f, std::int64_t index) const {
   return (info(f).base_node + static_cast<int>(index % num_nodes_)) % num_nodes_;
 }
 
-std::vector<StripePiece> StripingMap::map(FileId f, Bytes offset,
-                                          Bytes size) const {
-  std::vector<StripePiece> out;
-  for_each_piece(f, offset, size,
-                 [&out](const StripePiece& p) { out.push_back(p); });
-  return out;
-}
-
 Signature StripingMap::signature(FileId f, Bytes offset, Bytes size) const {
   Signature sig(num_nodes_);
   const std::int64_t first = offset / stripe_size_;

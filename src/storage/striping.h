@@ -6,8 +6,7 @@
 // compiler (to build access signatures) and the storage system (to route
 // requests); it also hands out deterministic node-local disk offsets through
 // a per-node bump allocator.  The router walks accesses with the zero-
-// allocation `for_each_piece` visitor; the vector-returning `map` exists for
-// tests and audit tooling.
+// allocation `for_each_piece` visitor.
 #pragma once
 
 #include <algorithm>
@@ -79,11 +78,6 @@ class StripingMap {
       pos += piece;
     }
   }
-
-  /// Materialized form of `for_each_piece` for tests and audit tooling; the
-  /// request router never calls it.
-  [[nodiscard]] std::vector<StripePiece> map(FileId f, Bytes offset,
-                                             Bytes size) const;
 
   /// Signature of the I/O nodes a byte-range access touches — the quantity
   /// the compiler attaches to every access record.

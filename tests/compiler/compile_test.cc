@@ -120,6 +120,19 @@ TEST_F(CompileTest, EmptyProgramCompilesCleanly) {
   EXPECT_EQ(c.table.total_entries(), 0);
 }
 
+TEST_F(CompileTest, CompilesOfOneProgramShareItsPlan) {
+  const CompiledProgram program = lower(simple_program(), 2);
+  CompileOptions off;
+  off.enable_scheduling = false;
+  const Compiled a = compile_trace(program, striping_);
+  const Compiled b = compile_trace(program, striping_, off);
+  EXPECT_EQ(a.program.plan, program.plan);
+  EXPECT_EQ(b.program.plan, program.plan);
+  EXPECT_TRUE(program.reads.empty());  // the records are each compile's own
+  EXPECT_EQ(a.program.reads.size(), static_cast<std::size_t>(program.num_reads));
+  EXPECT_EQ(b.program.reads.size(), a.program.reads.size());
+}
+
 TEST_F(CompileTest, WriteOnlyProgramHasNoTableEntries) {
   LoopProgram prog;
   prog.body.push_back(make_loop(

@@ -26,7 +26,7 @@ TEST(Lower, SimpleSlotLoopProducesOneSlotPerIteration) {
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_processes(), 1);
   EXPECT_EQ(cp.num_slots, 10);
-  for (const SlotPlan& s : cp.processes[0].slots) {
+  for (const SlotPlan& s : cp.slots(0)) {
     EXPECT_EQ(s.ops.size(), 1u);
     EXPECT_EQ(s.compute, 1'000);
   }
@@ -38,7 +38,7 @@ TEST(Lower, OffsetsEvaluatePerIteration) {
                                 {make_read(0, AE::var("i") * 100, 10)}));
   const CompiledProgram cp = lower(prog, 1);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(cp.processes[0].slots[static_cast<std::size_t>(i)].ops[0].offset,
+    EXPECT_EQ(cp.slots(0)[static_cast<std::size_t>(i)].ops[0].offset,
               i * 100);
   }
 }
@@ -49,7 +49,7 @@ TEST(Lower, ProcessIdIsBound) {
                                 {make_read(0, AE::var("p") * 1'000, 10)}));
   const CompiledProgram cp = lower(prog, 3);
   for (int p = 0; p < 3; ++p) {
-    EXPECT_EQ(cp.processes[static_cast<std::size_t>(p)].slots[0].ops[0].offset,
+    EXPECT_EQ(cp.slots(p)[0].ops[0].offset,
               p * 1'000);
   }
 }
@@ -59,7 +59,7 @@ TEST(Lower, ProcessCountIsBound) {
   prog.body.push_back(make_loop("i", 0, AE(0),
                                 {make_read(0, AE::var("P") * 10, 10)}));
   const CompiledProgram cp = lower(prog, 4);
-  EXPECT_EQ(cp.processes[0].slots[0].ops[0].offset, 40);
+  EXPECT_EQ(cp.slots(0)[0].ops[0].offset, 40);
 }
 
 TEST(Lower, NestedNonSlotLoopAccumulatesIntoParentSlot) {
@@ -72,7 +72,7 @@ TEST(Lower, NestedNonSlotLoopAccumulatesIntoParentSlot) {
       /*slot_loop=*/true));
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_slots, 2);
-  EXPECT_EQ(cp.processes[0].slots[0].compute, 50);
+  EXPECT_EQ(cp.slots(0)[0].compute, 50);
 }
 
 TEST(Lower, TriangularBoundsDependOnOuterVariable) {
@@ -94,10 +94,10 @@ TEST(Lower, PerProcessBoundsYieldUnevenSlotCountsThatAlign) {
                                 {make_compute(AE(5))}));
   const CompiledProgram cp = lower(prog, 3);
   EXPECT_EQ(cp.num_slots, 3);
-  EXPECT_EQ(cp.processes[0].slots.size(), 3u);
+  EXPECT_EQ(cp.slots(0).size(), 3u);
   // Padding slots are empty.
-  EXPECT_EQ(cp.processes[0].slots[2].compute, 0);
-  EXPECT_EQ(cp.processes[2].slots[2].compute, 5);
+  EXPECT_EQ(cp.slots(0)[2].compute, 0);
+  EXPECT_EQ(cp.slots(2)[2].compute, 5);
 }
 
 TEST(Lower, EmptySlotIterationsAreDropped) {
@@ -114,7 +114,7 @@ TEST(Lower, TrailingStatementsFormFinalSlot) {
   prog.body.push_back(make_write(0, 0, kib(64).count()));
   const CompiledProgram cp = lower(prog, 1);
   EXPECT_EQ(cp.num_slots, 3);
-  EXPECT_TRUE(cp.processes[0].slots[2].ops[0].is_write);
+  EXPECT_TRUE(cp.slots(0)[2].ops[0].is_write);
 }
 
 TEST(Lower, StepGreaterThanOne) {
@@ -146,7 +146,7 @@ TEST(Lower, ShadowingLoopRestoresTheOuterBinding) {
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_slots, 2);
   for (int outer = 0; outer < 2; ++outer) {
-    const auto& ops = cp.processes[0].slots[static_cast<std::size_t>(outer)].ops;
+    const auto& ops = cp.slots(0)[static_cast<std::size_t>(outer)].ops;
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].offset, 10);
     EXPECT_EQ(ops[1].offset, 11);
@@ -171,8 +171,8 @@ TEST(Lower, ZeroTripLoopNeverEvaluatesItsBody) {
   prog.body.push_back(make_compute(AE(7)));
   const CompiledProgram cp = lower(prog, 2);
   ASSERT_EQ(cp.num_slots, 1);
-  EXPECT_EQ(cp.processes[1].slots[0].compute, 7);
-  EXPECT_TRUE(cp.processes[1].slots[0].ops.empty());
+  EXPECT_EQ(cp.slots(1)[0].compute, 7);
+  EXPECT_TRUE(cp.slots(1)[0].ops.empty());
 }
 
 TEST(Lower, EvaluatedUnboundVariableThrowsNamingIt) {
@@ -213,7 +213,7 @@ std::int64_t lowered_value(const AffineExpr& e,
   prog.body = std::move(body);
   const CompiledProgram cp = lower(prog, 1);
   EXPECT_EQ(cp.num_slots, 1);
-  return cp.num_slots == 1 ? cp.processes[0].slots[0].compute.count() : -1;
+  return cp.num_slots == 1 ? cp.slots(0)[0].compute.count() : -1;
 }
 
 TEST(LowerAffine, ConstantEvaluation) {
@@ -257,7 +257,7 @@ TEST(LowerAffine, ProcessVariablesBindFirst) {
   const CompiledProgram cp = lower(prog, 3);
   ASSERT_EQ(cp.num_slots, 2);
   for (int p = 0; p < 3; ++p) {
-    const auto& slots = cp.processes[static_cast<std::size_t>(p)].slots;
+    const auto& slots = cp.slots(p);
     EXPECT_EQ(slots[0].compute, 5);
     EXPECT_EQ(slots[1].compute, p * 1000 + 3);
   }
@@ -274,7 +274,7 @@ std::uint64_t program_digest(const CompiledProgram& cp) {
     }
   };
   mix(static_cast<std::uint64_t>(cp.num_processes()));
-  for (const ProcessPlan& proc : cp.processes) {
+  for (const ProcessPlan& proc : *cp.plan) {
     mix(proc.slots.size());
     for (const SlotPlan& slot : proc.slots) {
       mix(static_cast<std::uint64_t>(slot.compute.count()));
@@ -313,21 +313,76 @@ TEST(Coarsen, MergesGroupsOfDSlots) {
   prog.body.push_back(make_loop("i", 0, AE(9),
                                 {make_read(0, AE::var("i") * 10, 10),
                                  make_compute(AE(100))}));
-  CompiledProgram cp = lower(prog, 1);
-  coarsen(cp, 4);
+  LowerOptions opts;
+  opts.granularity = 4;
+  const CompiledProgram cp = lower(prog, 1, opts);
   ASSERT_EQ(cp.num_slots, 3);  // ceil(10 / 4)
-  EXPECT_EQ(cp.processes[0].slots[0].ops.size(), 4u);
-  EXPECT_EQ(cp.processes[0].slots[0].compute, 400);
-  EXPECT_EQ(cp.processes[0].slots[2].ops.size(), 2u);
+  EXPECT_EQ(cp.slots(0)[0].ops.size(), 4u);
+  EXPECT_EQ(cp.slots(0)[0].compute, 400);
+  EXPECT_EQ(cp.slots(0)[2].ops.size(), 2u);
 }
 
 TEST(Coarsen, GranularityOneIsIdentity) {
   LoopProgram prog;
   prog.body.push_back(make_loop("i", 0, AE(4), {make_compute(AE(1))}));
-  CompiledProgram cp = lower(prog, 1);
-  const Slot before = cp.num_slots;
-  coarsen(cp, 1);
-  EXPECT_EQ(cp.num_slots, before);
+  LowerOptions opts;
+  opts.granularity = 1;
+  EXPECT_EQ(lower(prog, 1, opts).num_slots, lower(prog, 1).num_slots);
+  EXPECT_EQ(lower(prog, 1, opts).num_slots, 5);
+}
+
+TEST(Coarsen, PaddingAfterCoarseningMatchesPaddingBefore) {
+  // Process 0 runs 10 slots and process 1 runs 3: coarsened by 4, both span
+  // ceil(10 / 4) slots, and process 1's tail is empty padding.
+  LoopProgram prog;
+  prog.body.push_back(make_loop("i", 0, AE(9) - AE::var("p") * 7,
+                                {make_read(0, AE::var("i") * 10, 10)}));
+  LowerOptions opts;
+  opts.granularity = 4;
+  const CompiledProgram cp = lower(prog, 2, opts);
+  ASSERT_EQ(cp.num_slots, 3);
+  EXPECT_EQ(cp.slots(1)[0].ops.size(), 3u);
+  EXPECT_TRUE(cp.slots(1)[1].ops.empty());
+  EXPECT_TRUE(cp.slots(1)[2].ops.empty());
+}
+
+TEST(Lower, ReadsAreNumberedBySlotThenProcessThenOp) {
+  LoopProgram prog;
+  prog.body.push_back(make_loop("i", 0, AE(1),
+                                {make_read(0, AE::var("i") * 10, 10),
+                                 make_write(1, 0, 10),
+                                 make_read(0, AE::var("i") * 10 + 5, 5)}));
+  const CompiledProgram cp = lower(prog, 2);
+  ASSERT_EQ(cp.num_reads, 8);
+  int expected = 0;
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (int p = 0; p < 2; ++p) {
+      const auto& ops = cp.slots(p)[t].ops;
+      EXPECT_EQ(ops[0].access_id, expected++);
+      EXPECT_EQ(ops[1].access_id, -1);  // a write carries no id
+      EXPECT_EQ(ops[2].access_id, expected++);
+    }
+  }
+}
+
+/// Op count and read/write bytes over a program's slot plans.
+struct Totals {
+  std::int64_t ops = 0;
+  Bytes read_bytes = 0;
+  Bytes write_bytes = 0;
+};
+
+Totals totals(const CompiledProgram& cp) {
+  Totals t;
+  for (const ProcessPlan& proc : *cp.plan) {
+    for (const SlotPlan& slot : proc.slots) {
+      for (const IoOp& op : slot.ops) {
+        ++t.ops;
+        (op.is_write ? t.write_bytes : t.read_bytes) += op.size;
+      }
+    }
+  }
+  return t;
 }
 
 TEST(Lower, TotalsHelpers) {
@@ -336,9 +391,11 @@ TEST(Lower, TotalsHelpers) {
                                 {make_read(0, 0, kib(64).count()),
                                  make_write(1, 0, kib(32).count())}));
   const CompiledProgram cp = lower(prog, 2);
-  EXPECT_EQ(cp.total_ops(), 20);
-  EXPECT_EQ(cp.total_bytes(/*writes=*/false), 2 * 5 * kib(64).count());
-  EXPECT_EQ(cp.total_bytes(/*writes=*/true), 2 * 5 * kib(32).count());
+  const Totals t = totals(cp);
+  EXPECT_EQ(t.ops, 20);
+  EXPECT_EQ(cp.num_reads, 10);
+  EXPECT_EQ(t.read_bytes, 2 * 5 * kib(64).count());
+  EXPECT_EQ(t.write_bytes, 2 * 5 * kib(32).count());
 }
 
 }  // namespace

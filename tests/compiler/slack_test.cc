@@ -240,21 +240,26 @@ TEST_F(SlackAnalysisTest, SignaturesComeFromStriping) {
 
 TEST_F(SlackAnalysisTest, ReadSitesIndexBackIntoProgram) {
   TraceBuilder tb(2);
+  tb.write(0, file_, kib(128), kib(64));
   tb.read(0, file_, 0, kib(64));
   tb.read(1, file_, kib(64), kib(64));
   tb.end_iteration();
+  tb.read(1, file_, 0, kib(64));
+  tb.end_iteration();
   CompiledProgram cp = tb.build();
   analyze_slacks(cp, striping_);
-  ASSERT_EQ(cp.reads.size(), 2u);
+  ASSERT_EQ(cp.reads.size(), 3u);
+  ASSERT_EQ(cp.num_reads, 3);
   for (std::size_t i = 0; i < cp.reads.size(); ++i) {
-    const ReadSite& site = cp.read_sites[i];
-    const IoOp& op = cp.processes[static_cast<std::size_t>(site.process)]
-                         .slots[static_cast<std::size_t>(site.slot)]
-                         .ops[static_cast<std::size_t>(site.op_index)];
+    // A record's (process, original, op_index) finds the op carrying its id.
+    const AccessRecord& rec = cp.reads[i];
+    const IoOp& op = cp.slots(rec.process)[static_cast<std::size_t>(rec.original)]
+                         .ops[static_cast<std::size_t>(rec.op_index)];
     EXPECT_FALSE(op.is_write);
-    EXPECT_EQ(cp.reads[i].process, site.process);
-    EXPECT_EQ(cp.reads[i].original, site.slot);
+    EXPECT_EQ(op.access_id, rec.id);
+    EXPECT_EQ(rec.id, static_cast<int>(i));
   }
+  EXPECT_EQ(cp.reads[0].op_index, 1);  // behind process 0's write
 }
 
 TEST_F(SlackAnalysisTest, RepeatedWritesUseTheLatest) {

@@ -16,8 +16,8 @@ TEST(TraceBuilder, RecordsPerProcessSlots) {
   const CompiledProgram cp = tb.build();
   EXPECT_EQ(cp.num_processes(), 2);
   EXPECT_EQ(cp.num_slots, 2);
-  EXPECT_EQ(cp.processes[0].slots[0].ops.size(), 1u);
-  EXPECT_EQ(cp.processes[1].slots[0].compute, 500);
+  EXPECT_EQ(cp.slots(0)[0].ops.size(), 1u);
+  EXPECT_EQ(cp.slots(1)[0].compute, 500);
 }
 
 TEST(TraceBuilder, EndIterationClosesAllProcesses) {
@@ -26,7 +26,7 @@ TEST(TraceBuilder, EndIterationClosesAllProcesses) {
   tb.end_iteration();
   const CompiledProgram cp = tb.build();
   EXPECT_EQ(cp.num_slots, 1);
-  for (const auto& proc : cp.processes) {
+  for (const auto& proc : *cp.plan) {
     EXPECT_EQ(proc.slots[0].compute, 10);
   }
 }
@@ -37,7 +37,7 @@ TEST(TraceBuilder, OpenSlotsFlushedOnBuild) {
   // No end_slot before build.
   const CompiledProgram cp = tb.build();
   ASSERT_EQ(cp.num_slots, 1);
-  EXPECT_EQ(cp.processes[0].slots[0].compute, 42);
+  EXPECT_EQ(cp.slots(0)[0].compute, 42);
 }
 
 TEST(TraceBuilder, EmptyOpenSlotsNotFlushed) {
@@ -47,8 +47,8 @@ TEST(TraceBuilder, EmptyOpenSlotsNotFlushed) {
   const CompiledProgram cp = tb.build();
   EXPECT_EQ(cp.num_slots, 1);
   // Process 1 has the aligned padding slot only.
-  EXPECT_TRUE(cp.processes[1].slots[0].ops.empty());
-  EXPECT_EQ(cp.processes[1].slots[0].compute, 0);
+  EXPECT_TRUE(cp.slots(1)[0].ops.empty());
+  EXPECT_EQ(cp.slots(1)[0].compute, 0);
 }
 
 TEST(TraceBuilder, BuildAppliesCoarsening) {
@@ -59,7 +59,7 @@ TEST(TraceBuilder, BuildAppliesCoarsening) {
   }
   const CompiledProgram cp = tb.build(/*granularity=*/3);
   EXPECT_EQ(cp.num_slots, 2);
-  EXPECT_EQ(cp.processes[0].slots[0].compute, 30);
+  EXPECT_EQ(cp.slots(0)[0].compute, 30);
 }
 
 TEST(TraceBuilder, MixedReadWriteSlot) {
@@ -68,7 +68,7 @@ TEST(TraceBuilder, MixedReadWriteSlot) {
   tb.write(0, 1, 0, kib(32));
   tb.end_slot(0);
   const CompiledProgram cp = tb.build();
-  const auto& ops = cp.processes[0].slots[0].ops;
+  const auto& ops = cp.slots(0)[0].ops;
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_FALSE(ops[0].is_write);
   EXPECT_TRUE(ops[1].is_write);

@@ -21,6 +21,7 @@
 #include <new>
 
 #include "driver/workspace.h"
+#include "storage/striping.h"
 #include "workload/app.h"
 
 namespace {
@@ -194,6 +195,40 @@ TEST(WorkspaceAlloc, EveryAppPolicyAndSchemeReusesWithoutAllocating) {
       }
     }
   }
+}
+
+TEST(WorkspaceAlloc, SchemeOnCompileMissSharesThePlan) {
+  // The scheme-on run after a scheme-off run of the same cell is a compile
+  // miss on a built lane.  Its compile shares the lane's frozen slot plans,
+  // so the run allocates less than once per non-empty slot; copying the
+  // plans alone would allocate at least once per non-empty slot.
+  ExperimentConfig off = small_cell();
+  off.use_scheme = false;
+  const ExperimentConfig on = small_cell();
+
+  StripingMap striping(on.storage.num_io_nodes, on.storage.stripe_size);
+  const CompiledProgram program = app_by_name(on.app).build(striping, on.scale);
+  std::uint64_t non_empty_slots = 0;
+  for (const ProcessPlan& proc : *program.plan) {
+    for (const SlotPlan& slot : proc.slots) {
+      if (!slot.ops.empty()) ++non_empty_slots;
+    }
+  }
+
+  ExperimentWorkspace ws;
+  (void)ws.run(off);
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const ExperimentResult& r = ws.run(on);
+  g_counting.store(false);
+
+  EXPECT_LT(g_allocations.load(), non_empty_slots)
+      << g_allocations.load() << " allocations for " << non_empty_slots
+      << " non-empty slots: the scheme-on compile copied the slot plans";
+  EXPECT_GT(r.events, 0);
+  EXPECT_EQ(ws.workload_builds(), 1u);
+  EXPECT_EQ(ws.compile_misses(), 2u);
 }
 
 }  // namespace

@@ -171,8 +171,7 @@ CompiledProgram one_late_read(int nproc, int last) {
 }
 
 int read_id(const Compiled& compiled, int process, Slot slot) {
-  return compiled.program.processes[static_cast<std::size_t>(process)]
-      .slots[static_cast<std::size_t>(slot)]
+  return compiled.program.slots(process)[static_cast<std::size_t>(slot)]
       .ops[0]
       .access_id;
 }
@@ -484,14 +483,14 @@ TEST(Cluster, WideSlotReadsCarryTheirOwnAccessIds) {
   const CompiledProgram& prog = compiled.program;
   ASSERT_EQ(prog.reads.size(), static_cast<std::size_t>(kWide + 1));
   for (Slot t = 0; t < prog.num_slots; ++t) {
-    const auto& ops = prog.processes[0].slots[static_cast<std::size_t>(t)].ops;
+    const auto& ops = prog.slots(0)[static_cast<std::size_t>(t)].ops;
     for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
       const int id = ops[static_cast<std::size_t>(oi)].access_id;
       ASSERT_GE(id, 0);
-      const ReadSite& site = prog.read_sites[static_cast<std::size_t>(id)];
-      EXPECT_EQ(site.process, 0);
-      EXPECT_EQ(site.slot, t);
-      EXPECT_EQ(site.op_index, oi);
+      const AccessRecord& rec = prog.reads[static_cast<std::size_t>(id)];
+      EXPECT_EQ(rec.process, 0);
+      EXPECT_EQ(rec.original, t);
+      EXPECT_EQ(rec.op_index, oi);
     }
   }
 

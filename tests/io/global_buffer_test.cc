@@ -5,8 +5,12 @@
 namespace dasched {
 namespace {
 
+/// Ids the tests use stay below this.
+constexpr std::size_t kIds = 16;
+
 TEST(GlobalBuffer, ReserveTracksCapacity) {
-  GlobalBuffer buf(kib(128));
+  GlobalBuffer buf;
+  buf.reset(kib(128), kIds);
   EXPECT_TRUE(buf.try_reserve(0, kib(64)));
   EXPECT_TRUE(buf.try_reserve(1, kib(64)));
   EXPECT_FALSE(buf.try_reserve(2, kib(64)));
@@ -15,7 +19,8 @@ TEST(GlobalBuffer, ReserveTracksCapacity) {
 }
 
 TEST(GlobalBuffer, LifecycleAbsentInFlightReadyDone) {
-  GlobalBuffer buf(kib(128));
+  GlobalBuffer buf;
+  buf.reset(kib(128), kIds);
   EXPECT_EQ(buf.state(5), BufferEntryState::kAbsent);
   buf.try_reserve(5, kib(64));
   EXPECT_EQ(buf.state(5), BufferEntryState::kInFlight);
@@ -27,7 +32,8 @@ TEST(GlobalBuffer, LifecycleAbsentInFlightReadyDone) {
 }
 
 TEST(GlobalBuffer, OvertakenPrefetchReclaimedOnLanding) {
-  GlobalBuffer buf(kib(64));
+  GlobalBuffer buf;
+  buf.reset(kib(64), kIds);
   buf.try_reserve(7, kib(64));
   buf.mark_done(7);  // the app fetched the data itself
   EXPECT_TRUE(buf.mark_ready(7));  // the stale prefetch lands: space freed
@@ -37,14 +43,16 @@ TEST(GlobalBuffer, OvertakenPrefetchReclaimedOnLanding) {
 }
 
 TEST(GlobalBuffer, MarkDoneWithoutReservation) {
-  GlobalBuffer buf(kib(64));
+  GlobalBuffer buf;
+  buf.reset(kib(64), kIds);
   buf.mark_done(9);
   EXPECT_TRUE(buf.is_done(9));
   EXPECT_EQ(buf.state(9), BufferEntryState::kDone);
 }
 
 TEST(GlobalBuffer, PeakBytesTracked) {
-  GlobalBuffer buf(kib(192));
+  GlobalBuffer buf;
+  buf.reset(kib(192), kIds);
   buf.try_reserve(0, kib(64));
   buf.try_reserve(1, kib(128));
   buf.mark_ready(0);
@@ -54,7 +62,8 @@ TEST(GlobalBuffer, PeakBytesTracked) {
 }
 
 TEST(GlobalBuffer, StatsCountReservationsAndConsumes) {
-  GlobalBuffer buf(mib(1));
+  GlobalBuffer buf;
+  buf.reset(mib(1), kIds);
   for (int i = 0; i < 5; ++i) {
     buf.try_reserve(i, kib(64));
     buf.mark_ready(i);

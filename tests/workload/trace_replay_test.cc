@@ -216,10 +216,10 @@ TEST(TraceReplayLower, DeterministicLowering) {
   const CompiledProgram p2 = lower_replay(t, s2, opts);
   EXPECT_EQ(p1.num_processes(), 2);
   EXPECT_EQ(p1.num_slots, p2.num_slots);
-  ASSERT_EQ(p1.processes.size(), p2.processes.size());
-  for (std::size_t p = 0; p < p1.processes.size(); ++p) {
-    const auto& s1p = p1.processes[p].slots;
-    const auto& s2p = p2.processes[p].slots;
+  ASSERT_EQ(p1.num_processes(), p2.num_processes());
+  for (int p = 0; p < p1.num_processes(); ++p) {
+    const auto& s1p = p1.slots(p);
+    const auto& s2p = p2.slots(p);
     ASSERT_EQ(s1p.size(), s2p.size()) << "proc " << p;
     for (std::size_t s = 0; s < s1p.size(); ++s) {
       EXPECT_EQ(s1p[s].compute, s2p[s].compute) << "proc " << p << " slot " << s;
