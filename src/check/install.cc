@@ -27,10 +27,10 @@ InstalledChecks install_audit(SimAuditor& auditor, Simulator& sim,
 
 ScheduleConsistencyCheck& audit_compiled(SimAuditor& auditor,
                                          const Compiled& compiled,
-                                         const ScheduleOptions& opts,
-                                         bool scheduling_enabled) {
+                                         const CompileOptions& opts,
+                                         const StripingMap& striping) {
   auto& check = auditor.add_check<ScheduleConsistencyCheck>();
-  check.validate(compiled, opts, scheduling_enabled);
+  check.validate(compiled, opts, striping);
   return check;
 }
 

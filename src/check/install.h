@@ -3,13 +3,19 @@
 //
 //   SimAuditor auditor;
 //   install_audit(auditor, sim, storage, cfg.policy, cfg.policy_cfg);
-//   audit_compiled(auditor, compiled, opts.sched);
+//   audit_compiled(auditor, compiled, copts, storage.striping());
 //   ... run ...
 //   auditor.finalize();
 //
 // The auditor owns the checks; the layers keep raw observer pointers (each
 // layer multiplexes observers natively, so audit composes with telemetry),
 // so the auditor must outlive the simulation.
+//
+// The audit pays for its own evidence: a scheme-off compile holds no slack
+// records, so `audit_compiled` analyzes the slacks of its plan with the
+// compile's own options and striping, and checks them as a scheme-on
+// compile's records would be checked.  An unaudited scheme-off run analyzes
+// nothing.
 #pragma once
 
 #include "check/audit.h"
@@ -41,10 +47,11 @@ InstalledChecks install_audit(SimAuditor& auditor, Simulator& sim,
                               const PolicyConfig& policy_cfg);
 
 /// Registers the scheduling-consistency check and validates one compiled
-/// program immediately (it is a pure artifact validator).
+/// program immediately (it is a pure artifact validator).  `opts` and
+/// `striping` are the ones the program was compiled with.
 ScheduleConsistencyCheck& audit_compiled(SimAuditor& auditor,
                                          const Compiled& compiled,
-                                         const ScheduleOptions& opts,
-                                         bool scheduling_enabled = true);
+                                         const CompileOptions& opts,
+                                         const StripingMap& striping);
 
 }  // namespace dasched

@@ -8,11 +8,18 @@
 namespace dasched {
 
 void ScheduleConsistencyCheck::validate(const Compiled& compiled,
-                                        const ScheduleOptions& opts,
-                                        bool scheduling_enabled) {
+                                        const CompileOptions& opts,
+                                        const StripingMap& striping) {
+  if (!opts.enable_scheduling) {
+    // A baseline compile keeps no records: analyze a handle copy of its
+    // plan, so the audit checks the slacks a scheme-on compile would place.
+    CompiledProgram program = compiled.program;
+    analyze_slacks(program, striping, opts.slack);
+    check_records(program.reads, program.num_slots);
+    return;  // no placements, no table
+  }
   const std::vector<AccessRecord>& reads = compiled.program.reads;
   check_records(reads, compiled.program.num_slots);
-  if (!scheduling_enabled) return;  // no placements, no table
   if (compiled.scheduled.size() != reads.size()) {
     std::ostringstream os;
     os << compiled.scheduled.size() << " placements for " << reads.size()
@@ -22,7 +29,7 @@ void ScheduleConsistencyCheck::validate(const Compiled& compiled,
   }
   check_placements(reads, compiled.scheduled, compiled.program.num_slots);
   check_double_booking(reads, compiled.scheduled);
-  check_theta(reads, compiled.scheduled, opts, compiled.sched_stats);
+  check_theta(reads, compiled.scheduled, opts.sched, compiled.sched_stats);
   check_flags(compiled.scheduled, compiled.sched_stats);
   check_table(compiled.table, compiled.scheduled);
 }

@@ -31,13 +31,15 @@ class ScheduleConsistencyCheck final : public InvariantCheck {
     return "schedule-consistency";
   }
 
-  /// Runs every sub-check against one compiled program.  With
-  /// `scheduling_enabled == false` (a baseline compile: every access stays
-  /// at its original point, and the compile holds no placements and no
-  /// table) only the record invariants apply.  A compile with a placement
-  /// count other than its read count fails before the placement checks.
-  void validate(const Compiled& compiled, const ScheduleOptions& opts,
-                bool scheduling_enabled = true);
+  /// Runs every sub-check against one compiled program, built by
+  /// `compile_trace` with `opts` over `striping`.  A baseline compile
+  /// (`opts.enable_scheduling == false`: every access stays at its original
+  /// point) holds no records, placements or table, so the audit analyzes
+  /// the slacks of its plan itself and checks those records alone.  A
+  /// compile with a placement count other than its read count fails before
+  /// the placement checks.
+  void validate(const Compiled& compiled, const CompileOptions& opts,
+                const StripingMap& striping);
 
   // Individual sub-checks (also driven directly by the unit tests) ----------
 

@@ -10,6 +10,10 @@
 //
 // The analysis also assigns each access its length in slots (extended
 // algorithm, Sec. IV-B2), estimated from the requested byte count.
+//
+// Slacks exist only to feed data access scheduling (Fig. 4), so two callers
+// run the analysis: a scheme-on `compile_trace`, and the schedule audit of
+// a scheme-off compile, which keeps no records of its own.
 #pragma once
 
 #include <cstdint>

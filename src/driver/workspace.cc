@@ -277,7 +277,7 @@ void ExperimentWorkspace::run_lanes(const ExperimentConfig& base,
                                   compiled.scheduled);
     }
     if (auditor.has_value()) {
-      audit_compiled(*auditor, compiled, copts.sched, copts.enable_scheduling);
+      audit_compiled(*auditor, compiled, copts, storage.striping());
     }
     std::unique_ptr<Cluster>& cluster = lanes_[i].cluster;
     if (cluster == nullptr) {

@@ -289,7 +289,12 @@ void Cluster::reset_space_fifo() {
 void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
   compiled_ = &compiled;
   cfg_ = cfg;
-  buffer_.reset(cfg_.buffer_capacity, compiled_->program.reads.size());
+  // Only runtime-scheduler prefetches enter the buffer; without them the
+  // clients read storage directly and never look an access up.
+  buffer_.reset(cfg_.buffer_capacity,
+                cfg_.use_runtime_scheduler
+                    ? static_cast<std::size_t>(compiled_->program.num_reads)
+                    : 0);
   const int nproc = compiled_->program.num_processes();
   if (static_cast<int>(clients_.size()) != nproc) {
     clients_.clear();

@@ -9,7 +9,8 @@
 //
 // Access ids are the dense indices of the compiled program's reads, so the
 // buffer is a flat id-indexed table rather than a hash map, sized by
-// reset() to the program's read count.  It holds state only: who waits for
+// reset() to the program's read count (to none when no scheduler thread
+// runs: only prefetches enter it).  It holds state only: who waits for
 // space or for an in-flight entry is the cluster's business (io/cluster.h),
 // so a release here wakes no one.  After a warm-up run through a workspace
 // the buffer performs zero allocations.

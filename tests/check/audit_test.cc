@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "compiler/trace_builder.h"
+
 namespace dasched {
 namespace {
 
@@ -260,7 +262,7 @@ TEST(ScheduleConsistencyCheck, PlacementCountOtherThanReadCountTrips) {
   compiled.program.num_slots = 10;
   compiled.scheduled = {{compiled.program.reads[0], 2}};
   compiled.table = SchedulingTable(compiled.scheduled);
-  check.validate(compiled, ScheduleOptions{});
+  check.validate(compiled, CompileOptions{}, StripingMap(4, kib(64)));
   EXPECT_TRUE(has_violation(auditor, "schedule-consistency",
                             "1 placements for 2 reads"));
 }
@@ -372,9 +374,48 @@ TEST(ScheduleConsistencyCheck, CleanOnRealSchedulerOutput) {
   compiled.scheduled = scheduled;
   compiled.table = SchedulingTable(scheduled);
   compiled.sched_stats = scheduler.stats();
-  check.validate(compiled, scheduler.options());
+  CompileOptions copts;
+  copts.sched = scheduler.options();
+  check.validate(compiled, copts, StripingMap(4, kib(64)));
   EXPECT_TRUE(auditor.clean()) << auditor.report();
   EXPECT_GT(auditor.evaluations(), 0);
+}
+
+TEST(ScheduleConsistencyCheck, SchemeOffAuditChecksTheSlacksOfItsPlan) {
+  // A scheme-off compile keeps no slack records; its audit analyzes the
+  // plan itself and checks exactly the records `analyze_slacks` yields.
+  StripingMap striping(4, kib(64));
+  const FileId f = striping.create_file("data", mib(4));
+  TraceBuilder tb(3);
+  for (int step = 0; step < 6; ++step) {
+    for (int p = 0; p < 3; ++p) {
+      const Bytes own = kib(64) * (p + 3 * step);
+      tb.write(p, f, own, kib(64));
+      tb.end_slot(p);
+      tb.read(p, f, own, kib(64));
+      tb.read(p, f, kib(64) * ((p + 1) % 3 + 3 * step), kib(128));
+      tb.compute(p, 500);
+      tb.end_slot(p);
+    }
+  }
+  const CompiledProgram program = tb.build();
+  CompileOptions copts;
+  copts.enable_scheduling = false;
+  copts.slack.max_slack = 4;
+  const Compiled compiled = compile_trace(program, striping, copts);
+  ASSERT_TRUE(compiled.program.reads.empty());
+
+  SimAuditor audited;
+  audit_compiled(audited, compiled, copts, striping);
+  EXPECT_TRUE(audited.clean()) << audited.report();
+
+  CompiledProgram analyzed = program;
+  analyze_slacks(analyzed, striping, copts.slack);
+  ASSERT_EQ(analyzed.reads.size(), 36u);
+  SimAuditor direct;
+  direct.add_check<ScheduleConsistencyCheck>().check_records(
+      analyzed.reads, analyzed.num_slots);
+  EXPECT_EQ(audited.evaluations(), direct.evaluations());
 }
 
 // --------------------------------------------------------------------------

@@ -48,17 +48,18 @@ TEST_F(CompileTest, ProducesOneTableEntryPerRead) {
 }
 
 TEST_F(CompileTest, DisabledSchedulingKeepsNoSchedule) {
-  // Scheme off: the slacks are analyzed, but no read is placed and no
-  // table is built; the stats still count every read as scheduled.
+  // Scheme off: no slack is analyzed, no read is placed and no table is
+  // built; the compile is the plan, and the stats still count every read
+  // as scheduled.
   CompileOptions opts;
   opts.enable_scheduling = false;
   const Compiled c = compile_trace(lower(simple_program(), 2), striping_, opts);
-  EXPECT_EQ(c.program.reads.size(), 40u);
+  EXPECT_EQ(c.program.num_reads, 40);
+  EXPECT_TRUE(c.program.reads.empty());
   EXPECT_TRUE(c.scheduled.empty());
   EXPECT_EQ(c.table.total_entries(), 0);
   EXPECT_EQ(c.table.num_processes(), 0);
-  EXPECT_EQ(c.sched_stats.scheduled,
-            static_cast<std::int64_t>(c.program.reads.size()));
+  EXPECT_EQ(c.sched_stats.scheduled, c.program.num_reads);
   EXPECT_EQ(c.sched_stats.forced, 0);
   EXPECT_EQ(c.sched_stats.mean_advance_slots, 0.0);
 }
@@ -130,7 +131,7 @@ TEST_F(CompileTest, CompilesOfOneProgramShareItsPlan) {
   EXPECT_EQ(b.program.plan, program.plan);
   EXPECT_TRUE(program.reads.empty());  // the records are each compile's own
   EXPECT_EQ(a.program.reads.size(), static_cast<std::size_t>(program.num_reads));
-  EXPECT_EQ(b.program.reads.size(), a.program.reads.size());
+  EXPECT_TRUE(b.program.reads.empty());  // a scheme-off compile keeps none
 }
 
 TEST_F(CompileTest, WriteOnlyProgramHasNoTableEntries) {

@@ -11,7 +11,10 @@
 // fails here, not as a silent grid-throughput regression.
 //
 // Scope: plain runs (no audit, no telemetry — those install per-run
-// observer objects by design).
+// observer objects by design).  Two tests bound a compile miss on a built
+// lane instead of forbidding allocation: a scheme-on miss shares the plan
+// (allocation count), and a scheme-off miss builds no slack records
+// (allocated bytes).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/access.h"
 #include "driver/workspace.h"
 #include "storage/striping.h"
 #include "workload/app.h"
@@ -28,22 +32,24 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
-void note_allocation() {
+void note_allocation(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   }
 }
 
 void* counted_alloc(std::size_t n) {
-  note_allocation();
+  note_allocation(n);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  note_allocation();
+  note_allocation(n);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, n == 0 ? align : n) != 0) throw std::bad_alloc();
@@ -63,11 +69,11 @@ void* operator new[](std::size_t n, std::align_val_t a) {
   return counted_alloc_aligned(n, static_cast<std::size_t>(a));
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  note_allocation();
+  note_allocation(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  note_allocation();
+  note_allocation(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -227,6 +233,38 @@ TEST(WorkspaceAlloc, SchemeOnCompileMissSharesThePlan) {
       << g_allocations.load() << " allocations for " << non_empty_slots
       << " non-empty slots: the scheme-on compile copied the slot plans";
   EXPECT_GT(r.events, 0);
+  EXPECT_EQ(ws.workload_builds(), 1u);
+  EXPECT_EQ(ws.compile_misses(), 2u);
+}
+
+TEST(WorkspaceAlloc, SchemeOffCompileMissAnalyzesNoSlacks) {
+  // The scheme-off run after a scheme-on run of the same cell is a compile
+  // miss on a built lane.  With the scheme off nothing reads slack records,
+  // so the compile builds none: the run allocates less than one record per
+  // read, where analyzing the slacks would reserve a record for every read.
+  const ExperimentConfig on = small_cell();
+  ExperimentConfig off = on;
+  off.use_scheme = false;
+
+  StripingMap striping(on.storage.num_io_nodes, on.storage.stripe_size);
+  const CompiledProgram program = app_by_name(on.app).build(striping, on.scale);
+  const std::uint64_t record_bytes =
+      static_cast<std::uint64_t>(program.num_reads) * sizeof(AccessRecord);
+  ASSERT_GT(program.num_reads, 0);
+
+  ExperimentWorkspace ws;
+  (void)ws.run(on);
+
+  g_allocated_bytes.store(0);
+  g_counting.store(true);
+  const ExperimentResult& r = ws.run(off);
+  g_counting.store(false);
+
+  EXPECT_LT(g_allocated_bytes.load(), record_bytes)
+      << g_allocated_bytes.load() << " bytes allocated for "
+      << program.num_reads << " reads: the scheme-off compile built records";
+  EXPECT_GT(r.events, 0);
+  EXPECT_EQ(r.sched.scheduled, program.num_reads);
   EXPECT_EQ(ws.workload_builds(), 1u);
   EXPECT_EQ(ws.compile_misses(), 2u);
 }
