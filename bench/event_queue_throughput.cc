@@ -1,13 +1,13 @@
-// Throughput harness for the simulator's event queue (the ladder queue).
+// Throughput harness for the simulator's event queue (the radix queue,
+// sim/radix_queue.h).
 //
 // Runs the event-core workload shapes from bench/microbench_scheduler.cc —
 // self-rescheduling timer chains (the engine's dominant pattern), a
-// schedule/cancel mix, and a bimodal near/far horizon mix that exercises
-// every ladder tier — with several repetitions, and reports the median
-// thread-CPU seconds and events/second per workload as JSON on stdout.
-// The ladder-vs-binary-heap verdict that made the ladder the only queue is
-// recorded in the committed BENCH_event_queue.json; the heap itself now
-// lives only in the tests, as the differential oracle.
+// schedule/cancel mix, and a bimodal near/far horizon mix that spreads
+// entries over the high buckets — with several repetitions, and reports
+// the median thread-CPU seconds and events/second per workload as JSON on
+// stdout.  It times whichever queue `Simulator` holds; the committed
+// BENCH_event_queue.json pairs this queue against the one it replaced.
 //
 // Knobs (strictly parsed): DASCHED_BENCH_REPS (default 5),
 // DASCHED_BENCH_EVENTS (events per repetition, default 2'000'000).
@@ -66,8 +66,8 @@ void run_cancel_mix(Simulator& sim, int /*chains*/, std::int64_t total_events) {
   }
 }
 
-/// 7:2:1 near/mid/far horizons from a deterministic LCG: pushes traffic
-/// through the bottom ring, the rungs, and the far-future top tier.
+/// 7:2:1 near/mid/far horizons from a deterministic LCG: pushes land in low
+/// and high buckets alike.
 void run_bimodal(Simulator& sim, int chains, std::int64_t total_events) {
   std::int64_t remaining = total_events;
   struct Chain {
@@ -144,12 +144,12 @@ int main() {
       seconds.push_back(time_one(w, events));
     }
     const double med = bench::median_seconds(seconds);
-    std::fprintf(stderr, "[%s] ladder %.3fs (%.0f ev/s)\n", w.name, med,
+    std::fprintf(stderr, "[%s] %.3fs (%.0f ev/s)\n", w.name, med,
                  static_cast<double>(events) / med);
     char fields[160];
     std::snprintf(fields, sizeof(fields),
-                  "\"workload\": \"%s\", \"ladder_median_seconds\": %.4f, "
-                  "\"ladder_events_per_sec\": %.0f",
+                  "\"workload\": \"%s\", \"median_seconds\": %.4f, "
+                  "\"events_per_sec\": %.0f",
                   w.name, med, static_cast<double>(events) / med);
     json.row(fields, i + 1 == workloads.size());
   }

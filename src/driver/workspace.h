@@ -13,11 +13,11 @@
 // simulated work is small.  An `ExperimentWorkspace` owns one such stack and
 // rebuilds it *in place* between runs: every layer exposes a `reset()` that
 // restores its constructor postcondition while keeping its allocations warm
-// (event-record pools, ladder arenas, cache tables, elevator slabs, join
-// pools, wait lists, result histograms), so the second and later runs of
-// a topology-compatible configuration perform zero heap allocations
-// (tests/driver/workspace_alloc_test.cc proves it with an operator-new
-// interposer).
+// (event-record pools, the event queue's node arena, cache tables, elevator
+// slabs, join pools, wait lists, result histograms), so the second and
+// later runs of a topology-compatible configuration perform zero heap
+// allocations (tests/driver/workspace_alloc_test.cc proves it with an
+// operator-new interposer).
 //
 // Reuse is bit-identical to fresh construction by the same argument that
 // makes the engine deterministic: all event ordering is (time, seq) keyed,

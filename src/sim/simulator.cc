@@ -67,38 +67,44 @@ EventHandle Simulator::schedule_after(SimTime delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
+bool Simulator::pop_head() {
+  const QueuedEvent ev = queue_.top();
+  queue_.pop();
+  Record& rec = records_[ev.slot];
+  if (rec.cancelled) {
+    observers_.notify([&](SimObserver* o) { o->on_event_discarded(ev.seq); });
+    release_slot(ev.slot);
+    return false;
+  }
+  observers_.notify(
+      [&](SimObserver* o) { o->on_event_fired(ev.seq, ev.time, false); });
+  now_ = ev.time;
+  // Move the callback out and recycle the slot before invoking: the
+  // callback may schedule new events (reusing this slot) or cancel others,
+  // and records_ may grow, so no reference into the pool survives the call.
+  EventFn cb = std::move(rec.cb);
+  release_slot(ev.slot);
+  ++executed_;
+  cb();
+  return true;
+}
+
 bool Simulator::step() {
   while (!queue_.empty()) {
-    const QueuedEvent ev = queue_.top();
-    queue_.pop();
-    Record& rec = records_[ev.slot];
-    if (rec.cancelled) {
-      observers_.notify([&](SimObserver* o) { o->on_event_discarded(ev.seq); });
-      release_slot(ev.slot);
-      continue;
-    }
-    observers_.notify(
-        [&](SimObserver* o) { o->on_event_fired(ev.seq, ev.time, false); });
-    now_ = ev.time;
-    // Move the callback out and recycle the slot before invoking: the
-    // callback may schedule new events (reusing this slot) or cancel others,
-    // and records_ may grow, so no reference into the pool survives the call.
-    EventFn cb = std::move(rec.cb);
-    release_slot(ev.slot);
-    ++executed_;
-    cb();
-    return true;
+    if (pop_head()) return true;
   }
   return false;
 }
 
 SimTime Simulator::run(SimTime until) {
+  // One head at a time, so a discarded cancelled head never lets a live
+  // event past `until` fire.
   while (!queue_.empty()) {
     if (queue_.top().time > until) {
       now_ = until;
       return now_;
     }
-    step();
+    pop_head();
   }
   return now_;
 }

@@ -8,8 +8,8 @@
 // The hot path is allocation-lean: callbacks are stored in small-buffer
 // `EventFn`s inside a pooled record array (recycled through a free list),
 // and the event queue holds 24-byte POD entries.  The queue itself is the
-// tiered `LadderQueue` (sim/ladder_queue.h), which realizes the strict
-// (time, seq) total order.  With `reserve_events()` sized from the
+// monotone radix heap `RadixQueue` (sim/radix_queue.h), which realizes the
+// strict (time, seq) total order.  With `reserve_events()` sized from the
 // topology, nothing is heap allocated per event once the pool has warmed
 // up.
 #pragma once
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "sim/event_fn.h"
-#include "sim/ladder_queue.h"
+#include "sim/radix_queue.h"
 #include "util/annotations.h"
 #include "util/observer_list.h"
 #include "util/units.h"
@@ -118,7 +118,7 @@ class Simulator {
   DASCHED_HOT bool step();
 
   /// Restores the constructor postcondition — empty queue, zero clock, zero
-  /// sequence counter — while keeping every capacity warm (queue tiers,
+  /// sequence counter — while keeping every capacity warm (queue arena,
   /// record pool, free list) so the next run allocates nothing
   /// (tests/driver/workspace_alloc_test.cc).  Every pooled record's
   /// generation is bumped, so `EventHandle`s held across the reset by
@@ -153,6 +153,9 @@ class Simulator {
   };
 
   std::uint32_t acquire_slot();
+  /// Pops the queue's head: runs it and returns true, or discards it when
+  /// it was cancelled and returns false.
+  DASCHED_HOT bool pop_head();
   void release_slot(std::uint32_t slot);
   [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t gen) const;
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
@@ -163,7 +166,7 @@ class Simulator {
   ObserverList<SimObserver> observers_;
   std::vector<Record> records_;
   std::vector<std::uint32_t> free_slots_;
-  LadderQueue queue_;
+  RadixQueue queue_;
 };
 
 }  // namespace dasched

@@ -1,5 +1,5 @@
 // The classic binary heap over (time, seq) — the differential-test oracle
-// for LadderQueue (tests/sim/queue_differential_test.cc).
+// for RadixQueue (tests/sim/queue_differential_test.cc).
 //
 // Every event key is unique, so any correct priority queue pops the
 // identical sequence; a heap is the simplest such queue, which is what
@@ -10,7 +10,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/ladder_queue.h"
+#include "sim/radix_queue.h"
 
 namespace dasched {
 

@@ -5,14 +5,14 @@
 // given a bound on concurrently outstanding events — exactly what the
 // driver derives from the topology (driver/experiment.cc
 // default_event_reserve) — after which EVERY schedule/run cycle must be
-// allocation-free: the pooled records, the free list, the ladder's bottom
-// ring, node arena, and top tier are all pre-sized.  There is no warm-up
-// phase: the reserve itself is the warm-up, so a single allocation from the
-// very first event fails here.
+// allocation-free: the pooled records, the free list and the radix queue's
+// node arena are all pre-sized.  There is no warm-up phase: the reserve
+// itself is the warm-up, so a single allocation from the very first event
+// fails here.
 //
-// The workload deliberately crosses every ladder tier: timer chains (bottom
-// ring), a mid-range band (rungs via spill + top conversion), and far-future
-// spikes (top tier), plus cancellations to exercise slot recycling.
+// The workload spreads entries over the queue's buckets: timer chains (low
+// buckets), a mid-range band and far-future spikes (high buckets, relinked
+// by every re-base), plus cancellations to exercise slot recycling.
 
 #include <gtest/gtest.h>
 
@@ -138,9 +138,9 @@ TEST(EventQueueAlloc, LadderEngineIsAllocFreeAfterReserve) {
   for (int id = 0; id < 64; ++id) {
     sim.schedule_at(SimTime{id}, [&chain, id] { chain(id); });
   }
-  // A dense far-future burst on top of the chains: enough simultaneous
-  // entries to push the ladder through spill, top conversion, and rung
-  // spawn/collapse — all inside the pre-reserve.
+  // A dense far-future burst on top of the chains: thousands of
+  // simultaneous entries in the high buckets, relinked down by the re-bases
+  // — all inside the pre-reserve.
   for (int i = 0; i < 3'000; ++i) {
     const std::uint64_t r = rng.next();
     sim.schedule_at(SimTime{200'000 + static_cast<std::int64_t>(r % 800'000)},

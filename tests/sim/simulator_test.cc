@@ -76,6 +76,21 @@ TEST(Simulator, RunUntilStopsBeforeLaterEvents) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, RunUntilStopsAfterACancelledHead) {
+  // The cancelled head at 10 is discarded; the live event at 100 lies past
+  // `until` and must wait for the next run.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(10, [&] { ++fired; }).cancel();
+  sim.schedule_at(100, [&] { ++fired; });
+  sim.run(50);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 50);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 100);
+}
+
 TEST(Simulator, StepExecutesExactlyOneEvent) {
   Simulator sim;
   int fired = 0;
