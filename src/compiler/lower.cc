@@ -1,6 +1,7 @@
 #include "compiler/lower.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -122,15 +123,15 @@ class Interpreter {
       : prog_(program), opts_(opts), value_(program.names.size()),
         bound_(program.names.size()) {}
 
+  /// Records into one reused buffer and returns an exact-size copy of it.
   ProcessPlan run(int process, int num_processes) {
     std::fill(bound_.begin(), bound_.end(), 0);
     bind(0, process);
     bind(1, num_processes);
-    plan_ = ProcessPlan{};
-    open_ = SlotPlan{};
+    plan_.clear();
     exec_range(0, prog_.top_end);
-    close_slot(/*force=*/false);
-    return std::move(plan_);
+    close_slot();
+    return plan_;
   }
 
  private:
@@ -161,11 +162,11 @@ class Interpreter {
     switch (s.kind) {
       case Kind::kIo: {
         const std::int64_t offset = eval(s.a);
-        open_.ops.push_back(IoOp{s.file, offset, eval(s.b), s.flag});
+        plan_.add_op(IoOp{s.file, offset, eval(s.b), s.flag});
         return;
       }
       case Kind::kCompute:
-        open_.compute += eval(s.a);
+        plan_.add_compute(eval(s.a));
         return;
       case Kind::kLoop:
         exec_loop(s);
@@ -183,18 +184,17 @@ class Interpreter {
     for (std::int64_t v = lo; v <= hi; v += loop.step) {
       value_[loop.var] = v;
       exec_range(loop.body_begin, loop.body_end);
-      if (loop.flag) close_slot(/*force=*/false);
+      if (loop.flag) close_slot();
     }
     value_[loop.var] = saved_value;
     bound_[loop.var] = saved_bound;
   }
 
-  void close_slot(bool force) {
-    if (!force && open_.compute == 0 && open_.ops.empty()) return;
-    plan_.slots.push_back(std::move(open_));
-    open_ = SlotPlan{};
-    if (static_cast<std::int64_t>(plan_.slots.size()) >
-        opts_.max_slots_per_process) {
+  /// Closes the open slot unless it is empty.
+  void close_slot() {
+    if (!plan_.slot_open()) return;
+    plan_.end_slot();
+    if (plan_.num_slots() > opts_.max_slots_per_process) {
       throw std::runtime_error("lower: iteration space exceeds max_slots_per_process");
     }
   }
@@ -204,22 +204,7 @@ class Interpreter {
   std::vector<std::int64_t> value_;  // by slot
   std::vector<std::uint8_t> bound_;  // by slot
   ProcessPlan plan_;
-  SlotPlan open_;
 };
-
-/// Merges groups of `granularity` consecutive slots of one process.
-void coarsen(ProcessPlan& p, std::size_t granularity) {
-  std::vector<SlotPlan> merged;
-  merged.reserve(p.slots.size() / granularity + 1);
-  for (std::size_t i = 0; i < p.slots.size(); ++i) {
-    if (i % granularity == 0) merged.emplace_back();
-    SlotPlan& dst = merged.back();
-    SlotPlan& src = p.slots[i];
-    dst.compute += src.compute;
-    dst.ops.insert(dst.ops.end(), src.ops.begin(), src.ops.end());
-  }
-  p.slots = std::move(merged);
-}
 
 }  // namespace
 
@@ -227,20 +212,37 @@ CompiledProgram freeze_program(std::vector<ProcessPlan> processes,
                                int granularity) {
   // Coarsening before padding merges no padding, and the padded tails come
   // out the same: a group that is all padding is an empty slot either way.
-  if (granularity > 1) {
-    for (ProcessPlan& p : processes) {
-      coarsen(p, static_cast<std::size_t>(granularity));
-    }
-  }
   std::size_t num_slots = 0;
-  for (const ProcessPlan& p : processes) {
-    num_slots = std::max(num_slots, p.slots.size());
+  for (ProcessPlan& p : processes) {
+    assert(!p.slot_open());
+    if (granularity > 1) {
+      // Keep every d-th offset and sum each group's compute, in place: step
+      // s reads slot s, and earlier steps wrote only slots below s.
+      const auto d = static_cast<std::size_t>(granularity);
+      const std::size_t n = p.compute_.size();
+      for (std::size_t s = 0; s < n; ++s) {
+        if (s % d == 0) {
+          p.compute_[s / d] = p.compute_[s];
+          p.first_op_[s / d] = p.first_op_[s];
+        } else {
+          p.compute_[s / d] += p.compute_[s];
+        }
+      }
+      p.compute_.resize((n + d - 1) / d);
+      p.first_op_[p.compute_.size()] = p.first_op_[n];
+      p.first_op_.resize(p.compute_.size() + 1);
+    }
+    num_slots = std::max(num_slots, p.compute_.size());
   }
-  for (ProcessPlan& p : processes) p.slots.resize(num_slots);
+  for (ProcessPlan& p : processes) {
+    p.compute_.resize(num_slots, 0);
+    p.first_op_.resize(num_slots + 1, static_cast<std::uint32_t>(p.ops_.size()));
+  }
   int next_id = 0;
   for (std::size_t t = 0; t < num_slots; ++t) {
     for (ProcessPlan& p : processes) {
-      for (IoOp& op : p.slots[t].ops) {
+      for (std::uint32_t i = p.first_op_[t]; i < p.first_op_[t + 1]; ++i) {
+        IoOp& op = p.ops_[i];
         if (!op.is_write) op.access_id = next_id++;
       }
     }

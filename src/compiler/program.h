@@ -10,8 +10,10 @@
 // later stage writes them, so every compile of one workload shares them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/access.h"
@@ -33,16 +35,59 @@ struct IoOp {
 // The runtime walks ops slot by slot; the id rides in former padding.
 static_assert(sizeof(IoOp) == 32);
 
-/// One scheduling slot of one process.
-struct SlotPlan {
-  /// CPU time the process spends in this slot (excluding I/O waits).
-  SimTime compute = 0;
-  /// I/O calls issued in this slot, in program order.
-  std::vector<IoOp> ops;
-};
+struct CompiledProgram;
 
-struct ProcessPlan {
-  std::vector<SlotPlan> slots;
+/// The slots of one process in one flat layout: all its ops in slot then
+/// program order, slot s holding ops [first_op[s], first_op[s + 1]), and a
+/// compute per slot.  A front end appends to the open slot until
+/// `end_slot` closes it; only `freeze_program` rewrites the arrays.
+class ProcessPlan {
+ public:
+  void add_op(const IoOp& op) { ops_.push_back(op); }
+  void add_compute(SimTime usec) { open_compute_ += usec; }
+  /// Closes the open slot, empty or not.
+  void end_slot() {
+    compute_.push_back(open_compute_);
+    first_op_.push_back(static_cast<std::uint32_t>(ops_.size()));
+    open_compute_ = 0;
+  }
+  /// True when the open slot has compute or ops.
+  [[nodiscard]] bool slot_open() const {
+    return open_compute_ != 0 || ops_.size() > first_op_.back();
+  }
+  /// Empties the plan for recording another process; keeps the capacity.
+  void clear() {
+    ops_.clear();
+    first_op_.assign(1, 0);
+    compute_.clear();
+    open_compute_ = 0;
+  }
+
+  [[nodiscard]] Slot num_slots() const { return static_cast<Slot>(compute_.size()); }
+  /// CPU time the process spends in slot `s` (excluding I/O waits).
+  [[nodiscard]] SimTime compute(Slot s) const {
+    return compute_[static_cast<std::size_t>(s)];
+  }
+  /// The I/O calls issued in slot `s`, in program order.
+  [[nodiscard]] std::span<const IoOp> ops(Slot s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return {ops_.data() + first_op_[i], ops_.data() + first_op_[i + 1]};
+  }
+  /// Flat index of the first op of slot `s`.
+  [[nodiscard]] std::size_t first_op(Slot s) const {
+    return first_op_[static_cast<std::size_t>(s)];
+  }
+  /// The op at flat index `i` (`AccessRecord::op_index`).
+  [[nodiscard]] const IoOp& op(std::size_t i) const { return ops_[i]; }
+
+ private:
+  friend CompiledProgram freeze_program(std::vector<ProcessPlan> processes,
+                                        int granularity);
+
+  std::vector<IoOp> ops_;
+  std::vector<std::uint32_t> first_op_ = {0};  // op_index is an int: < 2^31
+  std::vector<SimTime> compute_;
+  SimTime open_compute_ = 0;
 };
 
 struct CompiledProgram {
@@ -61,8 +106,8 @@ struct CompiledProgram {
   [[nodiscard]] int num_processes() const {
     return plan == nullptr ? 0 : static_cast<int>(plan->size());
   }
-  [[nodiscard]] const std::vector<SlotPlan>& slots(int process) const {
-    return (*plan)[static_cast<std::size_t>(process)].slots;
+  [[nodiscard]] const ProcessPlan& process(int p) const {
+    return (*plan)[static_cast<std::size_t>(p)];
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace dasched {
 
@@ -115,20 +116,20 @@ void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
   std::vector<PendingWrite> pending_writes;  // writes of the slot in progress
 
   for (Slot t = 0; t < program.num_slots; ++t) {
-    const auto slot = static_cast<std::size_t>(t);
     // Gather this slot's writes first: a read racing a same-slot write (from
     // any process; processes are not lock-stepped) must not be hoisted.
     pending_writes.clear();
     for (int p = 0; p < program.num_processes(); ++p) {
-      for (const IoOp& op : program.slots(p)[slot].ops) {
+      for (const IoOp& op : program.process(p).ops(t)) {
         if (op.is_write) pending_writes.push_back(PendingWrite{op, p});
       }
     }
 
     for (int p = 0; p < program.num_processes(); ++p) {
-      const std::vector<IoOp>& ops = program.slots(p)[slot].ops;
-      for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
-        const IoOp& op = ops[static_cast<std::size_t>(oi)];
+      const ProcessPlan& plan = program.process(p);
+      const std::span<const IoOp> ops = plan.ops(t);
+      for (std::size_t oi = 0; oi < ops.size(); ++oi) {
+        const IoOp& op = ops[oi];
         if (op.is_write) continue;
 
         AccessRecord rec;
@@ -158,7 +159,7 @@ void analyze_slacks(CompiledProgram& program, const StripingMap& striping,
         rec.begin = begin;
         rec.end = t;
         rec.original = t;
-        rec.op_index = oi;
+        rec.op_index = static_cast<int>(plan.first_op(t) + oi);
         rec.sig = striping.signature(op.file, op.offset, op.size);
         rec.length =
             std::min<int>(access_length(op, opts),

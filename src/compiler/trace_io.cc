@@ -9,9 +9,10 @@ void save_trace(const CompiledProgram& program, std::ostream& out) {
   out << "processes " << program.num_processes() << '\n';
   for (int p = 0; p < program.num_processes(); ++p) {
     out << "process " << p << '\n';
-    for (const SlotPlan& slot : program.slots(p)) {
-      out << "slot " << slot.compute << '\n';
-      for (const IoOp& op : slot.ops) {
+    const ProcessPlan& plan = program.process(p);
+    for (Slot s = 0; s < plan.num_slots(); ++s) {
+      out << "slot " << plan.compute(s) << '\n';
+      for (const IoOp& op : plan.ops(s)) {
         out << (op.is_write ? 'w' : 'r') << ' ' << op.file << ' ' << op.offset
             << ' ' << op.size << '\n';
       }

@@ -28,8 +28,8 @@ struct AccessRecord {
   Slot end = 0;
   /// Number of slots the access occupies (>= 1).
   int length = 1;
-  /// Index of the read among the ops of its slot (`original`) in its
-  /// process's plan, so the runtime finds the op from the record.
+  /// Flat index of the read among all ops of its process's plan
+  /// (`ProcessPlan::op`), so the runtime finds the op from the record.
   int op_index = 0;
   /// I/O nodes the access touches.
   Signature sig;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/units.h"
 
@@ -82,13 +81,6 @@ struct DiskParams {
       return;
     }
     for (Rpm r = min_rpm; r <= max_rpm; r += rpm_step) visit(r);
-  }
-
-  /// Materialized speed ladder, for tests and tools.
-  [[nodiscard]] std::vector<Rpm> rpm_levels() const {
-    std::vector<Rpm> out;
-    for_each_rpm_level([&out](Rpm r) { out.push_back(r); });
-    return out;
   }
 
   /// Time for one full platter revolution at `rpm`.

@@ -66,15 +66,14 @@ void ClientProcess::resume_waiters(Slot reached) {
 }
 
 void ClientProcess::begin_slot() {
-  const auto& slots = cluster_.compiled().program.slots(pid_);
+  const ProcessPlan& plan = cluster_.compiled().program.process(pid_);
 
   // Fast-forward through empty padding slots iteratively (no recursion).
-  while (current_ < static_cast<Slot>(slots.size())) {
-    const SlotPlan& plan = slots[static_cast<std::size_t>(current_)];
-    if (!plan.ops.empty() || plan.compute > 0) break;
+  while (current_ < plan.num_slots()) {
+    if (!plan.ops(current_).empty() || plan.compute(current_) > 0) break;
     finish_slot();
   }
-  if (current_ >= static_cast<Slot>(slots.size())) {
+  if (current_ >= plan.num_slots()) {
     finished_ = true;
     finish_time_ = cluster_.sim().now();
     cluster_.client_finished();
@@ -83,8 +82,7 @@ void ClientProcess::begin_slot() {
     return;
   }
 
-  const SlotPlan& plan = slots[static_cast<std::size_t>(current_)];
-  if (!plan.ops.empty()) {
+  if (!plan.ops(current_).empty()) {
     run_op(0);
   } else {
     after_ops();
@@ -92,9 +90,8 @@ void ClientProcess::begin_slot() {
 }
 
 void ClientProcess::run_op(std::size_t op_index) {
-  const SlotPlan& plan =
-      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
-  const IoOp& op = plan.ops[op_index];
+  const IoOp& op =
+      cluster_.compiled().program.process(pid_).ops(current_)[op_index];
   RuntimeStats& stats = cluster_.mutable_stats();
 
   if (op.is_write) {
@@ -130,9 +127,8 @@ void ClientProcess::run_op(std::size_t op_index) {
 }
 
 void ClientProcess::op_done(std::size_t op_index) {
-  const SlotPlan& plan =
-      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
-  if (op_index + 1 < plan.ops.size()) {
+  if (op_index + 1 <
+      cluster_.compiled().program.process(pid_).ops(current_).size()) {
     run_op(op_index + 1);
   } else {
     after_ops();
@@ -140,15 +136,15 @@ void ClientProcess::op_done(std::size_t op_index) {
 }
 
 void ClientProcess::after_ops() {
-  const SlotPlan& plan =
-      cluster_.compiled().program.slots(pid_)[static_cast<std::size_t>(current_)];
-  if (plan.compute > 0) {
+  const SimTime compute =
+      cluster_.compiled().program.process(pid_).compute(current_);
+  if (compute > 0) {
     auto next_slot = [this] {
       finish_slot();
       begin_slot();
     };
     static_assert(EventFn::fits_inline<decltype(next_slot)>);
-    cluster_.sim().schedule_after(plan.compute, next_slot);
+    cluster_.sim().schedule_after(compute, next_slot);
   } else {
     finish_slot();
     begin_slot();
@@ -347,8 +343,8 @@ RuntimeStats Cluster::stats() const {
 }
 
 const IoOp& Cluster::op_for(const AccessRecord& rec) const {
-  return compiled_->program.slots(rec.process)[static_cast<std::size_t>(rec.original)]
-      .ops[static_cast<std::size_t>(rec.op_index)];
+  return compiled_->program.process(rec.process)
+      .op(static_cast<std::size_t>(rec.op_index));
 }
 
 void Cluster::pause_for_space(int scheduler) {

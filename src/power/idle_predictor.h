@@ -72,7 +72,6 @@ class IdlePredictor {
   [[nodiscard]] std::int64_t consecutive_same_class() const {
     return consecutive_same_;
   }
-  [[nodiscard]] Class last_class() const { return last_class_; }
   [[nodiscard]] SimTime medium_threshold() const { return medium_threshold_; }
   [[nodiscard]] SimTime long_threshold() const { return long_threshold_; }
 

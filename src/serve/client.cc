@@ -127,13 +127,14 @@ ServeClient::UploadReply ServeClient::upload_trace(std::string_view content,
 }
 
 void ServeClient::run(const ExperimentConfig& cfg, bool audit, Reply& out) {
-  if (audit && !cfg.audit) {
-    ExperimentConfig audited = cfg;
-    audited.audit = true;
-    format_run_request(audited, text_);
-  } else {
-    format_run_request(cfg, text_);
-  }
+  if (!audit || cfg.audit) return run(cfg, out);
+  ExperimentConfig audited = cfg;
+  audited.audit = true;
+  run(audited, out);
+}
+
+void ServeClient::run(const ExperimentConfig& cfg, Reply& out) {
+  format_run_request(cfg, text_);
   send(FrameType::kRun, text_);
   bool have_result = false;
   out.telemetry_json.clear();
@@ -159,7 +160,7 @@ void ServeClient::run(const ExperimentConfig& cfg, bool audit, Reply& out) {
 
 ServeClient::Reply ServeClient::run(const ExperimentConfig& cfg) {
   Reply out;
-  run(cfg, false, out);
+  run(cfg, out);
   return out;
 }
 

@@ -72,11 +72,12 @@ class ServeClient {
                            const ReplayOptions& opts);
 
   /// Runs one experiment on the server, filling `out` (reused by callers
-  /// that care about allocations).  The run is audited when `cfg.audit` or
-  /// `audit` is set; the extra flag stays only for the perfbench harness
-  /// (perfbench/perfbench.cc), which passes it.
-  void run(const ExperimentConfig& cfg, bool audit, Reply& out);
+  /// that care about allocations); audited when `cfg.audit` is set.
+  void run(const ExperimentConfig& cfg, Reply& out);
   [[nodiscard]] Reply run(const ExperimentConfig& cfg);
+  /// As above, also audited when `audit` is set; only the perfbench
+  /// harness (perfbench/perfbench.cc) passes the flag.
+  void run(const ExperimentConfig& cfg, bool audit, Reply& out);
 
   /// Streams a grid job; `on_cell` sees a reused Reply per cell, in
   /// deterministic cell order.  Returns the server's final cell count.

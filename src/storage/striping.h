@@ -49,7 +49,6 @@ class StripingMap {
 
   [[nodiscard]] int num_io_nodes() const { return num_nodes_; }
   [[nodiscard]] Bytes stripe_size() const { return stripe_size_; }
-  [[nodiscard]] int num_files() const { return static_cast<int>(files_.size()); }
   [[nodiscard]] const std::string& file_name(FileId f) const;
   [[nodiscard]] Bytes file_size(FileId f) const;
 

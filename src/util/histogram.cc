@@ -57,16 +57,6 @@ std::vector<double> DurationHistogram::cdf() const {
   return out;
 }
 
-double DurationHistogram::fraction_at_or_below(double edge_msec) const {
-  if (total_count_ == 0) return 0.0;
-  std::int64_t running = 0;
-  for (std::size_t i = 0; i < edges_msec_.size(); ++i) {
-    if (edges_msec_[i] > edge_msec) break;
-    running += counts_[i];
-  }
-  return static_cast<double>(running) / static_cast<double>(total_count_);
-}
-
 void DurationHistogram::merge(const DurationHistogram& other) {
   // Only histograms with identical bucketing can be merged.
   if (other.edges_msec_ != edges_msec_) {
@@ -102,16 +92,6 @@ void SummaryStats::add(double v) {
   }
   count_ += 1;
   sum_ += v;
-  sum_sq_ += v * v;
 }
-
-double SummaryStats::variance() const {
-  if (count_ < 2) return 0.0;
-  const double n = static_cast<double>(count_);
-  const double m = sum_ / n;
-  return std::max(0.0, sum_sq_ / n - m * m);
-}
-
-double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace dasched

@@ -33,10 +33,6 @@ class DurationHistogram {
   /// Sum of all recorded durations, in msec.
   [[nodiscard]] double total_msec() const { return total_msec_; }
 
-  [[nodiscard]] double mean_msec() const {
-    return total_count_ == 0 ? 0.0 : total_msec_ / static_cast<double>(total_count_);
-  }
-
   [[nodiscard]] const std::vector<double>& edges_msec() const { return edges_msec_; }
 
   /// Per-edge cumulative fraction of samples <= edge, in [0,1].  The final
@@ -46,10 +42,6 @@ class DurationHistogram {
 
   /// Raw per-bucket counts (edges.size() + 1 entries; last is overflow).
   [[nodiscard]] const std::vector<std::int64_t>& counts() const { return counts_; }
-
-  /// Fraction of samples <= the given duration edge (msec); interpolates
-  /// nothing, uses bucket granularity (the paper's plots do the same).
-  [[nodiscard]] double fraction_at_or_below(double edge_msec) const;
 
   void merge(const DurationHistogram& other);
 
@@ -71,7 +63,7 @@ class DurationHistogram {
   double total_msec_ = 0.0;
 };
 
-/// Streaming summary statistics (count/mean/min/max/stddev).
+/// Streaming summary statistics (count/mean/min/max).
 class SummaryStats {
  public:
   void add(double v);
@@ -81,13 +73,10 @@ class SummaryStats {
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
 
  private:
   std::int64_t count_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -26,9 +26,10 @@ TEST(Lower, SimpleSlotLoopProducesOneSlotPerIteration) {
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_processes(), 1);
   EXPECT_EQ(cp.num_slots, 10);
-  for (const SlotPlan& s : cp.slots(0)) {
-    EXPECT_EQ(s.ops.size(), 1u);
-    EXPECT_EQ(s.compute, 1'000);
+  const ProcessPlan& plan = cp.process(0);
+  for (Slot s = 0; s < plan.num_slots(); ++s) {
+    EXPECT_EQ(plan.ops(s).size(), 1u);
+    EXPECT_EQ(plan.compute(s), 1'000);
   }
 }
 
@@ -38,7 +39,7 @@ TEST(Lower, OffsetsEvaluatePerIteration) {
                                 {make_read(0, AE::var("i") * 100, 10)}));
   const CompiledProgram cp = lower(prog, 1);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(cp.slots(0)[static_cast<std::size_t>(i)].ops[0].offset,
+    EXPECT_EQ(cp.process(0).ops(i)[0].offset,
               i * 100);
   }
 }
@@ -49,7 +50,7 @@ TEST(Lower, ProcessIdIsBound) {
                                 {make_read(0, AE::var("p") * 1'000, 10)}));
   const CompiledProgram cp = lower(prog, 3);
   for (int p = 0; p < 3; ++p) {
-    EXPECT_EQ(cp.slots(p)[0].ops[0].offset,
+    EXPECT_EQ(cp.process(p).ops(0)[0].offset,
               p * 1'000);
   }
 }
@@ -59,7 +60,7 @@ TEST(Lower, ProcessCountIsBound) {
   prog.body.push_back(make_loop("i", 0, AE(0),
                                 {make_read(0, AE::var("P") * 10, 10)}));
   const CompiledProgram cp = lower(prog, 4);
-  EXPECT_EQ(cp.slots(0)[0].ops[0].offset, 40);
+  EXPECT_EQ(cp.process(0).ops(0)[0].offset, 40);
 }
 
 TEST(Lower, NestedNonSlotLoopAccumulatesIntoParentSlot) {
@@ -72,7 +73,7 @@ TEST(Lower, NestedNonSlotLoopAccumulatesIntoParentSlot) {
       /*slot_loop=*/true));
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_slots, 2);
-  EXPECT_EQ(cp.slots(0)[0].compute, 50);
+  EXPECT_EQ(cp.process(0).compute(0), 50);
 }
 
 TEST(Lower, TriangularBoundsDependOnOuterVariable) {
@@ -94,10 +95,10 @@ TEST(Lower, PerProcessBoundsYieldUnevenSlotCountsThatAlign) {
                                 {make_compute(AE(5))}));
   const CompiledProgram cp = lower(prog, 3);
   EXPECT_EQ(cp.num_slots, 3);
-  EXPECT_EQ(cp.slots(0).size(), 3u);
+  EXPECT_EQ(cp.process(0).num_slots(), 3);
   // Padding slots are empty.
-  EXPECT_EQ(cp.slots(0)[2].compute, 0);
-  EXPECT_EQ(cp.slots(2)[2].compute, 5);
+  EXPECT_EQ(cp.process(0).compute(2), 0);
+  EXPECT_EQ(cp.process(2).compute(2), 5);
 }
 
 TEST(Lower, EmptySlotIterationsAreDropped) {
@@ -114,7 +115,7 @@ TEST(Lower, TrailingStatementsFormFinalSlot) {
   prog.body.push_back(make_write(0, 0, kib(64).count()));
   const CompiledProgram cp = lower(prog, 1);
   EXPECT_EQ(cp.num_slots, 3);
-  EXPECT_TRUE(cp.slots(0)[2].ops[0].is_write);
+  EXPECT_TRUE(cp.process(0).ops(2)[0].is_write);
 }
 
 TEST(Lower, StepGreaterThanOne) {
@@ -146,7 +147,7 @@ TEST(Lower, ShadowingLoopRestoresTheOuterBinding) {
   const CompiledProgram cp = lower(prog, 1);
   ASSERT_EQ(cp.num_slots, 2);
   for (int outer = 0; outer < 2; ++outer) {
-    const auto& ops = cp.slots(0)[static_cast<std::size_t>(outer)].ops;
+    const auto& ops = cp.process(0).ops(outer);
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].offset, 10);
     EXPECT_EQ(ops[1].offset, 11);
@@ -171,8 +172,8 @@ TEST(Lower, ZeroTripLoopNeverEvaluatesItsBody) {
   prog.body.push_back(make_compute(AE(7)));
   const CompiledProgram cp = lower(prog, 2);
   ASSERT_EQ(cp.num_slots, 1);
-  EXPECT_EQ(cp.slots(1)[0].compute, 7);
-  EXPECT_TRUE(cp.slots(1)[0].ops.empty());
+  EXPECT_EQ(cp.process(1).compute(0), 7);
+  EXPECT_TRUE(cp.process(1).ops(0).empty());
 }
 
 TEST(Lower, EvaluatedUnboundVariableThrowsNamingIt) {
@@ -213,7 +214,7 @@ std::int64_t lowered_value(const AffineExpr& e,
   prog.body = std::move(body);
   const CompiledProgram cp = lower(prog, 1);
   EXPECT_EQ(cp.num_slots, 1);
-  return cp.num_slots == 1 ? cp.slots(0)[0].compute.count() : -1;
+  return cp.num_slots == 1 ? cp.process(0).compute(0).count() : -1;
 }
 
 TEST(LowerAffine, ConstantEvaluation) {
@@ -257,9 +258,9 @@ TEST(LowerAffine, ProcessVariablesBindFirst) {
   const CompiledProgram cp = lower(prog, 3);
   ASSERT_EQ(cp.num_slots, 2);
   for (int p = 0; p < 3; ++p) {
-    const auto& slots = cp.slots(p);
-    EXPECT_EQ(slots[0].compute, 5);
-    EXPECT_EQ(slots[1].compute, p * 1000 + 3);
+    const ProcessPlan& plan = cp.process(p);
+    EXPECT_EQ(plan.compute(0), 5);
+    EXPECT_EQ(plan.compute(1), p * 1000 + 3);
   }
 }
 
@@ -275,11 +276,11 @@ std::uint64_t program_digest(const CompiledProgram& cp) {
   };
   mix(static_cast<std::uint64_t>(cp.num_processes()));
   for (const ProcessPlan& proc : *cp.plan) {
-    mix(proc.slots.size());
-    for (const SlotPlan& slot : proc.slots) {
-      mix(static_cast<std::uint64_t>(slot.compute.count()));
-      mix(slot.ops.size());
-      for (const IoOp& op : slot.ops) {
+    mix(static_cast<std::uint64_t>(proc.num_slots()));
+    for (Slot s = 0; s < proc.num_slots(); ++s) {
+      mix(static_cast<std::uint64_t>(proc.compute(s).count()));
+      mix(proc.ops(s).size());
+      for (const IoOp& op : proc.ops(s)) {
         mix(static_cast<std::uint64_t>(op.file));
         mix(static_cast<std::uint64_t>(op.offset.count()));
         mix(static_cast<std::uint64_t>(op.size.count()));
@@ -317,9 +318,9 @@ TEST(Coarsen, MergesGroupsOfDSlots) {
   opts.granularity = 4;
   const CompiledProgram cp = lower(prog, 1, opts);
   ASSERT_EQ(cp.num_slots, 3);  // ceil(10 / 4)
-  EXPECT_EQ(cp.slots(0)[0].ops.size(), 4u);
-  EXPECT_EQ(cp.slots(0)[0].compute, 400);
-  EXPECT_EQ(cp.slots(0)[2].ops.size(), 2u);
+  EXPECT_EQ(cp.process(0).ops(0).size(), 4u);
+  EXPECT_EQ(cp.process(0).compute(0), 400);
+  EXPECT_EQ(cp.process(0).ops(2).size(), 2u);
 }
 
 TEST(Coarsen, GranularityOneIsIdentity) {
@@ -341,9 +342,9 @@ TEST(Coarsen, PaddingAfterCoarseningMatchesPaddingBefore) {
   opts.granularity = 4;
   const CompiledProgram cp = lower(prog, 2, opts);
   ASSERT_EQ(cp.num_slots, 3);
-  EXPECT_EQ(cp.slots(1)[0].ops.size(), 3u);
-  EXPECT_TRUE(cp.slots(1)[1].ops.empty());
-  EXPECT_TRUE(cp.slots(1)[2].ops.empty());
+  EXPECT_EQ(cp.process(1).ops(0).size(), 3u);
+  EXPECT_TRUE(cp.process(1).ops(1).empty());
+  EXPECT_TRUE(cp.process(1).ops(2).empty());
 }
 
 TEST(Lower, ReadsAreNumberedBySlotThenProcessThenOp) {
@@ -357,7 +358,7 @@ TEST(Lower, ReadsAreNumberedBySlotThenProcessThenOp) {
   int expected = 0;
   for (std::size_t t = 0; t < 2; ++t) {
     for (int p = 0; p < 2; ++p) {
-      const auto& ops = cp.slots(p)[t].ops;
+      const auto& ops = cp.process(p).ops(t);
       EXPECT_EQ(ops[0].access_id, expected++);
       EXPECT_EQ(ops[1].access_id, -1);  // a write carries no id
       EXPECT_EQ(ops[2].access_id, expected++);
@@ -375,8 +376,8 @@ struct Totals {
 Totals totals(const CompiledProgram& cp) {
   Totals t;
   for (const ProcessPlan& proc : *cp.plan) {
-    for (const SlotPlan& slot : proc.slots) {
-      for (const IoOp& op : slot.ops) {
+    for (Slot s = 0; s < proc.num_slots(); ++s) {
+      for (const IoOp& op : proc.ops(s)) {
         ++t.ops;
         (op.is_write ? t.write_bytes : t.read_bytes) += op.size;
       }

@@ -251,15 +251,24 @@ TEST_F(SlackAnalysisTest, ReadSitesIndexBackIntoProgram) {
   ASSERT_EQ(cp.reads.size(), 3u);
   ASSERT_EQ(cp.num_reads, 3);
   for (std::size_t i = 0; i < cp.reads.size(); ++i) {
-    // A record's (process, original, op_index) finds the op carrying its id.
+    // A record's (process, op_index) finds the op carrying its id, and the
+    // op sits in the record's original slot.
     const AccessRecord& rec = cp.reads[i];
-    const IoOp& op = cp.slots(rec.process)[static_cast<std::size_t>(rec.original)]
-                         .ops[static_cast<std::size_t>(rec.op_index)];
+    const ProcessPlan& plan = cp.process(rec.process);
+    const auto flat = static_cast<std::size_t>(rec.op_index);
+    const IoOp& op = plan.op(flat);
     EXPECT_FALSE(op.is_write);
     EXPECT_EQ(op.access_id, rec.id);
     EXPECT_EQ(rec.id, static_cast<int>(i));
+    EXPECT_GE(flat, plan.first_op(rec.original));
+    EXPECT_LT(flat, plan.first_op(rec.original) + plan.ops(rec.original).size());
   }
   EXPECT_EQ(cp.reads[0].op_index, 1);  // behind process 0's write
+  // op_index is flat across the process's slots: process 1's slot-1 read
+  // follows its slot-0 read.
+  EXPECT_EQ(cp.reads[2].process, 1);
+  EXPECT_EQ(cp.reads[2].original, 1);
+  EXPECT_EQ(cp.reads[2].op_index, 1);
 }
 
 TEST_F(SlackAnalysisTest, RepeatedWritesUseTheLatest) {

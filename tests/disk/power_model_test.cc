@@ -28,11 +28,11 @@ TEST_F(PowerModelTest, QuadraticScalingOfMotorShare) {
 
 TEST_F(PowerModelTest, IdlePowerMonotoneInRpm) {
   double prev = 0.0;
-  for (Rpm r : params_.rpm_levels()) {
+  params_.for_each_rpm_level([&](Rpm r) {
     const double w = pm_.idle_w(r).value();
     EXPECT_GT(w, prev);
     prev = w;
-  }
+  });
 }
 
 TEST_F(PowerModelTest, MinRpmIdleWellBelowMaxButAboveFloor) {
@@ -43,9 +43,8 @@ TEST_F(PowerModelTest, MinRpmIdleWellBelowMaxButAboveFloor) {
 }
 
 TEST_F(PowerModelTest, ActiveAlwaysAboveIdleAtSameSpeed) {
-  for (Rpm r : params_.rpm_levels()) {
-    EXPECT_GT(pm_.active_w(r), pm_.idle_w(r));
-  }
+  params_.for_each_rpm_level(
+      [&](Rpm r) { EXPECT_GT(pm_.active_w(r), pm_.idle_w(r)); });
 }
 
 TEST_F(PowerModelTest, TransitionPowerUsesLargerEndpoint) {

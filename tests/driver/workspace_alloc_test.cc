@@ -14,7 +14,8 @@
 // observer objects by design).  Two tests bound a compile miss on a built
 // lane instead of forbidding allocation: a scheme-on miss shares the plan
 // (allocation count), and a scheme-off miss builds no slack records
-// (allocated bytes).
+// (allocated bytes).  One more bounds lowering itself: a plan's layout
+// allocates per process, not per slot.
 
 #include <gtest/gtest.h>
 
@@ -216,8 +217,8 @@ TEST(WorkspaceAlloc, SchemeOnCompileMissSharesThePlan) {
   const CompiledProgram program = app_by_name(on.app).build(striping, on.scale);
   std::uint64_t non_empty_slots = 0;
   for (const ProcessPlan& proc : *program.plan) {
-    for (const SlotPlan& slot : proc.slots) {
-      if (!slot.ops.empty()) ++non_empty_slots;
+    for (Slot s = 0; s < proc.num_slots(); ++s) {
+      if (!proc.ops(s).empty()) ++non_empty_slots;
     }
   }
 
@@ -235,6 +236,37 @@ TEST(WorkspaceAlloc, SchemeOnCompileMissSharesThePlan) {
   EXPECT_GT(r.events, 0);
   EXPECT_EQ(ws.workload_builds(), 1u);
   EXPECT_EQ(ws.compile_misses(), 2u);
+}
+
+TEST(PlanAlloc, LoweringAllocatesPerProcessNotPerSlot) {
+  // The interpreter records each process into one reused buffer and hands
+  // `freeze_program` exact-size op, offset and compute arrays, which it
+  // coarsens, pads and numbers in place.  So lowering hf at ten times the
+  // slots allocates about as often: one op vector per slot would allocate
+  // at least once more per non-empty slot.
+  struct Build {
+    Slot slots = 0;
+    std::uint64_t allocations = 0;
+  };
+  const auto build = [](double factor) {
+    WorkloadScale scale;
+    scale.num_processes = 8;
+    scale.factor = factor;
+    StripingMap striping(8, kib(64));
+    g_allocations.store(0);
+    g_counting.store(true);
+    const CompiledProgram program = app_by_name("hf").build(striping, scale);
+    g_counting.store(false);
+    return Build{program.num_slots, g_allocations.load()};
+  };
+  const Build small = build(0.05);
+  const Build large = build(0.5);
+  ASSERT_GE(large.slots, 8 * small.slots);
+  // The reused buffer's three arrays double a few more times (about
+  // log2(10) each); nothing else depends on the slot count.
+  EXPECT_LE(large.allocations, small.allocations + 16)
+      << small.allocations << " allocations for " << small.slots << " slots, "
+      << large.allocations << " for " << large.slots;
 }
 
 TEST(WorkspaceAlloc, SchemeOffCompileMissAnalyzesNoSlacks) {

@@ -7,6 +7,7 @@
 
 #include "compiler/compile.h"
 #include "compiler/trace_builder.h"
+#include "workload/app.h"
 
 namespace dasched {
 namespace {
@@ -171,9 +172,7 @@ CompiledProgram one_late_read(int nproc, int last) {
 }
 
 int read_id(const Compiled& compiled, int process, Slot slot) {
-  return compiled.program.slots(process)[static_cast<std::size_t>(slot)]
-      .ops[0]
-      .access_id;
+  return compiled.program.process(process).ops(slot)[0].access_id;
 }
 
 TEST(Cluster, PausedSchedulersResumeInPauseOrder) {
@@ -482,23 +481,51 @@ TEST(Cluster, WideSlotReadsCarryTheirOwnAccessIds) {
   const Compiled compiled = compile_trace(tb.build(), storage.striping());
   const CompiledProgram& prog = compiled.program;
   ASSERT_EQ(prog.reads.size(), static_cast<std::size_t>(kWide + 1));
+  const ProcessPlan& plan = prog.process(0);
   for (Slot t = 0; t < prog.num_slots; ++t) {
-    const auto& ops = prog.slots(0)[static_cast<std::size_t>(t)].ops;
-    for (int oi = 0; oi < static_cast<int>(ops.size()); ++oi) {
-      const int id = ops[static_cast<std::size_t>(oi)].access_id;
+    const auto ops = plan.ops(t);
+    for (std::size_t oi = 0; oi < ops.size(); ++oi) {
+      const int id = ops[oi].access_id;
       ASSERT_GE(id, 0);
       const AccessRecord& rec = prog.reads[static_cast<std::size_t>(id)];
       EXPECT_EQ(rec.process, 0);
       EXPECT_EQ(rec.original, t);
-      EXPECT_EQ(rec.op_index, oi);
+      EXPECT_EQ(rec.op_index, static_cast<int>(plan.first_op(t) + oi));
     }
   }
 
   Cluster cluster(sim, storage, compiled, RuntimeConfig{});
+  for (const AccessRecord& rec : prog.reads) {
+    EXPECT_EQ(cluster.op_for(rec).access_id, rec.id);
+  }
   cluster.run_to_completion();
   ASSERT_TRUE(cluster.all_finished());
   const RuntimeStats st = cluster.stats();
   EXPECT_EQ(st.buffer_hits + st.in_flight_hits + st.direct_reads, kWide + 1);
+}
+
+TEST(Cluster, EveryAppReadFindsItsOpThroughItsRecord) {
+  // Both front ends: madbench2 is recorded through TraceBuilder, the other
+  // five are lowered by the interpreter.
+  WorkloadScale scale;
+  scale.num_processes = 4;
+  scale.factor = 0.05;
+  for (const App& app : all_apps()) {
+    Simulator sim;
+    StorageSystem storage(sim, small_storage());
+    const Compiled compiled =
+        compile_trace(app.build(storage.striping(), scale), storage.striping());
+    const CompiledProgram& prog = compiled.program;
+    ASSERT_EQ(prog.reads.size(), static_cast<std::size_t>(prog.num_reads))
+        << app.name;
+    ASSERT_GT(prog.num_reads, 0) << app.name;
+    Cluster cluster(sim, storage, compiled, RuntimeConfig{});
+    for (const AccessRecord& rec : prog.reads) {
+      const IoOp& op = cluster.op_for(rec);
+      ASSERT_FALSE(op.is_write) << app.name << " read " << rec.id;
+      ASSERT_EQ(op.access_id, rec.id) << app.name;
+    }
+  }
 }
 
 TEST(Cluster, SchemeDoesNotSlowExecutionMuch) {

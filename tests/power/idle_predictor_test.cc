@@ -65,7 +65,6 @@ TEST(IdlePredictor, ConsecutiveSameClassRunTracking) {
   EXPECT_EQ(p.consecutive_same_class(), 1);
   p.observe(sec(90.0));
   EXPECT_EQ(p.consecutive_same_class(), 2);
-  EXPECT_EQ(p.last_class(), IdlePredictor::Class::kLong);
 }
 
 }  // namespace

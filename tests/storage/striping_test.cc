@@ -147,7 +147,6 @@ TEST(StripingMap, FileMetadataAccessors) {
   const FileId f = m.create_file("myfile", mib(1));
   EXPECT_EQ(m.file_name(f), "myfile");
   EXPECT_EQ(m.file_size(f), mib(1));
-  EXPECT_EQ(m.num_files(), 1);
   EXPECT_EQ(m.num_io_nodes(), 4);
   EXPECT_EQ(m.stripe_size(), kib(64));
 }

@@ -15,7 +15,6 @@ TEST(DurationHistogram, EmptyHistogramHasZeroCdf) {
   DurationHistogram h;
   EXPECT_EQ(h.count(), 0);
   for (double v : h.cdf()) EXPECT_DOUBLE_EQ(v, 0.0);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_below(1e9), 0.0);
 }
 
 TEST(DurationHistogram, PaperEdgesMatchFigure12) {
@@ -51,16 +50,6 @@ TEST(DurationHistogram, CdfIsMonotoneNondecreasingAndEndsAtOne) {
   EXPECT_DOUBLE_EQ(cdf.back(), 1.0);
 }
 
-TEST(DurationHistogram, FractionAtOrBelowMatchesCdf) {
-  DurationHistogram h;
-  h.add(msec(3.0));
-  h.add(msec(40.0));
-  h.add(msec(900.0));
-  EXPECT_NEAR(h.fraction_at_or_below(5.0), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.fraction_at_or_below(50.0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.fraction_at_or_below(1'000.0), 1.0, 1e-12);
-}
-
 TEST(DurationHistogram, MergeAddsCountsForIdenticalEdges) {
   DurationHistogram a;
   DurationHistogram b;
@@ -69,14 +58,14 @@ TEST(DurationHistogram, MergeAddsCountsForIdenticalEdges) {
   b.add(msec(20'000.0));
   a.merge(b);
   EXPECT_EQ(a.count(), 3);
-  EXPECT_NEAR(a.fraction_at_or_below(5.0), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(a.cdf()[0], 2.0 / 3.0, 1e-12);  // the 5 ms edge
 }
 
 TEST(DurationHistogram, MeanTracksTotal) {
   DurationHistogram h;
   h.add(msec(10.0));
   h.add(msec(30.0));
-  EXPECT_DOUBLE_EQ(h.mean_msec(), 20.0);
+  EXPECT_EQ(h.count(), 2);
   EXPECT_DOUBLE_EQ(h.total_msec(), 40.0);
 }
 
@@ -112,14 +101,14 @@ TEST(SummaryStats, TracksMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(SummaryStats, EmptyIsSafe) {
   SummaryStats s;
   EXPECT_EQ(s.count(), 0);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
 }
 
 }  // namespace

@@ -24,8 +24,8 @@ struct Totals {
 Totals totals(const CompiledProgram& cp) {
   Totals t;
   for (const ProcessPlan& proc : *cp.plan) {
-    for (const SlotPlan& slot : proc.slots) {
-      for (const IoOp& op : slot.ops) {
+    for (Slot s = 0; s < proc.num_slots(); ++s) {
+      for (const IoOp& op : proc.ops(s)) {
         ++t.ops;
         (op.is_write ? t.write_bytes : t.read_bytes) += op.size;
       }
@@ -80,8 +80,8 @@ TEST_P(AppBuildTest, AllAccessesStayInsideTheirFiles) {
   const App& app = app_by_name(GetParam());
   const CompiledProgram cp = app.build(striping, tiny_scale());
   for (const ProcessPlan& proc : *cp.plan) {
-    for (const SlotPlan& slot : proc.slots) {
-      for (const IoOp& op : slot.ops) {
+    for (Slot s = 0; s < proc.num_slots(); ++s) {
+      for (const IoOp& op : proc.ops(s)) {
         ASSERT_GE(op.offset, 0);
         ASSERT_GT(op.size, 0);
         ASSERT_LE(op.offset + op.size, striping.file_size(op.file))
@@ -113,8 +113,9 @@ TEST_P(AppBuildTest, HasPhaseStructure) {
   const App& app = app_by_name(GetParam());
   const CompiledProgram cp = app.build(striping, tiny_scale());
   bool found_phase = false;
-  for (const SlotPlan& slot : cp.slots(0)) {
-    if (slot.ops.empty() && slot.compute >= sec(10.0)) found_phase = true;
+  const ProcessPlan& plan = cp.process(0);
+  for (Slot s = 0; s < plan.num_slots(); ++s) {
+    if (plan.ops(s).empty() && plan.compute(s) >= sec(10.0)) found_phase = true;
   }
   EXPECT_TRUE(found_phase) << app.name;
 }

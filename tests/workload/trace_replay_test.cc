@@ -218,12 +218,12 @@ TEST(TraceReplayLower, DeterministicLowering) {
   EXPECT_EQ(p1.num_slots, p2.num_slots);
   ASSERT_EQ(p1.num_processes(), p2.num_processes());
   for (int p = 0; p < p1.num_processes(); ++p) {
-    const auto& s1p = p1.slots(p);
-    const auto& s2p = p2.slots(p);
-    ASSERT_EQ(s1p.size(), s2p.size()) << "proc " << p;
-    for (std::size_t s = 0; s < s1p.size(); ++s) {
-      EXPECT_EQ(s1p[s].compute, s2p[s].compute) << "proc " << p << " slot " << s;
-      EXPECT_EQ(s1p[s].ops.size(), s2p[s].ops.size());
+    const ProcessPlan& s1p = p1.process(p);
+    const ProcessPlan& s2p = p2.process(p);
+    ASSERT_EQ(s1p.num_slots(), s2p.num_slots()) << "proc " << p;
+    for (Slot s = 0; s < s1p.num_slots(); ++s) {
+      EXPECT_EQ(s1p.compute(s), s2p.compute(s)) << "proc " << p << " slot " << s;
+      EXPECT_EQ(s1p.ops(s).size(), s2p.ops(s).size());
     }
   }
 }
