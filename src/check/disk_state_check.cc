@@ -1,5 +1,6 @@
 #include "check/disk_state_check.h"
 
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -117,6 +118,63 @@ void DiskStateMachineCheck::on_state_change(const Disk& disk, DiskState from,
   }
 }
 
+void DiskStateMachineCheck::check_scan_pick(const Disk& disk,
+                                            DiskTrack& track,
+                                            const DiskRequest& req) {
+  evaluated();
+  const SimTime now = disk.sim().now();
+  const Bytes head = track.head;
+  const Bytes end = req.offset + req.size;
+  track.head = end >= disk.params().capacity ? disk.params().capacity - 1 : end;
+
+  // Demand requests first; the background queue only when none is queued.
+  const bool from_background = track.demand.empty();
+  ScanQueue& q = from_background ? track.background : track.demand;
+  if (q.empty()) {
+    std::ostringstream os;
+    os << "request (offset " << req.offset << ", " << req.size
+       << " B) entered service with no request queued";
+    fail(now, os.str());
+    return;
+  }
+  // SCAN: sweeping up, the first request at or above the head, reversing
+  // to the last request when none is; sweeping down, the first request at
+  // the head if one is there, else the last below it, reversing to the
+  // first when none is below.
+  auto it = q.lower_bound(head);
+  if (track.sweep_up) {
+    if (it == q.end()) {
+      track.sweep_up = false;
+      it = std::prev(q.end());
+    }
+  } else if (it == q.begin()) {
+    track.sweep_up = true;
+  } else if (it == q.end() || it->first > head) {
+    --it;
+  }
+  if (it->first == req.offset && it->second.size == req.size &&
+      it->second.is_write == req.is_write && from_background == req.background) {
+    q.erase(it);
+    return;
+  }
+  std::ostringstream os;
+  os << "elevator served " << (req.background ? "background" : "demand")
+     << " request (offset " << req.offset << ", " << req.size
+     << " B) where SCAN from head " << head << " picks "
+     << (from_background ? "background" : "demand") << " request (offset "
+     << it->first << ", " << it->second.size << " B)";
+  fail(now, os.str());
+  // Drop the request that was served, so one wrong pick is reported once.
+  ScanQueue& served = req.background ? track.background : track.demand;
+  const auto [lo, hi] = served.equal_range(req.offset);
+  for (auto e = lo; e != hi; ++e) {
+    if (e->second.size == req.size && e->second.is_write == req.is_write) {
+      served.erase(e);
+      return;
+    }
+  }
+}
+
 void DiskStateMachineCheck::on_service_start(const Disk& disk,
                                              const DiskRequest& req) {
   evaluated();
@@ -126,14 +184,17 @@ void DiskStateMachineCheck::on_service_start(const Disk& disk,
        << " B) entered service while the disk was " << to_string(disk.state());
     fail(disk.sim().now(), os.str());
   }
+  check_scan_pick(disk, tracks_[&disk], req);
 }
 
 void DiskStateMachineCheck::on_request_submitted(const Disk& disk,
                                                  const DiskRequest& req) {
-  (void)req;
+  DiskTrack& track = tracks_[&disk];
+  (req.background ? track.background : track.demand)
+      .emplace(req.offset, Queued{req.size, req.is_write});
   if (disk.current_rpm() != disk.params().max_rpm ||
       disk.desired_rpm() != disk.params().max_rpm) {
-    tracks_[&disk].last_slow_arrival = disk.sim().now();
+    track.last_slow_arrival = disk.sim().now();
   }
 }
 

@@ -7,8 +7,16 @@
 // under the Staggered policy), and the duty-cycle cooldowns
 // (`simple_cooldown` / `staggered_cooldown`) must separate a spin-up (or
 // full-speed restore) from the next power-saving transition.
+//
+// It also re-derives the elevator's picks (OSTEP ch. 37 §37.5): from the
+// submissions it rebuilds each disk's demand and background queues as
+// multimaps (which iterate equal offsets in arrival order), tracks the head
+// and the sweep direction, and flags any request that enters service other
+// than the one a SCAN sweep over those queues picks — demand first, FIFO
+// among equal offsets.
 #pragma once
 
+#include <map>
 #include <unordered_map>
 
 #include "check/audit.h"
@@ -41,6 +49,13 @@ class DASCHED_OBSERVER_PASSIVE DiskStateMachineCheck final
   [[nodiscard]] static bool legal_transition(DiskState from, DiskState to);
 
  private:
+  /// A queued request as the submission showed it.
+  struct Queued {
+    Bytes size;
+    bool is_write;
+  };
+  using ScanQueue = std::multimap<Bytes, Queued>;
+
   struct DiskTrack {
     /// Completion time of the last spin-up (kSpinningUp -> kIdle); -1 before
     /// the first one.
@@ -54,10 +69,18 @@ class DASCHED_OBSERVER_PASSIVE DiskStateMachineCheck final
     /// (steps queued while the previous transition was in flight drain as
     /// one batch — see StaggeredMultiSpeed).
     SimTime last_speed_change_done = -1;
+
+    // The elevator as the submissions and picks so far imply it.
+    ScanQueue demand;
+    ScanQueue background;
+    Bytes head = 0;
+    bool sweep_up = true;
   };
 
   void check_rpm_transition(const Disk& disk, const DiskTrack& track,
                             SimTime now);
+  void check_scan_pick(const Disk& disk, DiskTrack& track,
+                       const DiskRequest& req);
 
   PolicyKind policy_;
   PolicyConfig cfg_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "compiler/trace_builder.h"
+#include "util/rng.h"
 
 namespace dasched {
 namespace {
@@ -175,6 +176,77 @@ TEST(DiskStateMachineCheck, CleanOnRealSpinCycle) {
   disk.finalize();
   auditor.finalize();
   EXPECT_EQ(done, 1);
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+}
+
+DiskRequest queued(Bytes offset, Bytes size, bool background) {
+  return DiskRequest{offset, size, /*is_write=*/false, background, {}};
+}
+
+TEST(DiskStateMachineCheck, PickOffTheScanSweepTrips) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<DiskStateMachineCheck>();
+  Simulator sim;
+  Disk disk(sim, DiskParams{});
+  for (const Bytes off : {mib(3), mib(1), mib(2)}) {
+    check.on_request_submitted(disk, queued(off, kib(64), false));
+  }
+  // Sweeping up from offset 0, SCAN takes 1 MiB first.
+  check.on_service_start(disk, queued(mib(1), kib(64), false));
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+  // Inject the violation: the arm skips 2 MiB on its way up.
+  check.on_service_start(disk, queued(mib(3), kib(64), false));
+  EXPECT_TRUE(has_violation(auditor, "disk-state-machine", "where SCAN"));
+  EXPECT_EQ(auditor.violations_total(), 1);
+}
+
+TEST(DiskStateMachineCheck, PickAheadOfAnOlderEqualOffsetTrips) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<DiskStateMachineCheck>();
+  Simulator sim;
+  Disk disk(sim, DiskParams{});
+  check.on_request_submitted(disk, queued(mib(1), kib(64), false));
+  check.on_request_submitted(disk, queued(mib(1), kib(128), false));
+  // FIFO among equal offsets: the newer 128 KiB request may not go first.
+  check.on_service_start(disk, queued(mib(1), kib(128), false));
+  EXPECT_TRUE(has_violation(auditor, "disk-state-machine", "(offset 1048576, 65536 B)"));
+}
+
+TEST(DiskStateMachineCheck, BackgroundPickWhileDemandQueuedTrips) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<DiskStateMachineCheck>();
+  Simulator sim;
+  Disk disk(sim, DiskParams{});
+  check.on_request_submitted(disk, queued(0, kib(64), true));
+  check.on_request_submitted(disk, queued(mib(5), kib(64), false));
+  check.on_service_start(disk, queued(0, kib(64), true));
+  EXPECT_TRUE(has_violation(auditor, "disk-state-machine",
+                            "served background request (offset 0, 65536 B) "
+                            "where SCAN from head 0 picks demand"));
+}
+
+TEST(DiskStateMachineCheck, CleanOnADeepMixedBacklog) {
+  SimAuditor auditor;
+  auto& check = auditor.add_check<DiskStateMachineCheck>();
+  Simulator sim;
+  Disk disk(sim, DiskParams{});
+  disk.add_observer(&check);
+  Rng rng(11);
+  int done = 0;
+  // Arrivals land on both sides of the head and on offsets already queued
+  // in either queue, so the sweep reverses and ties break FIFO.
+  for (int i = 0; i < 600; ++i) {
+    const Bytes off = kib(64) * rng.next_int(0, 99);
+    const bool background = rng.next_double() < 0.7;
+    disk.submit(DiskRequest{off, kib(64) * rng.next_int(1, 4),
+                            rng.next_double() < 0.2, background,
+                            [&done] { ++done; }});
+    if (i % 3 == 0) sim.run(sim.now() + msec(5.0));
+  }
+  sim.run();
+  disk.finalize();
+  auditor.finalize();
+  EXPECT_EQ(done, 600);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
