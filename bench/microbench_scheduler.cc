@@ -9,8 +9,12 @@
 // and wall-clock scaling of the parallel grid runner.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "compiler/compile.h"
 #include "core/scheduler.h"
+#include "disk/disk.h"
 #include "driver/experiment.h"
 #include "engine/grid_runner.h"
 #include "sim/simulator.h"
@@ -298,6 +302,56 @@ void BM_StoragePathWriteBurst(benchmark::State& state) {
                           static_cast<std::int64_t>(offsets.size()));
 }
 BENCHMARK(BM_StoragePathWriteBurst)->Unit(benchmark::kMillisecond);
+
+/// Deep elevator backlogs across many disks (the shape of a wide scheme-off
+/// cell): 64 disks, each kept at ~700 queued background requests, pushes
+/// and takes interleaved across the disks.  Each round sends one demand read
+/// carrying a completion callback to one disk, runs the simulator 5 ms
+/// (about one service per disk), then tops every backlog back up.  items/sec
+/// = disk requests/sec.
+void BM_StoragePathDeepBacklog(benchmark::State& state) {
+  constexpr int kDisks = 64;
+  constexpr std::size_t kDepth = 700;
+  constexpr int kRoundsPerIter = 200;
+  Simulator sim;
+  const DiskParams params = DiskParams::paper_defaults();
+  std::vector<std::unique_ptr<Disk>> disks;
+  for (int d = 0; d < kDisks; ++d) {
+    disks.push_back(std::make_unique<Disk>(sim, params, d + 1));
+  }
+  const auto blocks = static_cast<std::uint64_t>(params.capacity / kib(64));
+  Rng rng(23);
+  const auto top_up = [&] {
+    for (auto& disk : disks) {
+      while (disk->queue_depth() < kDepth) {
+        disk->submit(DiskRequest{kib(64) * rng.next_below(blocks), kib(64),
+                                 rng.next_bool(0.3), /*background=*/true,
+                                 {}});
+      }
+    }
+  };
+  const auto requests = [&] {
+    std::int64_t n = 0;
+    for (const auto& disk : disks) n += disk->stats().requests;
+    return n;
+  };
+  top_up();
+  std::int64_t completed = 0;
+  std::int64_t round = 0;
+  const std::int64_t before = requests();
+  for (auto _ : state) {
+    for (int r = 0; r < kRoundsPerIter; ++r, ++round) {
+      disks[static_cast<std::size_t>(round % kDisks)]->submit(
+          DiskRequest{kib(64) * rng.next_below(blocks), kib(64), false,
+                      /*background=*/false, [&completed] { ++completed; }});
+      sim.run(sim.now() + msec(5.0));
+      top_up();
+    }
+  }
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(requests() - before);
+}
+BENCHMARK(BM_StoragePathDeepBacklog)->Unit(benchmark::kMillisecond);
 
 /// End-to-end default-config grid cell (the BM_GridRunner cell shape): one
 /// full experiment — workload build, compile, simulate — per iteration.

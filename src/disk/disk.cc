@@ -56,7 +56,8 @@ void Disk::reset(const DiskParams& params, std::uint64_t seed) {
   background_queue_.clear();
   sweep_up_ = true;
   head_pos_ = 0;
-  in_service_complete_ = EventFn();
+  callbacks_.clear();
+  free_callbacks_.clear();
   stream_idle_ = true;
   stream_idle_since_ = sim_.now();
   last_accrue_ = sim_.now();
@@ -153,15 +154,37 @@ void Disk::submit(DiskRequest req) {
     stats_.reads += 1;
     stats_.bytes_read += req.size;
   }
-  if (req.background) {
-    const Bytes off = req.offset;
-    background_queue_.push(off, std::move(req));
-  } else {
-    const Bytes off = req.offset;
-    queue_.push(off, std::move(req));
-  }
+  const std::uint32_t callback =
+      req.on_complete ? park_callback(std::move(req.on_complete)) : kNoCallback;
+  (req.background ? background_queue_ : queue_)
+      .push(req.offset, QueuedRequest{req.size, callback, req.is_write});
   if (policy_ != nullptr) policy_->on_request_arrival();
   try_progress();
+}
+
+std::uint32_t Disk::park_callback(EventFn&& fn) {
+  if (!free_callbacks_.empty()) {
+    const std::uint32_t index = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[index] = std::move(fn);
+    return index;
+  }
+  const auto index = static_cast<std::uint32_t>(callbacks_.size());
+  // dasched-lint: allow(hot-alloc): slab growth is bounded by the high-water
+  // mark of parked callbacks; vacated slots recycle through free_callbacks_.
+  callbacks_.push_back(std::move(fn));
+  // dasched-lint: allow(hot-alloc): sized with the slab, so releasing a slot
+  // never grows the free list.
+  free_callbacks_.reserve(callbacks_.capacity());
+  return index;
+}
+
+EventFn Disk::take_callback(std::uint32_t index) {
+  if (index == kNoCallback) return {};
+  EventFn fn = std::move(callbacks_[index]);
+  // dasched-lint: allow(hot-alloc): capacity reserved on slab growth.
+  free_callbacks_.push_back(index);
+  return fn;
 }
 
 void Disk::request_spin_down() {
@@ -270,14 +293,20 @@ void Disk::start_service() {
   assert(state_ == DiskState::kIdle && !queue_empty());
 
   // Demand requests first; background prefetches fill the remaining slots.
-  auto& q = queue_.empty() ? background_queue_ : queue_;
+  const bool background = queue_.empty();
+  auto& q = background ? background_queue_ : queue_;
 
   // Elevator (SCAN): continue in the sweep direction, reverse at the end.
-  DiskRequest req = q.take_next(head_pos_, sweep_up_);
-  observers_.notify([&](DiskObserver* o) { o->on_service_start(*this, req); });
+  Bytes offset;
+  const QueuedRequest req = q.take_next(head_pos_, sweep_up_, &offset);
+  if (!observers_.empty()) {
+    const DiskRequest shown{offset, req.size, req.is_write, background, {}};
+    observers_.notify(
+        [&](DiskObserver* o) { o->on_service_start(*this, shown); });
+  }
 
-  const Bytes dist = req.offset > head_pos_ ? req.offset - head_pos_
-                                            : head_pos_ - req.offset;
+  const Bytes dist = offset > head_pos_ ? offset - head_pos_
+                                        : head_pos_ - offset;
   SimTime seek_t = 0;
   if (dist > 0) {
     const double frac =
@@ -307,19 +336,17 @@ void Disk::start_service() {
     enter_state(DiskState::kTransferring);
   }
 
-  head_pos_ = req.offset + req.size;
+  head_pos_ = offset + req.size;
   if (head_pos_ >= params_.capacity) head_pos_ = params_.capacity - 1;
 
-  // The completion is parked in a member rather than captured: nesting an
-  // EventFn inside the completion event's capture would overflow the inline
-  // buffer and heap-allocate.  Safe because service is strictly one-at-a-
-  // time — the member is vacant until this event fires.
-  in_service_complete_ = std::move(req.on_complete);
-  auto complete = [this, total] {
+  // The completion stays parked in its slot and the event captures only its
+  // index: nesting an EventFn inside the completion event's capture would
+  // overflow the inline buffer and heap-allocate.
+  auto complete = [this, total, callback = req.callback] {
     stats_.busy_time += total;
     observers_.notify(
         [&](DiskObserver* o) { o->on_service_complete(*this, total); });
-    EventFn cb = std::move(in_service_complete_);
+    EventFn cb = take_callback(callback);
     if (queue_empty()) {
       enter_state(DiskState::kIdle);
       stream_idle_ = true;

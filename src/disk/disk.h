@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "disk/disk_params.h"
 #include "disk/elevator_queue.h"
@@ -270,10 +271,10 @@ class Disk {
   }
 
   /// Restores the constructor postcondition for a new run — spinning idle
-  /// at `params.max_rpm`, empty elevator queues, RNG reseeded, zeroed
-  /// statistics — while keeping queue blocks, slabs and histogram buckets
-  /// warm so reuse allocates nothing.  Must run after the
-  /// owning simulator's reset (the idle/accrual clocks restart at
+  /// at `params.max_rpm`, empty elevator queues, no parked callback, RNG
+  /// reseeded, zeroed statistics — while keeping queue blocks, the callback
+  /// slab and histogram buckets warm so reuse allocates nothing.  Must run
+  /// after the owning simulator's reset (the idle/accrual clocks restart at
   /// `sim.now()`, which a reset simulator reads as 0); any `EventHandle`
   /// the disk held is already inert by then.  The attached policy and
   /// observers are left alone: the owning node re-wires both per run.
@@ -299,6 +300,8 @@ class Disk {
   void abort_spin_down();
   void begin_rpm_transition();
   void end_stream_idle_if_needed();
+  std::uint32_t park_callback(EventFn&& fn);
+  EventFn take_callback(std::uint32_t index);
 
   Simulator& sim_;
   DiskParams params_;
@@ -316,16 +319,27 @@ class Disk {
   SimTime spin_down_started_ = 0;
   EventHandle spin_down_event_;
 
-  // Elevator queues (demand first, background second): blocked offset
-  // indices over pooled request slabs, plus the SCAN sweep direction.
-  ElevatorQueue<DiskRequest> queue_;
-  ElevatorQueue<DiskRequest> background_queue_;
+  /// A queued request's row in the elevator index, which keys it by its
+  /// offset; which queue holds it says whether it is background.
+  struct QueuedRequest {
+    Bytes size;
+    std::uint32_t callback;  // index into callbacks_, or kNoCallback
+    bool is_write;
+  };
+  static constexpr std::uint32_t kNoCallback = UINT32_MAX;
+
+  // Elevator queues (demand first, background second) and the SCAN sweep
+  // direction.
+  ElevatorQueue<QueuedRequest> queue_;
+  ElevatorQueue<QueuedRequest> background_queue_;
   bool sweep_up_ = true;
   Bytes head_pos_ = 0;
-  /// Completion of the request currently in mechanical service (the disk
-  /// serves one request at a time); parked here so the completion event's
-  /// capture stays small enough for the inline `EventFn` buffer.
-  EventFn in_service_complete_;
+  /// Completions of queued and in-service requests, parked here so the
+  /// index rows stay small; only a request with a non-empty `on_complete`
+  /// takes a slot.  Vacated slots recycle through `free_callbacks_`, whose
+  /// capacity tracks the slab's, so releasing never allocates.
+  std::vector<EventFn> callbacks_;
+  std::vector<std::uint32_t> free_callbacks_;
 
   bool stream_idle_ = true;
   SimTime stream_idle_since_ = 0;

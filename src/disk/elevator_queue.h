@@ -1,23 +1,24 @@
 // Blocked SCAN/elevator request queue for the disk model.
 //
-// The index is a sequence of 16-byte (offset, slot) entries kept in offset
-// order, cut into blocks of at most `kBlockEntries`.  A small ordered
-// directory holds each block's id and its last offset; requests live in a
-// pooled slab addressed by `slot`.  A push lands after the last entry of
+// The index is a sequence of (offset, payload) entries kept in offset
+// order, cut into blocks of at most `kBlockEntries`.  The payload is a
+// small trivially copyable row stored inline in its entry, so a push or
+// take touches only the block it lands in.  A small ordered directory holds
+// each block's id and its last offset.  A push lands after the last entry of
 // equal offset, so insertion position alone keeps FIFO order among equal
 // offsets — the order `std::multimap` iterates — and `take_next` applies
 // the SCAN pick rules to that sequence, so the sweep picks bit-identically
 // the same request as a sorted flat index or a multimap would.  A push or
 // take shifts at most one block's entries; a full block splits in half and
-// an emptied block returns to the pool.  Blocks, directory, slab and free
-// lists all recycle their storage — steady-state pushes and takes never
-// allocate.
+// an emptied block returns to the pool.  Blocks, directory and free list
+// all recycle their storage — steady-state pushes and takes never allocate.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/annotations.h"
@@ -25,40 +26,32 @@
 
 namespace dasched {
 
-template <typename Request>
+template <typename Payload>
 class ElevatorQueue {
+  static_assert(std::is_trivially_copyable_v<Payload>,
+                "payloads move through the blocks by memcpy");
+  static_assert(sizeof(Payload) <= 16,
+                "an entry is the offset plus at most 16 payload bytes");
+
  public:
   static constexpr std::uint32_t kBlockEntries = 64;
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Drops every queued request, keeping block, directory, slab and
-  /// free-list capacity warm.  Picks depend only on the offset order and the
-  /// arrival order among equal offsets, so a cleared queue picks exactly
-  /// like a fresh one.
+  /// Drops every queued request, keeping block, directory and free-list
+  /// capacity warm.  Picks depend only on the offset order and the arrival
+  /// order among equal offsets, so a cleared queue picks exactly like a
+  /// fresh one.
   void clear() {
     for (const DirEntry& d : dir_) free_blocks_.push_back(d.block);
     dir_.clear();
-    slab_.clear();
-    free_slots_.clear();
     size_ = 0;
   }
 
   /// Enqueues a request keyed by its disk offset, after every queued
   /// request of equal offset (FIFO among equal offsets).
-  DASCHED_HOT void push(Bytes offset, Request req) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slab_[slot] = std::move(req);
-    } else {
-      slot = static_cast<std::uint32_t>(slab_.size());
-      // dasched-lint: allow(hot-alloc): slab growth is cold-path; slots
-      // recycle, so steady-state pushes reuse free_slots_.
-      slab_.push_back(std::move(req));
-    }
+  DASCHED_HOT void push(Bytes offset, Payload payload) {
     if (dir_.empty()) {
       // dasched-lint: allow(hot-alloc): directory growth is bounded by the
       // block high-water mark; the directory keeps its capacity.
@@ -83,7 +76,7 @@ class ElevatorQueue {
     Block& b = blocks_[dir_[k].block];
     std::copy_backward(b.entries.begin() + pos, b.entries.begin() + b.count,
                        b.entries.begin() + b.count + 1);
-    b.entries[pos] = Entry{offset, slot};
+    b.entries[pos] = Entry{offset, payload};
     ++b.count;
     dir_[k].last = b.entries[b.count - 1].offset;
     ++size_;
@@ -93,8 +86,10 @@ class ElevatorQueue {
   /// sweeping up, the first request at or above `head`, reversing to the
   /// last request when none is; sweeping down, the first request at `head`
   /// if one is there, else the last request below it, reversing to the
-  /// first request when none is below.  Flips `sweep_up` at a reversal.
-  DASCHED_HOT Request take_next(Bytes head, bool& sweep_up) {
+  /// first request when none is below.  Flips `sweep_up` at a reversal, and
+  /// stores the request's offset in `*offset` when `offset` is non-null.
+  DASCHED_HOT Payload take_next(Bytes head, bool& sweep_up,
+                                Bytes* offset = nullptr) {
     assert(!empty());
     // Lower bound of `head`: block k, entry i; k == dir_.size() past the end.
     std::size_t k = static_cast<std::size_t>(
@@ -119,15 +114,16 @@ class ElevatorQueue {
         i = blocks_[dir_[k].block].count - 1;
       }
     }
-    return take_at(k, i);
+    const Entry e = take_at(k, i);
+    if (offset != nullptr) *offset = e.offset;
+    return e.payload;
   }
 
  private:
   struct Entry {
     Bytes offset;
-    std::uint32_t slot;
+    Payload payload;
   };
-  static_assert(sizeof(Entry) == 16);
 
   struct Block {
     std::uint32_t count = 0;
@@ -190,12 +186,12 @@ class ElevatorQueue {
   }
 
   /// Removes entry `i` of the block at directory position `k`, releasing
-  /// the block when it empties, and returns its request.
-  Request take_at(std::size_t k, std::uint32_t i) {
+  /// the block when it empties, and returns it.
+  Entry take_at(std::size_t k, std::uint32_t i) {
     const std::uint32_t id = dir_[k].block;
     Block& b = blocks_[id];
     assert(i < b.count);
-    const std::uint32_t slot = b.entries[i].slot;
+    const Entry out = b.entries[i];
     std::copy(b.entries.begin() + i + 1, b.entries.begin() + b.count,
               b.entries.begin() + i);
     --b.count;
@@ -207,18 +203,12 @@ class ElevatorQueue {
       dir_[k].last = b.entries[b.count - 1].offset;
     }
     --size_;
-    Request out = std::move(slab_[slot]);
-    // dasched-lint: allow(hot-alloc): free-list growth is bounded by the
-    // slab high-water mark; steady state recycles capacity.
-    free_slots_.push_back(slot);
     return out;
   }
 
   std::vector<Block> blocks_;  // pool; ids index it
   std::vector<std::uint32_t> free_blocks_;
   std::vector<DirEntry> dir_;  // blocks in offset order
-  std::vector<Request> slab_;
-  std::vector<std::uint32_t> free_slots_;
   std::size_t size_ = 0;
 };
 

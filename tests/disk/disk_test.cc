@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace dasched {
 namespace {
@@ -212,6 +220,153 @@ TEST(Disk, DemandRequestsPreemptBackgroundQueue) {
   // The first request was already in service; the demand request must come
   // no later than second.
   EXPECT_EQ(order[1], 'D');
+}
+
+/// Logs submissions and service starts in one sequence, and counts
+/// completions, for callbacks and the test body to compare against.
+class ServiceLog final : public DiskObserver {
+ public:
+  struct Event {
+    bool start;  // a service start; else a submission
+    Bytes offset;
+    Bytes size;
+    bool background;
+  };
+
+  void on_request_submitted(const Disk& disk, const DiskRequest& req) override {
+    (void)disk;
+    events.push_back(Event{false, req.offset, req.size, req.background});
+  }
+  void on_service_start(const Disk& disk, const DiskRequest& req) override {
+    (void)disk;
+    events.push_back(Event{true, req.offset, req.size, req.background});
+    last_started_size = req.size;
+    ++started;
+  }
+  void on_service_complete(const Disk& disk, SimTime service_time) override {
+    (void)disk;
+    (void)service_time;
+    ++completed;
+  }
+
+  std::vector<Event> events;
+  Bytes last_started_size = 0;
+  int started = 0;
+  int completed = 0;
+};
+
+TEST(Disk, CallbacksFireOnceAtTheirOwnCompletionInFifoOrder) {
+  Simulator sim;
+  const DiskParams params = DiskParams::paper_defaults();
+  Disk disk(sim, params);
+  ServiceLog log;
+  disk.add_observer(&log);
+  Rng rng(5);
+
+  // Each request's size encodes its id, so a logged size names its request.
+  constexpr int kRequests = 900;
+  const auto size_of = [](int id) { return kib(4) + Bytes{512} * id; };
+  const auto id_of = [](Bytes size) {
+    return static_cast<int>((size - kib(4)) / Bytes{512});
+  };
+  std::vector<bool> has_callback;
+  std::vector<int> fired(kRequests, 0);
+  int next_id = 0;
+  // Submits the next request.  Its callback checks that the service that
+  // just completed is its own; every fifth submits a follow-up from inside
+  // the completion, right after its own slot was released.
+  std::function<void()> submit_next = [&] {
+    const int id = next_id++;
+    // Twenty offsets shared by both queues: runs of equal offsets form in
+    // each, and the sweep meets the same offsets in both.
+    const Bytes offset = kib(64) * rng.next_int(0, 19);
+    const bool background = rng.next_bool(0.6);
+    has_callback.push_back(rng.next_bool(0.4));
+    EventFn cb;
+    if (has_callback.back()) {
+      cb = EventFn([&, id] {
+        ++fired[id];
+        EXPECT_EQ(log.last_started_size, size_of(id));
+        EXPECT_EQ(log.completed, log.started);
+        if (id % 5 == 0 && next_id < kRequests) submit_next();
+      });
+    }
+    disk.submit(DiskRequest{offset, size_of(id), rng.next_bool(0.2),
+                            background, std::move(cb)});
+  };
+  // A deep backlog first, then arrivals while it drains.
+  while (next_id < 600) submit_next();
+  for (int i = 0; i < 40 && next_id < kRequests; ++i) {
+    sim.run(sim.now() + msec(20.0));
+    for (int j = 0; j < 5 && next_id < kRequests; ++j) submit_next();
+  }
+  sim.run();
+  ASSERT_GT(next_id, 700);
+  EXPECT_EQ(log.started, next_id);
+  EXPECT_EQ(log.completed, next_id);
+  EXPECT_TRUE(disk.queue_empty());
+
+  int with_callback = 0;
+  for (int id = 0; id < next_id; ++id) {
+    EXPECT_EQ(fired[id], has_callback[id] ? 1 : 0) << "request " << id;
+    if (has_callback[id]) ++with_callback;
+  }
+  EXPECT_GT(with_callback, 200);
+  EXPECT_LT(with_callback, next_id - 200);
+
+  // Each queue indexes equal offsets in arrival order.  The arm reaching an
+  // offset at or above the head takes the oldest request queued there; a
+  // downward sweep walks the index backwards and takes the newest.
+  std::map<std::pair<Bytes, bool>, std::set<int>> queued;
+  Bytes head = 0;
+  for (const ServiceLog::Event& e : log.events) {
+    const int id = id_of(e.size);
+    std::set<int>& ids = queued[{e.offset, e.background}];
+    if (!e.start) {
+      ids.insert(id);
+      continue;
+    }
+    ASSERT_FALSE(ids.empty()) << "request " << id << " was never queued";
+    const int want = e.offset >= head ? *ids.begin() : *ids.rbegin();
+    EXPECT_EQ(id, want) << "offset " << e.offset << ", head " << head;
+    ids.erase(id);
+    head = std::min(e.offset + e.size, params.capacity - 1);
+  }
+}
+
+TEST(Disk, ResetMidBacklogLeavesNoCallbackBehind) {
+  Simulator sim;
+  const DiskParams params = DiskParams::paper_defaults();
+  Disk disk(sim, params);
+  // Every callback holds a reference to `token`; a parked callback that
+  // survives the reset keeps the count above one.
+  const auto token = std::make_shared<int>(0);
+  int old_fired = 0;
+  for (int i = 0; i < 300; ++i) {
+    EventFn cb;
+    if (i % 2 == 0) cb = EventFn([token, &old_fired] { ++old_fired; });
+    disk.submit(DiskRequest{kib(64) * (i % 37), kib(64), false,
+                            /*background=*/i % 3 != 0, std::move(cb)});
+  }
+  sim.run(msec(200.0));
+  ASSERT_GT(old_fired, 0);
+  ASSERT_FALSE(disk.queue_empty());
+  const int fired_before_reset = old_fired;
+
+  sim.reset();
+  disk.reset(params, 1);
+  EXPECT_EQ(token.use_count(), 1) << "a parked callback outlived the reset";
+  EXPECT_TRUE(disk.queue_empty());
+
+  // The reset disk serves new requests, and only their callbacks fire.
+  int new_fired = 0;
+  for (int i = 0; i < 50; ++i) {
+    disk.submit(DiskRequest{kib(64) * i, kib(64), false, i % 2 == 0,
+                            [&new_fired] { ++new_fired; }});
+  }
+  sim.run();
+  EXPECT_EQ(new_fired, 50);
+  EXPECT_EQ(old_fired, fired_before_reset);
 }
 
 TEST(Disk, WriteUpdatesWriteCounters) {

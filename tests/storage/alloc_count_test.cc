@@ -7,7 +7,8 @@
 // pattern must perform ZERO heap allocations — for steady-state cached
 // reads, for the cache-miss + prefetch path, and for a disk whose
 // background backlog spans several elevator-index blocks and is refilled
-// after draining.  A new allocation site in
+// after draining, with or without a completion callback on every request.
+// A new allocation site in
 // `StorageSystem::route`, `IoNode::read`, `StorageCache` or
 // `Disk` turns into a test failure here, not a silent perf regression.
 
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "disk/disk.h"
 #include "storage/storage_system.h"
@@ -178,7 +180,8 @@ TEST(AllocCount, RefilledBackgroundBacklogAllocatesNothing) {
   // Warm-up: the backlog spans many index blocks, which split as it fills
   // and return to the pool as it drains.
   const std::size_t depth = run_background_round(sim, disk, completed);
-  ASSERT_GT(depth, 4u * ElevatorQueue<DiskRequest>::kBlockEntries);
+  // Every payload type blocks its index the same way.
+  ASSERT_GT(depth, 4u * ElevatorQueue<int>::kBlockEntries);
   ASSERT_TRUE(disk.queue_empty());
 
   g_allocations.store(0);
@@ -190,6 +193,48 @@ TEST(AllocCount, RefilledBackgroundBacklogAllocatesNothing) {
   EXPECT_EQ(completed, 2'000);
   EXPECT_EQ(g_allocations.load(), 0u)
       << "refilling a drained background backlog hit the heap";
+}
+
+/// One round of demand and background requests at a single disk, only every
+/// third carrying a completion callback, run until the backlog drains;
+/// returns the peak queue depth.
+std::size_t run_mixed_round(Simulator& sim, Disk& disk,
+                            std::int64_t& completed) {
+  constexpr int kRequests = 1'000;
+  for (int i = 0; i < kRequests; ++i) {
+    const Bytes offset = kib(64) * ((i * 7'919) % 512);
+    EventFn on_complete;
+    if (i % 3 == 0) on_complete = EventFn([&completed] { ++completed; });
+    disk.submit(DiskRequest{offset, kib(64), /*is_write=*/i % 5 == 0,
+                            /*background=*/i % 4 != 0,
+                            std::move(on_complete)});
+  }
+  const std::size_t depth = disk.queue_depth();
+  sim.run();
+  return depth;
+}
+
+TEST(AllocCount, RefilledMixedCallbackBacklogAllocatesNothing) {
+  Simulator sim;
+  Disk disk(sim, DiskParams::paper_defaults());
+  std::int64_t completed = 0;
+
+  // Warm-up grows the index blocks of both queues and the callback slab.
+  const std::size_t depth = run_mixed_round(sim, disk, completed);
+  ASSERT_GT(depth, 4u * ElevatorQueue<int>::kBlockEntries);
+  ASSERT_TRUE(disk.queue_empty());
+  ASSERT_EQ(completed, 334);
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const std::size_t refill_depth = run_mixed_round(sim, disk, completed);
+  g_counting.store(false);
+
+  EXPECT_EQ(refill_depth, depth);
+  EXPECT_EQ(completed, 668);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "refilling a backlog mixing requests with and without callbacks "
+         "hit the heap";
 }
 
 }  // namespace
