@@ -153,7 +153,8 @@ void DiskStateMachineCheck::check_scan_pick(const Disk& disk,
     --it;
   }
   if (it->first == req.offset && it->second.size == req.size &&
-      it->second.is_write == req.is_write && from_background == req.background) {
+      it->second.is_write == req.is_write &&
+      from_background == req.background) {
     q.erase(it);
     return;
   }

@@ -209,7 +209,8 @@ TEST(DiskStateMachineCheck, PickAheadOfAnOlderEqualOffsetTrips) {
   check.on_request_submitted(disk, queued(mib(1), kib(128), false));
   // FIFO among equal offsets: the newer 128 KiB request may not go first.
   check.on_service_start(disk, queued(mib(1), kib(128), false));
-  EXPECT_TRUE(has_violation(auditor, "disk-state-machine", "(offset 1048576, 65536 B)"));
+  EXPECT_TRUE(has_violation(auditor, "disk-state-machine",
+                            "(offset 1048576, 65536 B)"));
 }
 
 TEST(DiskStateMachineCheck, BackgroundPickWhileDemandQueuedTrips) {
